@@ -18,16 +18,21 @@ perf-trajectory sparklines via ``repro-report --bench``):
 * ``zipfian`` — multiplicity ~ 1/rank with a bounded head, mixing hot
   segments into a long singleton tail.
 * ``same_set_mix`` — a hot set absorbing hundreds of aliasing requests
-  inside an otherwise uniform batch: the adversarial LRU case (rank
-  rounds for both engines, but only the legacy engine pays a sort per
-  round).
+  inside an otherwise uniform batch: the adversarial LRU case.  Its 512
+  requests spread over 64 aliases, so they rarely repeat a line back to
+  back; the set keeps ~500 runs and both engines run about that many
+  rounds, but only the legacy engine pays a sort per round.
 * ``high_collision`` (direct-mapped only) — ~100k requests over 256
   sets, the historical gate: the closed form must stay at least 5x
   faster, and in no case may any model regress past 5 %.
 * ``trace_zipfian`` (set-associative only) — a real YCSB-style trace
-  from :mod:`repro.traces` expanded to line addresses: hot multi-line
-  objects, so collisions arrive as short sequential runs.  Trajectory
-  only; it feeds the sparklines but carries no speedup gate.
+  from :mod:`repro.traces` expanded to line addresses.  A hot key
+  re-touches its whole multi-line object, so one set sees the same line
+  hundreds of times (largest multiplicity 931).  Grouped by set, ~70 %
+  of the occurrences repeat their predecessor's line and fold into run
+  heads, so the LRU engine runs 20 rounds where the legacy engine runs
+  931.  Trajectory only; it feeds the sparklines but carries no speedup
+  gate.
 
 Batches are frozen read-only so the read pass and the write pass of
 each iteration share one ``SegmentedBatch`` — the fused one-argsort
@@ -173,9 +178,9 @@ def _trace_zipfian_batch():
     """A real YCSB-style KV trace, expanded to line addresses.
 
     Unlike the synthetic ``zipfian`` batch, the hot keys here are
-    multi-line *objects* (values spanning several cache lines), so hot
-    sets arrive as short sequential runs rather than isolated repeats —
-    the request shape ``repro.traces`` replays.  Trajectory-only: no
+    multi-line *objects* (values spanning several cache lines) that
+    recur whole, so a hot set sees the same line over and over — the
+    request shape ``repro.traces`` replays.  Trajectory-only: no
     speedup gate, the row just feeds the perf sparklines.
     """
     from repro.traces import generate

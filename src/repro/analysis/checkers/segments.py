@@ -11,8 +11,8 @@ the request hot paths:
   ``contains`` (or a legacy ``_read_round``/``_write_round``) — those
   paths run per batch and must lean on
   :func:`repro.perf.segments.segment` / the model's ``BatchSegmenter``;
-* no ``.rounds()``/``._rounds()`` loops in those functions — models
-  whose recurrence is only k-bounded (LRU) keep their bounded loop
+* no ``.rounds()``/``._rounds()`` loops in those functions — the one
+  model without a closed form (LRU) keeps its run-bounded round loop
   inside the engine functions, not in the model hot path;
 * no defining the legacy per-round hooks ``_read_round``/
   ``_write_round``/``_rounds`` at all — variants customize via the
@@ -101,5 +101,5 @@ class SegmentsChecker(Checker):
                     node,
                     f"round loop in hot path {func.name}(): resolve "
                     "duplicates closed-form in repro.cache.engine, or keep "
-                    "the k-bounded loop inside the engine function",
+                    "the run-bounded loop inside the engine function",
                 )

@@ -54,13 +54,23 @@ at least one fill per active run per pass — independent of batch size.
 
 **Set-associative LRU.**  LRU stamps couple same-set occurrences of
 *different* lines (every access reorders the whole recency stack), so
-occurrence ``k``'s victim depends on the full prefix — the recurrence
-is resolved round-by-round over the rank partition of the one shared
-sort.  The bound is ``k = max same-set multiplicity`` and it is tight:
-a same-set chain of ``ways + 1`` alternating lines makes every access's
-hit/victim decision depend on the previous access's stamp update.
-Collision-free batches (the common uniform case) skip the loop and the
-sort entirely via the duplicate probe.
+a victim depends on the full prefix and the recurrence is resolved in
+rounds off the one shared sort.  Repeats need no round of their own:
+an occurrence whose line equals its set's previous occurrence hits the
+way that occurrence just made MRU — no lookup, no victim, and nothing
+changes but that way's stamp.  Each set's occurrences therefore split
+into *runs* of one repeated line; a run's head does the lookup, its
+repeats count as hits (for writes, DDO writes exactly when the head was
+one), and the head writes the run's final stamp directly.  Round ``r``
+resolves every set's ``r``-th run head, so a batch takes as many rounds
+as the largest number of runs in one set.  That is at most the largest
+same-set multiplicity ``k``, and equals it only when a set with ``k``
+occurrences never repeats a line back to back (e.g. a same-set chain of
+``ways + 1`` alternating lines, where every miss's victim depends on
+the previous access's stamp).  Stamps and the clock stay those of one
+tick per occurrence rank: the clock advances by ``k``.  Collision-free
+batches (the common uniform case) skip the loop and the sort entirely
+via the duplicate probe.
 
 Each closed form is a handful of vectorized segment operations — at
 most one stable argsort per batch (zero for probe-proven uniform
@@ -610,7 +620,7 @@ def sector_write_batch(
 
 
 # ---------------------------------------------------------------------------
-# Set-associative LRU (k-bounded round resolution)
+# Set-associative LRU (run-bounded round resolution)
 # ---------------------------------------------------------------------------
 
 
@@ -620,12 +630,14 @@ def _lru_lookup(
     tags: np.ndarray,
     stamp: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-request (hit mask, way): the hit way or the LRU victim."""
+    """Per-request (hit mask, slot): the flat index ``set * ways + way``
+    of the hit way or, on a miss, of the LRU victim."""
     matches = tags[sub_sets] == sub_lines[:, None]
-    hit = matches.any(axis=1)
-    hit_way = matches.argmax(axis=1)
-    victim_way = stamp[sub_sets].argmin(axis=1)
-    return hit, np.where(hit, hit_way, victim_way)
+    way = matches.argmax(axis=1)
+    hit = matches[np.arange(way.size), way]
+    miss = ~hit
+    way[miss] = stamp[sub_sets[miss]].argmin(axis=1)
+    return hit, sub_sets * tags.shape[1] + way
 
 
 def setassoc_read_batch(
@@ -640,29 +652,33 @@ def setassoc_read_batch(
     """Apply a batch of LLC reads to set-associative LRU state.
 
     Collision-free batches are one vectorized round (no sort, via the
-    duplicate probe); otherwise the rank partition of the one shared
-    sort is resolved round-by-round — ``k = max same-set multiplicity``
-    rounds, which is tight for LRU (see the module docstring).
+    duplicate probe).  Otherwise each set's occurrences split into runs
+    of one repeated line; a repeat hits the MRU way its run's head just
+    touched, so it needs no lookup and no victim, and folds into the
+    head, which writes the run's final stamp.  The run heads resolve
+    round-by-round: as many rounds as the largest run count of one set
+    (see the module docstring).  The ``(num_sets, ways)`` state arrays
+    must be C-contiguous; they are updated through flat views.
     Returns the updated LRU clock alongside the counts.
     """
     n = int(lines.size)
     n_miss = n_dirty = 0
     sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        hit, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
+    tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
+    known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
+    for rnd in seg.rounds(lines):
+        sub_lines = lines[rnd.index]
+        hit, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
         miss = ~hit
-        dirty_victim = miss & dirty[sub_sets, way]
-        n_miss += int(miss.sum())
-        n_dirty += int(dirty_victim.sum())
+        miss_slot = slot[miss]
+        n_miss += int(miss_slot.size)
+        n_dirty += int(dirty_at[miss_slot].sum())
 
-        miss_sets, miss_way = sub_sets[miss], way[miss]
-        tags[miss_sets, miss_way] = sub_lines[miss]
-        dirty[miss_sets, miss_way] = False
-        known_resident[sub_sets, way] = True
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return ReadCounts(n, n_miss, n_dirty), clock
+        tags_at[miss_slot] = sub_lines[miss]
+        dirty_at[miss_slot] = False
+        known_at[slot] = True
+        stamp_at[slot] = clock + 1 + rnd.last_rank
+    return ReadCounts(n, n_miss, n_dirty), clock + seg.max_multiplicity
 
 
 def setassoc_write_batch(
@@ -676,32 +692,34 @@ def setassoc_write_batch(
     *,
     ddo_enabled: bool,
 ) -> Tuple[WriteCounts, np.int64]:
-    """Apply a batch of LLC write-backs to set-associative LRU state."""
-    n = int(lines.size)
-    n_ddo = n_hit = n_miss = n_dirty = 0
-    sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        hit, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
-        if ddo_enabled:
-            ddo = hit & known_resident[sub_sets, way]
-        else:
-            ddo = np.zeros(sub_lines.size, dtype=bool)
-        checked_hit = hit & ~ddo
-        miss = ~hit
-        dirty_victim = miss & dirty[sub_sets, way]
-        n_ddo += int(ddo.sum())
-        n_hit += int(checked_hit.sum())
-        n_miss += int(miss.sum())
-        n_dirty += int(dirty_victim.sum())
+    """Apply a batch of LLC write-backs to set-associative LRU state.
 
-        dirty[sub_sets, way] = True
-        miss_sets, miss_way = sub_sets[miss], way[miss]
-        tags[miss_sets, miss_way] = sub_lines[miss]
-        known_resident[miss_sets, miss_way] = False
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return WriteCounts(n, n_ddo, n_hit, n_miss, n_dirty), clock
+    Same run folding as :func:`setassoc_read_batch`.  A folded repeat
+    takes its head's outcome: a DDO write if the head was one (the way
+    stays known-resident), otherwise a tag-checked hit (a miss or
+    checked hit leaves the way not known-resident).
+    """
+    n = int(lines.size)
+    n_ddo = n_miss = n_dirty = 0
+    sets = seg.keys
+    tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
+    known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
+    for rnd in seg.rounds(lines):
+        sub_lines = lines[rnd.index]
+        hit, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
+        if ddo_enabled:
+            n_ddo += int(rnd.size[hit & known_at[slot]].sum())
+        miss = ~hit
+        miss_slot = slot[miss]
+        n_miss += int(miss_slot.size)
+        n_dirty += int(dirty_at[miss_slot].sum())
+
+        dirty_at[slot] = True
+        tags_at[miss_slot] = sub_lines[miss]
+        known_at[miss_slot] = False
+        stamp_at[slot] = clock + 1 + rnd.last_rank
+    n_hit = n - n_ddo - n_miss
+    return WriteCounts(n, n_ddo, n_hit, n_miss, n_dirty), clock + seg.max_multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -922,15 +940,17 @@ def setassoc_prime_batch(
 
     Each line lands in its hit way (refreshing recency) or the LRU
     victim way, exactly as a demand access would place it, but with the
-    caller-chosen dirty/known-resident marks and no traffic.
+    caller-chosen dirty/known-resident marks and no traffic.  Repeats
+    fold into their run's head as in :func:`setassoc_read_batch`.
     """
     sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        _, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
-        tags[sub_sets, way] = sub_lines
-        dirty[sub_sets, way] = mark_dirty
-        known_resident[sub_sets, way] = mark_known_resident
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return clock
+    tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
+    known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
+    for rnd in seg.rounds(lines):
+        sub_lines = lines[rnd.index]
+        _, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
+        tags_at[slot] = sub_lines
+        dirty_at[slot] = mark_dirty
+        known_at[slot] = mark_known_resident
+        stamp_at[slot] = clock + 1 + rnd.last_rank
+    return clock + seg.max_multiplicity

@@ -9,11 +9,13 @@ argsort yields everything the batched cache engines need:
   within each key (so ``values[order]`` walks each set's accesses in
   program order);
 * ``first`` / ``last`` — occurrence masks over the grouped view;
-* ``rank`` — the occurrence number of each request within its key;
 * segmented prefix counts (:meth:`SegmentedBatch.exclusive_count`) and
   per-segment totals (:meth:`SegmentedBatch.segment_total`) — the
   building blocks of the closed-form duplicate-resolution recurrences in
-  :mod:`repro.cache.engine`.
+  :mod:`repro.cache.engine`;
+* rounds of pairwise-distinct keys (:meth:`SegmentedBatch.rounds`), for
+  the one recurrence without a closed form (LRU), with each run of
+  equal values inside a segment folded into its first occurrence.
 
 The legacy decomposition re-ran ``np.unique`` — itself a stable argsort —
 once *per collision round*, so a batch where every line maps to one set
@@ -29,9 +31,20 @@ builds the grouped view as the identity permutation — no argsort at all.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
+
+
+class Round(NamedTuple):
+    """One round of :meth:`SegmentedBatch.rounds`: a run head per key."""
+
+    #: Batch positions of the run heads, at most one per key.
+    index: np.ndarray
+    #: Per head: occurrence rank, within its key, of its run's last element.
+    last_rank: np.ndarray
+    #: Per head: run length (the head plus the repeats folded into it).
+    size: np.ndarray
 
 
 class SegmentedBatch:
@@ -52,7 +65,6 @@ class SegmentedBatch:
         "first_pos",
         "collision_free",
         "_segment_id",
-        "_rank",
     )
 
     def __init__(self, keys: np.ndarray) -> None:
@@ -70,7 +82,6 @@ class SegmentedBatch:
         self.first_pos = np.flatnonzero(self.first)
         self.collision_free = bool(self.first_pos.size == n)
         self._segment_id: Optional[np.ndarray] = None
-        self._rank: Optional[np.ndarray] = None
 
     @classmethod
     def distinct(cls, keys: np.ndarray) -> "SegmentedBatch":
@@ -92,7 +103,6 @@ class SegmentedBatch:
         self.first_pos = self.order
         self.collision_free = True
         self._segment_id = self.order
-        self._rank = np.zeros(n, dtype=np.int64)
         return self
 
     # -- derived views (computed on first use) -----------------------------
@@ -101,6 +111,13 @@ class SegmentedBatch:
     def num_segments(self) -> int:
         """Number of distinct keys in the batch."""
         return int(self.first_pos.size)
+
+    @property
+    def max_multiplicity(self) -> int:
+        """Occurrences of the most frequent key (0 for an empty batch)."""
+        if self.collision_free:
+            return int(self.keys.size > 0)
+        return int(np.diff(self.first_pos, append=self.keys.size).max())
 
     @property
     def leaders(self) -> np.ndarray:
@@ -113,19 +130,6 @@ class SegmentedBatch:
         if self._segment_id is None:
             self._segment_id = np.cumsum(self.first) - 1
         return self._segment_id
-
-    @property
-    def rank(self) -> np.ndarray:
-        """Occurrence number of each sorted position within its segment."""
-        if self._rank is None:
-            if self.collision_free:
-                self._rank = np.zeros(self.keys.size, dtype=np.int64)
-            else:
-                self._rank = (
-                    np.arange(self.keys.size, dtype=np.int64)
-                    - self.first_pos[self.segment_id]
-                )
-        return self._rank
 
     # -- segmented scans ---------------------------------------------------
 
@@ -144,29 +148,49 @@ class SegmentedBatch:
 
     # -- round decomposition (for models without a closed form) ------------
 
-    def rounds(self) -> Iterator[np.ndarray]:
+    def rounds(self, values: np.ndarray) -> Iterator[Round]:
         """Partition the batch into rounds of pairwise-distinct keys.
 
-        Round ``r`` holds the positions whose occurrence rank is ``r``,
-        in ascending original order — exactly the rounds the legacy
+        ``values`` (batch order) split each segment into *runs*: maximal
+        stretches of consecutive occurrences with equal values.  Only a
+        run's head enters a round; the run's repeats fold into it and
+        are reported through the head's ``size`` and ``last_rank``.
+        Round ``r`` holds the ``r``-th run head of every key that has
+        one, in ascending key order, so a batch takes as many rounds as
+        its largest per-key run count.  With pairwise-distinct values
+        every occurrence is its own run, and round ``r`` holds the
+        positions of occurrence rank ``r`` — the rounds the legacy
         per-round ``np.unique`` loop produced, but from one sort.
-        Models whose same-set recurrence has no closed form (LRU ways,
-        sector valid bitmaps) iterate these instead of re-sorting the
-        remainder every round.
         """
         n = self.keys.size
         if not n:
             return
         if self.collision_free:
-            yield np.arange(n, dtype=np.int64)
+            yield Round(
+                np.arange(n, dtype=np.int64),
+                np.zeros(n, dtype=np.int64),
+                np.ones(n, dtype=np.int64),
+            )
             return
-        counts = np.bincount(self.rank)
-        grouped = self.order[np.argsort(self.rank, kind="stable")]
-        start = 0
-        for count in counts.tolist():
-            chunk = grouped[start : start + count]
-            start += count
-            yield np.sort(chunk)
+        # Run heads as sorted positions: segment starts and value changes.
+        grouped = values[self.order]
+        run_start = self.first.copy()
+        run_start[1:] |= grouped[1:] != grouped[:-1]
+        heads = np.flatnonzero(run_start)
+        ends = np.empty_like(heads)  # one past each run's last sorted position
+        ends[:-1] = heads[1:]
+        ends[-1] = n
+        # Walk every key's runs in step, dropping keys whose runs are spent.
+        run = np.flatnonzero(self.first[heads])  # each key's first run
+        runs_left = np.diff(run, append=heads.size)
+        seg_start = self.first_pos
+        while run.size:
+            head, end = heads[run], ends[run]
+            yield Round(self.order[head], end - 1 - seg_start, end - head)
+            more = runs_left > 1
+            run = run[more] + 1
+            runs_left = runs_left[more] - 1
+            seg_start = seg_start[more]
 
 
 class DuplicateProbe:

@@ -243,13 +243,12 @@ def replay_trace(
     for ops, keys, sizes in trace.batches(batch_lines):
         reads = ops != OP_APPEND  # gets and put-RMW fetch first
         writes = ops != OP_GET  # puts and appends write back
-        lines = _expand_lines(keys, sizes, key_base)
-        line_reads = lines if bool(reads.all()) else _expand_lines(
-            keys[reads], sizes[reads], key_base
-        )
-        line_writes = lines if bool(writes.all()) else _expand_lines(
-            keys[writes], sizes[writes], key_base
-        )
+        if bool(reads.all()) and bool(writes.all()):
+            # All puts: one shared frozen vector, segmented once for both passes.
+            line_reads = line_writes = _expand_lines(keys, sizes, key_base)
+        else:
+            line_reads = _expand_lines(keys[reads], sizes[reads], key_base)
+            line_writes = _expand_lines(keys[writes], sizes[writes], key_base)
         with backend.epoch(ctx):
             if line_reads.size:
                 backend.access(line_reads, AccessKind.LLC_READ, ctx)

@@ -2,10 +2,10 @@
 
 Drives every production cache model — direct-mapped, sector,
 set-associative, and the three research variants — through thousands of
-randomized batches (uniform, high-collision, and adversarial
-all-same-set) and asserts per-batch traffic and tag counters plus final
-cache state match a deliberately naive one-access-at-a-time scalar
-reference exactly.  The direct-mapped, sector, and set-associative
+randomized batches (uniform, high-collision, adversarial all-same-set,
+and runs of repeated hot lines) and asserts per-batch traffic and tag
+counters plus final cache state match a deliberately naive
+one-access-at-a-time scalar reference exactly.  The direct-mapped, sector, and set-associative
 models are additionally checked against the legacy per-round engines in
 :mod:`repro.cache.rounds`, which are kept importable for exactly this
 purpose (and the old-vs-new benchmark) but are not production exports.
@@ -40,7 +40,7 @@ from repro.memsys.counters import TagStats, Traffic
 
 NUM_SETS = 8
 LINE_SPAN = NUM_SETS * 6  # six aliases per set
-BATCHES_PER_CASE = 660
+BATCHES_PER_CASE = 880
 MAX_BATCH = 14
 
 CONFIGS = [
@@ -64,10 +64,22 @@ def draw_batch(rng, scenario, span=LINE_SPAN, num_sets=NUM_SETS):
         # One set, random alias per request: the adversarial worst case.
         alias = rng.integers(0, aliases, size=n)
         return (3 % num_sets + alias * num_sets).astype(np.int64)
+    if scenario == "repeat_runs":
+        # Runs of one repeated hot line (two hot aliases in each of two
+        # sets, so runs recur within and across batches), often split by
+        # an aliasing line of the same set: the repeats LRU folds.
+        out = []
+        while len(out) < n:
+            hot_set = int(rng.integers(0, 2))
+            hot = hot_set + int(rng.integers(0, 2)) * num_sets
+            out.extend([hot] * int(rng.integers(1, 5)))
+            if rng.random() < 0.6:
+                out.append(hot_set + int(rng.integers(0, aliases)) * num_sets)
+        return np.array(out[:n], dtype=np.int64)
     raise AssertionError(scenario)
 
 
-SCENARIOS = ["uniform", "high_collision", "all_same_set"]
+SCENARIOS = ["uniform", "high_collision", "all_same_set", "repeat_runs"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +330,15 @@ def test_sector_prime_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Set-associative LRU: k-bounded engine vs legacy rounds engine
+# Set-associative LRU: run-folding engine vs legacy rounds engine
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("ways", [1, 2, 8])
 def test_setassoc_matches_rounds_engine(ways):
-    """Full state equivalence (tags, dirty, stamps) with the legacy
-    engine: the rank partition must reproduce the np.unique rounds."""
+    """Full state equivalence (tags, dirty, stamps, clock) with the
+    legacy engine: folding same-line repeats into their run's head must
+    leave every stamp and the clock as one round per occurrence rank."""
     num_sets = 4
     span = num_sets * ways * 3
     rng = np.random.default_rng(0xA550 + ways)
@@ -345,6 +358,7 @@ def test_setassoc_matches_rounds_engine(ways):
             assert vg == lg, f"tag stats diverged ({context}): {vg} vs {lg}"
         assert np.array_equal(vectorized._tags, legacy._tags)
         assert np.array_equal(vectorized._dirty, legacy._dirty)
+        assert np.array_equal(vectorized._known_resident, legacy._known_resident)
         assert np.array_equal(vectorized._stamp, legacy._stamp)
         assert vectorized._clock == legacy._clock
 

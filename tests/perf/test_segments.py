@@ -1,9 +1,10 @@
 """Unit tests for the segmented-batch primitives.
 
 Every derived view of :class:`~repro.perf.segments.SegmentedBatch` is
-checked against a brute-force per-key computation, and the round
+checked against a brute-force per-key computation, the round
 decomposition is checked against the legacy per-round ``np.unique``
-loop it replaced.
+loop it replaced, and the value-run folding of ``rounds(values)`` is
+checked against brute-force per-key runs.
 """
 
 import numpy as np
@@ -65,10 +66,6 @@ def test_grouping_invariants(keys):
     assert int(seg.first.sum()) == seg.num_segments
     assert int(seg.last.sum()) == seg.num_segments
     assert seg.collision_free == (np.unique(keys).size == n)
-    # rank, mapped back to batch order, matches the brute-force count.
-    rank_by_position = np.zeros(n, dtype=np.int64)
-    rank_by_position[seg.order] = seg.rank
-    np.testing.assert_array_equal(rank_by_position, brute_rank(keys))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -97,16 +94,26 @@ def test_segment_total_empty():
 
 @pytest.mark.parametrize("keys", list(batches()), ids=lambda k: f"n{k.size}")
 def test_rounds_match_legacy_decomposition(keys):
-    new = [r.tolist() for r in segment(keys).rounds()]
+    # Pairwise-distinct values make every occurrence its own run.
+    rounds = list(segment(keys).rounds(np.arange(keys.size)))
+    # A round's keys are pairwise distinct, so only its members matter:
+    # rounds list them in key order, the legacy loop in batch order.
+    new = [sorted(r.index.tolist()) for r in rounds]
     old = [r.tolist() for r in legacy_rounds(keys)]
     assert new == old
+    # Round r is occurrence rank r, matching the brute-force count.
+    rank = brute_rank(keys)
+    for number, r in enumerate(rounds):
+        assert (rank[r.index] == number).all()
+        assert (r.last_rank == number).all() and (r.size == 1).all()
 
 
 def test_rounds_partition_and_distinctness():
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 5, size=200).astype(np.int64)
     seen = []
-    for chunk in segment(keys).rounds():
+    for rnd in segment(keys).rounds(np.arange(keys.size)):
+        chunk = rnd.index
         round_keys = keys[chunk]
         assert np.unique(round_keys).size == round_keys.size  # pairwise distinct
         seen.extend(chunk.tolist())
@@ -115,5 +122,68 @@ def test_rounds_partition_and_distinctness():
 
 def test_all_same_key_rounds_are_singletons():
     keys = np.full(9, 4, dtype=np.int64)
-    chunks = [c.tolist() for c in SegmentedBatch(keys).rounds()]
+    chunks = [c.index.tolist() for c in SegmentedBatch(keys).rounds(np.arange(9))]
     assert chunks == [[i] for i in range(9)]
+
+
+def check_folded_rounds(keys, values, rounds):
+    """Every round has pairwise-distinct keys; each head plus its folded
+    repeats is one maximal run of equal values within its key, reported
+    with the right size and last rank; together they cover every batch
+    position exactly once."""
+    covered = []
+    for rnd in rounds:
+        assert np.unique(keys[rnd.index]).size == rnd.index.size
+        for head, last_rank, size in zip(
+            rnd.index.tolist(), rnd.last_rank.tolist(), rnd.size.tolist()
+        ):
+            same_key = np.flatnonzero(keys == keys[head])
+            start = int(np.searchsorted(same_key, head))
+            run = same_key[start : start + size]
+            assert (values[run] == values[head]).all()
+            assert start == 0 or values[same_key[start - 1]] != values[head]
+            end = start + size
+            assert end == same_key.size or values[same_key[end]] != values[head]
+            assert last_rank == end - 1
+            covered.extend(run.tolist())
+    assert sorted(covered) == list(range(keys.size))
+
+
+def brute_max_runs(keys, values):
+    """Largest number of equal-value runs any one key's occurrences form."""
+    runs, last = {}, {}
+    for key, value in zip(keys.tolist(), values.tolist()):
+        if key not in last or last[key] != value:
+            runs[key] = runs.get(key, 0) + 1
+        last[key] = value
+    return max(runs.values(), default=0)
+
+
+@pytest.mark.parametrize("keys", list(batches()), ids=lambda k: f"n{k.size}")
+def test_value_runs_fold_into_their_heads(keys):
+    rng = np.random.default_rng(keys.size)
+    values = keys + 16 * rng.integers(0, 2, size=keys.size)  # two values per key
+    rounds = list(segment(keys).rounds(values))
+    check_folded_rounds(keys, values, rounds)
+    assert len(rounds) == brute_max_runs(keys, values)
+
+
+def test_repeat_runs_resolve_in_run_count_rounds():
+    """Regression: 10,000 accesses over 4 keys, each key's occurrences
+    forming 3 runs of one repeated value, take 3 rounds — not one per
+    occurrence rank (2,500)."""
+    num_keys, per_key = 4, 2500
+    rng = np.random.default_rng(13)
+    values = np.empty(num_keys * per_key, dtype=np.int64)
+    for key in range(num_keys):
+        cuts = np.sort(rng.choice(np.arange(1, per_key), size=2, replace=False))
+        lengths = np.diff(cuts, prepend=0, append=per_key)
+        run_values = [key + num_keys, key + 2 * num_keys, key + num_keys]
+        values[key::num_keys] = np.repeat(run_values, lengths)  # keys interleaved
+    keys = values % num_keys
+    seg = segment(keys)
+    # One round per occurrence rank when nothing folds.
+    assert sum(1 for _ in seg.rounds(np.arange(keys.size))) == per_key
+    rounds = list(seg.rounds(values))
+    assert len(rounds) == 3
+    check_folded_rounds(keys, values, rounds)
