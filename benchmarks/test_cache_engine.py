@@ -35,7 +35,7 @@ perf-trajectory sparklines via ``repro-report --bench``):
   gate.
 
 Batches are frozen read-only so the read pass and the write pass of
-each iteration share one ``SegmentedBatch`` — the fused one-argsort
+each iteration share one ``SegmentedBatch`` — the fused one-sort
 lifecycle the production flow (memoized access streams) exercises.
 
 Both engines are property-tested bit-for-bit equivalent

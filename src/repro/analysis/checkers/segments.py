@@ -1,7 +1,7 @@
 """SEG001 — cache hot paths must use the one-sort segmented engine.
 
 The closed-form batch engine (:mod:`repro.cache.engine`) resolves
-duplicate set occurrences with at most one stable argsort per batch;
+duplicate set occurrences with at most one grouping sort per batch;
 the retired alternative — ``np.unique``-sorted collision rounds —
 degrades toward serial cost exactly on the high-miss batches the paper
 studies.  This rule keeps the legacy pattern from creeping back into

@@ -15,7 +15,7 @@ hardware cache, the ablation benchmarks compare the real design against:
 LRU recency stamps couple same-set occurrences of *different* lines
 (every access reorders the whole recency stack), so the closed-form
 duplicate resolution of the direct-mapped engine does not apply; the
-engine instead resolves one shared argsort round-by-round.  A line that
+engine instead resolves one shared sort round-by-round.  A line that
 repeats its set's previous occurrence hits the MRU way with no lookup
 and no victim, so it folds into the head of its run of repeats, and a
 batch takes as many rounds as the largest number of runs in one set.

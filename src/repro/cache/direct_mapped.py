@@ -4,7 +4,7 @@ Implements exactly the protocol documented in :mod:`repro.cache.flow`
 (the Figure-3 flowchart), but processes whole batches of line addresses
 with numpy in a single pass per batch: the segmented engine
 (:mod:`repro.cache.engine`) groups each batch by set with at most one
-stable argsort (none at all when the duplicate probe proves the batch
+sort (none at all when the duplicate probe proves the batch
 collision-free), resolves duplicate occurrences with closed-form
 recurrences, and applies every state update with array operations — no
 Python loop over collision rounds, so adversarial all-same-set batches
@@ -18,7 +18,7 @@ The one :class:`~repro.cache.engine.BatchSegmenter` per model also fuses
 the read-pass and write-pass telemetry: when ``llc_read`` and
 ``llc_write`` see the same (immutable) line vector — the
 read-modify-write shape the executors generate — the second pass reuses
-the first pass's grouping, so the whole batch costs one argsort total.
+the first pass's grouping, so the whole batch costs one sort total.
 
 Tag storage: the real hardware keeps the tag plus line state in the
 spare ECC bits of each DRAM line (Section IV, Intel patent US 9563564).
@@ -94,7 +94,7 @@ class DirectMappedCache:
         self._known_resident.fill(False)
 
     def _segment(self, lines: np.ndarray) -> SegmentedBatch:
-        """Set-grouped view of the batch; one argsort at most, shared
+        """Set-grouped view of the batch; one sort at most, shared
         with the other pass when the line vector is reused."""
         return self._segmenter.segment(lines, lines % self.num_sets)
 

@@ -12,13 +12,18 @@ The key observation: within one batch of same-kind requests, only the
 later access to that set sees exactly the state the immediately
 preceding occurrence left behind.  Over the grouped view of a
 :class:`~repro.perf.segments.SegmentedBatch` that one-step recurrence
-has a closed form for each request kind:
+has a closed form for each request kind.  Each asks a segment only
+whether an event happens and where it first does — the first miss, the
+first mismatch, the first match — which
+:meth:`~repro.perf.segments.SegmentedBatch.first_true` answers for
+every segment in one scan:
 
 **Direct-mapped reads.**  Occurrence ``k`` hits iff its line equals the
 previous occurrence's line (for ``k = 0``, the resident tag).  A read
 miss installs a clean line, so at most one miss per set — the segment's
 first — can evict pre-batch dirty state; every later miss is clean by
-construction.  Final state: the set holds the segment's last line,
+construction, and the dirty misses are the segments on a dirty set
+that miss at all.  Final state: the set holds the segment's last line,
 dirty only if the whole segment hit.
 
 **Direct-mapped writes, insert-on-miss.**  Every write leaves its set
@@ -26,7 +31,8 @@ dirty, so every miss after a set's first occurrence is a dirty miss.
 The Dirty Data Optimization needs the "known resident" bit, which
 survives only along an unbroken prefix of tag matches, so DDO applies
 to occurrence ``k`` iff the set started known-resident and occurrences
-``0..k`` all match — an exclusive segmented mismatch count of zero.
+``0..k`` all match: the DDO writes are
+``Σ known_resident[set] · (first mismatch − segment start)``.
 Final state: last line, dirty, known-resident only if the set started
 so and the whole segment matched.
 
@@ -34,7 +40,9 @@ so and the whole segment matched.
 set untouched, so the resident tag never changes inside the batch:
 every occurrence compares against the pre-batch tag, and the set turns
 dirty at the first match (hit or DDO).  A miss is dirty iff the set
-started dirty or any earlier occurrence matched.
+started dirty or any earlier occurrence matched, so the dirty misses
+are every miss but, on sets that start clean, the all-miss prefix
+before the first match.
 
 **Sector caches.**  The tag recurrence is identical (after any access
 the sector tag equals that access's sector), so tag match/miss is
@@ -73,7 +81,7 @@ batches (the common uniform case) skip the loop and the sort entirely
 via the duplicate probe.
 
 Each closed form is a handful of vectorized segment operations — at
-most one stable argsort per batch (zero for probe-proven uniform
+most one grouping sort per batch (zero for probe-proven uniform
 batches, shared across the read and write pass when the line vector is
 reused) — and is property-tested bit-for-bit against scalar references
 (``tests/cache/test_engine_property.py``).
@@ -105,20 +113,22 @@ else:  # pragma: no cover - numpy < 2.0 fallback
 
 
 class BatchSegmenter:
-    """Per-model segmentation cache: at most one argsort per line batch.
+    """Per-model segmentation cache: at most one sort per line batch.
 
     Owns the model's :class:`~repro.perf.segments.DuplicateProbe` (so
     probe-proven uniform batches skip the sort entirely) and remembers
     the most recent batch's :class:`SegmentedBatch` keyed on array
     identity.  A workload that feeds the same line vector to
     ``llc_read`` and then ``llc_write`` — the read-modify-write shape of
-    the paper's microbenchmarks — therefore pays for exactly one stable
-    argsort across both passes.
+    the paper's microbenchmarks, and an output tensor's RFO and
+    write-back — therefore pays for exactly one grouping sort across
+    both passes.  The probe's key space, ``num_sets``, is also the key
+    bound that lets the sort pack keys with positions.
 
     Reuse is only offered for arrays marked non-writeable (the memoized
-    ``access_blocks()``/``lfsr_sequence()`` streams the executors feed
-    the backends), because a mutable array could change between the two
-    passes and silently invalidate the grouping.
+    ``access_blocks()``/``lfsr_sequence()`` streams and the executors'
+    tensor line arrays), because a mutable array could change between
+    the two passes and silently invalidate the grouping.
     """
 
     __slots__ = ("num_sets", "_probe", "_last")
@@ -195,20 +205,19 @@ def read_batch(
         return ReadCounts(n, n_miss, n_dirty), (miss if want_misses else None)
 
     grouped_lines = lines[seg.order]
-    grouped_sets = seg.sorted_keys
-    lead_sets = grouped_sets[seg.first]
+    lead_sets = seg.leaders
     # Previous occurrence's line; the pre-batch resident tag for firsts.
     prev = np.empty_like(grouped_lines)
     prev[1:] = grouped_lines[:-1]
     prev[seg.first] = tags[lead_sets]
     miss = grouped_lines != prev
-    n_miss = int(miss.sum())
-    # Only a segment's first miss can see pre-batch dirty state; every
-    # later miss evicts a line this batch installed clean.
-    first_miss = miss & (seg.exclusive_count(miss) == 0)
-    n_dirty = int((first_miss & dirty[grouped_sets]).sum())
+    n_miss = int(np.count_nonzero(miss))
+    # Reads install clean, so only a segment's first miss can see
+    # pre-batch dirty state: the dirty misses are the segments on a
+    # dirty set that miss at all.
+    seg_missed = seg.first_true(miss) < n
+    n_dirty = int(np.count_nonzero(seg_missed & dirty[lead_sets]))
 
-    seg_missed = seg.segment_total(miss) > 0
     tags[lead_sets] = grouped_lines[seg.last]
     dirty[lead_sets] &= ~seg_missed
     known_resident[lead_sets] = True
@@ -291,29 +300,28 @@ def _write_insert(
 ) -> WriteCounts:
     n = int(lines.size)
     grouped_lines = lines[seg.order]
-    grouped_sets = seg.sorted_keys
-    lead_sets = grouped_sets[seg.first]
+    lead_sets = seg.leaders
     prev = np.empty_like(grouped_lines)
     prev[1:] = grouped_lines[:-1]
     prev[seg.first] = tags[lead_sets]
-    match = grouped_lines == prev
-    mismatch = ~match
+    mismatch = grouped_lines != prev
+    n_miss = int(np.count_nonzero(mismatch))
+    first_miss = seg.first_true(mismatch)
+    n_ddo = 0
     if ddo_enabled:
-        # Known-residency survives only an unbroken prefix of matches.
-        ddo = match & (seg.exclusive_count(mismatch) == 0) & known_resident[grouped_sets]
-    else:
-        ddo = np.zeros(n, dtype=bool)
-    hit = match & ~ddo
-    # Every write leaves its set dirty, so any miss after a set's first
-    # occurrence evicts a line this batch dirtied.
-    dirty_miss = mismatch & (dirty[grouped_sets] | ~seg.first)
-    n_dirty = int(dirty_miss.sum())
+        # Known residency survives only the all-match prefix before a
+        # set's first mismatch: those writes are the DDO writes.
+        matched_prefix = np.minimum(first_miss - seg.first_pos, seg.lengths)
+        n_ddo = int(matched_prefix[known_resident[lead_sets]].sum())
+    # Every write leaves its set dirty, so every miss is dirty except a
+    # segment-opening miss on a set that started clean.
+    opens_clean = (first_miss == seg.first_pos) & ~dirty[lead_sets]
+    n_dirty = n_miss - int(np.count_nonzero(opens_clean))
 
-    seg_mismatched = seg.segment_total(mismatch) > 0
     tags[lead_sets] = grouped_lines[seg.last]
     dirty[lead_sets] = True
-    known_resident[lead_sets] &= ~seg_mismatched
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(mismatch.sum()), n_dirty)
+    known_resident[lead_sets] &= first_miss == n
+    return WriteCounts(n, n_ddo, n - n_miss - n_ddo, n_miss, n_dirty)
 
 
 def _write_around(
@@ -332,18 +340,20 @@ def _write_around(
     # A write-around miss leaves the set untouched, so every occurrence
     # compares against the pre-batch resident tag.
     match = grouped_lines == tags[grouped_sets]
+    n_match = int(np.count_nonzero(match))
+    n_ddo = 0
     if ddo_enabled:
-        ddo = match & known_resident[grouped_sets]
-    else:
-        ddo = np.zeros(n, dtype=bool)
-    hit = match & ~ddo
-    miss = ~match
-    # The set turns dirty at its first match (hit or DDO write).
-    dirty_at = dirty[grouped_sets] | (seg.exclusive_count(match) > 0)
-    n_dirty = int((miss & dirty_at).sum())
+        n_ddo = int(np.count_nonzero(match & known_resident[grouped_sets]))
+    # The set turns dirty at its first match (hit or DDO write), so the
+    # dirty misses are all misses but, on sets that start clean, the
+    # all-miss prefix before the first match.
+    first_match = seg.first_true(match)
+    missed_prefix = np.minimum(first_match - seg.first_pos, seg.lengths)
+    n_miss = n - n_match
+    n_dirty = n_miss - int(missed_prefix[~dirty[lead_sets]].sum())
 
-    dirty[lead_sets] |= seg.segment_total(match) > 0
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(miss.sum()), n_dirty)
+    dirty[lead_sets] |= first_match < n
+    return WriteCounts(n, n_ddo, n_match - n_ddo, n_miss, n_dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +492,13 @@ def sector_read_batch(
     n_sector_miss = int(sector_miss.sum())
     # Reads never dirty lines, so only the segment's *first* sector miss
     # can evict pre-batch dirty state; later victims are clean.
-    first_sector_miss = sector_miss & (seg.exclusive_count(sector_miss) == 0)
-    evict_source = dirty[gsets[first_sector_miss]]
-    n_dirty_miss = int((evict_source != _ZERO).sum())
+    seg_missed = seg.first_true(sector_miss) < n
+    evict_source = dirty[lead_sets[seg_missed]]
+    n_dirty_miss = int(np.count_nonzero(evict_source))
     evicted = int(popcount(evict_source).sum())
 
     tags[lead_sets] = gs[seg.last]
     valid[lead_sets] = coverage[run_id[seg.last]]
-    seg_missed = seg.segment_total(sector_miss) > 0
     dirty[lead_sets] = np.where(seg_missed, _ZERO, dirty[lead_sets])
     return SectorReadCounts(
         n, n_hits, n_line_miss, n_sector_miss, n_dirty_miss, fetched, evicted
@@ -783,44 +792,46 @@ def bypass_read_batch(
     gd = insert_draw[g]
     gsets = seg.sorted_keys
     lead_sets = gsets[seg.first]
+    lengths = seg.lengths
     pos = np.arange(n, dtype=np.int64)
-    seg_start = seg.first_pos[seg.segment_id]
 
     # Inclusive "last draw-selected position so far" via a running max;
     # positions from earlier segments fall below the segment start.
     last_drawn = np.maximum.accumulate(np.where(gd, pos, -1))
     prev_drawn = np.empty_like(last_drawn)
+    prev_drawn[0] = -1
     prev_drawn[1:] = last_drawn[:-1]
-    prev_drawn[seg.first] = -1
-    has_prev = prev_drawn >= seg_start
+    has_prev = prev_drawn >= np.repeat(seg.first_pos, lengths)
     resident = np.where(has_prev, gl[np.maximum(prev_drawn, 0)], tags[gsets])
 
     hit = gl == resident
     miss = ~hit
     allocate = miss & gd
-    # Pre-batch dirty state survives until the segment's first allocation.
-    before_alloc = seg.exclusive_count(allocate) == 0
-    pre_dirty = dirty[gsets]
-    dirty_tagged = miss & pre_dirty & before_alloc
-    dirty_evict = allocate & pre_dirty & before_alloc
+    # Pre-batch dirty state survives up to and including the segment's
+    # first allocation, which evicts it.
+    first_alloc = seg.first_true(allocate)
+    seg_alloc = first_alloc < n
+    lead_dirty = dirty[lead_sets]
+    tagged_until = np.repeat(np.where(lead_dirty, first_alloc, -1), lengths)
+    dirty_tagged = int(np.count_nonzero(miss & (pos <= tagged_until)))
+    dirty_evict = int(np.count_nonzero(seg_alloc & lead_dirty))
 
-    seg_alloc = seg.segment_total(allocate) > 0
     final_drawn = last_drawn[seg.last]
     # A segment's final tag is its last selected line; the gather is safe
     # because seg_alloc implies at least one selected position (a
     # selected hit re-installs its own value, which is a no-op).
-    seg_selected = final_drawn >= seg_start[seg.last]
+    seg_selected = final_drawn >= seg.first_pos
     chosen = np.flatnonzero(seg_selected)
     tags[lead_sets[chosen]] = gl[final_drawn[chosen]]
     dirty[lead_sets[seg_alloc]] = False
-    seg_touched = seg.segment_total(hit | allocate) > 0
+    seg_touched = seg.first_true(hit | allocate) < n
     known_resident[lead_sets[seg_touched]] = True
     return BypassReadCounts(
         n,
-        int(miss.sum()),
-        int(allocate.sum()),
-        int(dirty_tagged.sum()),
-        int(dirty_evict.sum()),
+        int(np.count_nonzero(miss)),
+        int(np.count_nonzero(allocate)),
+        dirty_tagged,
+        dirty_evict,
     )
 
 
@@ -860,20 +871,19 @@ def prefetch_fill_batch(
 
     g = seg.order
     gc = candidates[g]
-    gsets = seg.sorted_keys
-    lead_sets = gsets[seg.first]
+    lead_sets = seg.leaders
     prev = np.empty_like(gc)
     prev[1:] = gc[:-1]
     prev[seg.first] = tags[lead_sets]
     install = gc != prev
-    first_install = install & (seg.exclusive_count(install) == 0)
-    dirty_evict = first_install & dirty[gsets]
+    # Only a segment's first install can evict pre-batch dirty state.
+    seg_installed = seg.first_true(install) < n
+    dirty_evict = int(np.count_nonzero(seg_installed & dirty[lead_sets]))
 
-    seg_installed = seg.segment_total(install) > 0
     tags[lead_sets] = gc[seg.last]
     dirty[lead_sets] &= ~seg_installed
     known_resident[lead_sets] |= seg_installed
-    return PrefetchCounts(int(install.sum()), int(dirty_evict.sum()))
+    return PrefetchCounts(int(np.count_nonzero(install)), dirty_evict)
 
 
 # ---------------------------------------------------------------------------

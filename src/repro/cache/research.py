@@ -23,7 +23,7 @@ apples-to-apples.
 
 Each variant overrides the engine-level ``_apply_read`` hook of
 :class:`~repro.cache.direct_mapped.DirectMappedCache`, so they run the
-same one-argsort closed-form batch engine as the baseline instead of
+same one-sort closed-form batch engine as the baseline instead of
 falling back to per-round processing: the predictor consumes the
 engine's per-request miss mask, the bypass policy has its own segmented
 closed form (:func:`repro.cache.engine.bypass_read_batch`), and the

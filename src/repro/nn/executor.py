@@ -117,7 +117,12 @@ class TensorAddresser:
         self._cache: Dict[Tensor, np.ndarray] = {}
 
     def lines(self, tensor: Tensor) -> np.ndarray:
-        """Sampled line addresses covering ``tensor``."""
+        """Sampled line addresses covering ``tensor`` (read-only).
+
+        The array is cached and frozen, so the cache models may reuse
+        one segmentation across every pass over the same tensor (the
+        RFO and the write-back of an output).
+        """
         cached = self._cache.get(tensor)
         if cached is not None:
             return cached
@@ -125,6 +130,7 @@ class TensorAddresser:
         first = self.base_line + offset // self.line_size
         num_lines = -(-tensor.size_bytes // self.line_size)
         lines = first + np.arange(0, num_lines, self.sample_stride, dtype=np.int64)
+        lines.flags.writeable = False
         self._cache[tensor] = lines
         return lines
 
@@ -222,5 +228,10 @@ def _run_op_inner(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
 
 
 def _stream(backend, lines: np.ndarray, kind: AccessKind, ctx, weight: int) -> None:
+    if lines.size <= _BATCH_LINES:
+        # The array itself, not a slice: passes over one tensor then
+        # share its identity, which segmentation reuse is keyed on.
+        backend.access(lines, kind, ctx, weight=weight)
+        return
     for begin in range(0, lines.size, _BATCH_LINES):
         backend.access(lines[begin : begin + _BATCH_LINES], kind, ctx, weight=weight)

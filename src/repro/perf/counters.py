@@ -20,7 +20,7 @@ as a compatibility re-export.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,33 +111,59 @@ class Traffic:
     demand_reads: int = 0
     demand_writes: int = 0
 
+    # The arithmetic below is unrolled field by field: it runs for every
+    # access batch and kernel the simulator records, and reflecting on
+    # ``dataclasses.fields`` costs several times more.
+
     def as_dict(self) -> dict:
         """Field name -> value, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "dram_reads": self.dram_reads,
+            "dram_writes": self.dram_writes,
+            "nvram_reads": self.nvram_reads,
+            "nvram_writes": self.nvram_writes,
+            "demand_reads": self.demand_reads,
+            "demand_writes": self.demand_writes,
+        }
 
     def copy(self) -> "Traffic":
-        return Traffic(**self.as_dict())
+        return Traffic(
+            self.dram_reads,
+            self.dram_writes,
+            self.nvram_reads,
+            self.nvram_writes,
+            self.demand_reads,
+            self.demand_writes,
+        )
 
     def sub(self, other: "Traffic") -> "Traffic":
         """Per-field difference ``self - other`` (counter deltas)."""
         return Traffic(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.dram_reads - other.dram_reads,
+            self.dram_writes - other.dram_writes,
+            self.nvram_reads - other.nvram_reads,
+            self.nvram_writes - other.nvram_writes,
+            self.demand_reads - other.demand_reads,
+            self.demand_writes - other.demand_writes,
         )
 
     def __add__(self, other: "Traffic") -> "Traffic":
         return Traffic(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.dram_reads + other.dram_reads,
+            self.dram_writes + other.dram_writes,
+            self.nvram_reads + other.nvram_reads,
+            self.nvram_writes + other.nvram_writes,
+            self.demand_reads + other.demand_reads,
+            self.demand_writes + other.demand_writes,
         )
 
     def __iadd__(self, other: "Traffic") -> "Traffic":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.dram_reads += other.dram_reads
+        self.dram_writes += other.dram_writes
+        self.nvram_reads += other.nvram_reads
+        self.nvram_writes += other.nvram_writes
+        self.demand_reads += other.demand_reads
+        self.demand_writes += other.demand_writes
         return self
 
     @property
@@ -190,7 +216,12 @@ class Traffic:
         if weight < 0:
             raise ValueError("weight must be non-negative")
         return Traffic(
-            **{f.name: getattr(self, f.name) * weight for f in fields(self)}
+            self.dram_reads * weight,
+            self.dram_writes * weight,
+            self.nvram_reads * weight,
+            self.nvram_writes * weight,
+            self.demand_reads * weight,
+            self.demand_writes * weight,
         )
 
 
@@ -208,28 +239,35 @@ class TagStats:
     dirty_misses: int = 0
     ddo_writes: int = 0
 
+    # Unrolled like Traffic's arithmetic, for the same reason.
+
     def as_dict(self) -> dict:
         """Field name -> value, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "hits": self.hits,
+            "clean_misses": self.clean_misses,
+            "dirty_misses": self.dirty_misses,
+            "ddo_writes": self.ddo_writes,
+        }
 
     def copy(self) -> "TagStats":
-        return TagStats(**self.as_dict())
+        return TagStats(self.hits, self.clean_misses, self.dirty_misses, self.ddo_writes)
 
     def sub(self, other: "TagStats") -> "TagStats":
         """Per-field difference ``self - other`` (counter deltas)."""
         return TagStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.hits - other.hits,
+            self.clean_misses - other.clean_misses,
+            self.dirty_misses - other.dirty_misses,
+            self.ddo_writes - other.ddo_writes,
         )
 
     def __add__(self, other: "TagStats") -> "TagStats":
         return TagStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.hits + other.hits,
+            self.clean_misses + other.clean_misses,
+            self.dirty_misses + other.dirty_misses,
+            self.ddo_writes + other.ddo_writes,
         )
 
     def __iadd__(self, other: "TagStats") -> "TagStats":

@@ -2,20 +2,32 @@
 
 A *segmented batch* groups the positions of one request batch by an
 integer key — for the cache models, the set index — while preserving the
-original order of requests within each key.  A single stable O(n log n)
-argsort yields everything the batched cache engines need:
+original order of requests within each key.  A single O(n log n)
+grouping sort yields everything the batched cache engines need:
 
 * ``order`` — batch positions regrouped key-major, original order kept
   within each key (so ``values[order]`` walks each set's accesses in
-  program order);
-* ``first`` / ``last`` — occurrence masks over the grouped view;
-* segmented prefix counts (:meth:`SegmentedBatch.exclusive_count`) and
-  per-segment totals (:meth:`SegmentedBatch.segment_total`) — the
-  building blocks of the closed-form duplicate-resolution recurrences in
-  :mod:`repro.cache.engine`;
+  program order), and ``sorted_keys``, the keys in that order;
+* ``first`` / ``last`` — occurrence masks over the grouped view, with
+  each segment's start (``first_pos``) and length (``lengths``);
+* first events (:meth:`SegmentedBatch.first_true`): each segment's first
+  position where a mask holds — the one scan the closed-form
+  duplicate-resolution recurrences in :mod:`repro.cache.engine` need,
+  because all they ask of a segment is whether an event happens and how
+  long the prefix before it is;
 * rounds of pairwise-distinct keys (:meth:`SegmentedBatch.rounds`), for
   the one recurrence without a closed form (LRU), with each run of
   equal values inside a segment folded into its first occurrence.
+
+The grouping is exactly ``np.argsort(keys, kind="stable")``, but the
+input picks how it is computed.  When the key bound leaves room, the
+keys are packed as ``key << b | position``: the packed values are
+unique, so one in-place (SIMD) ``ndarray.sort`` orders them as the
+stable argsort orders the keys, and the high and low bits are then
+``sorted_keys`` and ``order``, with no index indirection and no gather.
+A nearly sorted batch (at most ``n / PRESORTED_DESCENTS`` descents, as
+append-heavy windows are) keeps the stable argsort instead: timsort is
+linear on long ascending runs, which the packed sort is not.
 
 The legacy decomposition re-ran ``np.unique`` — itself a stable argsort —
 once *per collision round*, so a batch where every line maps to one set
@@ -26,12 +38,12 @@ collision-free ones.
 Uniform traffic skips even the one sort: a :class:`DuplicateProbe` does
 an O(n) scatter/gather over a persistent per-model scratch array to
 prove a batch collision-free, and :meth:`SegmentedBatch.distinct` then
-builds the grouped view as the identity permutation — no argsort at all.
+builds the grouped view as the identity permutation — no sort at all.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,13 +59,58 @@ class Round(NamedTuple):
     size: np.ndarray
 
 
+#: Presortedness cut-off of the grouping sort: a batch with at most
+#: ``n / PRESORTED_DESCENTS`` descents (``keys[i + 1] < keys[i]``) is
+#: grouped by timsort, which is linear on long ascending runs.
+PRESORTED_DESCENTS = 64
+
+
+def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted_keys)`` by the stable argsort (timsort)."""
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _packed_sort(keys: np.ndarray, shift: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted_keys)`` by sorting ``key << shift | position``.
+
+    Requires every packed value to fit in an int64.  The values are
+    unique, so any sort leaves them in the stable argsort's order.
+    """
+    packed = np.left_shift(keys, shift, dtype=np.int64)
+    packed |= np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed
+
+
+def _group(keys: np.ndarray, bound: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` and the keys in that order.
+
+    ``bound`` (keys lie in ``[0, bound)``) decides whether the packed
+    sort fits in an int64; without one the stable argsort runs.
+    """
+    n = keys.size
+    shift = (n - 1).bit_length()
+    if (
+        bound is not None
+        and bound <= 1 << (63 - shift)
+        and np.count_nonzero(keys[1:] < keys[:-1]) * PRESORTED_DESCENTS > n
+    ):
+        return _packed_sort(keys, shift)
+    return _stable_sort(keys)
+
+
 class SegmentedBatch:
     """A batch of integer keys grouped into contiguous segments.
 
-    All mask/count attributes are indexed by *sorted position* (the
+    All mask/position attributes are indexed by *sorted position* (the
     key-major grouped view); ``order`` maps sorted positions back to the
     original batch positions.  Segments appear in ascending key order,
     and within a segment sorted positions preserve original batch order.
+    Per-segment arrays (``first_pos``, ``lengths``, ``leaders`` and the
+    result of :meth:`first_true`) are aligned with one another.
     """
 
     __slots__ = (
@@ -64,14 +121,15 @@ class SegmentedBatch:
         "last",
         "first_pos",
         "collision_free",
-        "_segment_id",
+        "_lengths",
     )
 
-    def __init__(self, keys: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, bound: Optional[int] = None) -> None:
+        """Group ``keys``; ``bound``, if given, must exceed every key
+        (and no key may be negative)."""
         n = keys.size
         self.keys = keys
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
+        self.order, self.sorted_keys = _group(keys, bound)
         if n:
             boundary = self.sorted_keys[1:] != self.sorted_keys[:-1]
             self.first = np.concatenate(([True], boundary))
@@ -81,13 +139,13 @@ class SegmentedBatch:
             self.last = np.zeros(0, dtype=bool)
         self.first_pos = np.flatnonzero(self.first)
         self.collision_free = bool(self.first_pos.size == n)
-        self._segment_id: Optional[np.ndarray] = None
+        self._lengths: Optional[np.ndarray] = None
 
     @classmethod
     def distinct(cls, keys: np.ndarray) -> "SegmentedBatch":
         """Grouped view of a batch *proven* to have pairwise-distinct keys.
 
-        Skips the argsort entirely: every position is its own segment, so
+        Skips the sort entirely: every position is its own segment, so
         the identity permutation is a valid grouping (segments appear in
         batch order rather than ascending key order, which no consumer of
         a collision-free batch depends on).  Callers must have
@@ -102,7 +160,7 @@ class SegmentedBatch:
         self.last = self.first
         self.first_pos = self.order
         self.collision_free = True
-        self._segment_id = self.order
+        self._lengths = None
         return self
 
     # -- derived views (computed on first use) -----------------------------
@@ -113,38 +171,38 @@ class SegmentedBatch:
         return int(self.first_pos.size)
 
     @property
+    def lengths(self) -> np.ndarray:
+        """Occurrences of each segment's key."""
+        if self._lengths is None:
+            self._lengths = np.diff(self.first_pos, append=self.keys.size)
+        return self._lengths
+
+    @property
     def max_multiplicity(self) -> int:
         """Occurrences of the most frequent key (0 for an empty batch)."""
         if self.collision_free:
             return int(self.keys.size > 0)
-        return int(np.diff(self.first_pos, append=self.keys.size).max())
+        return int(self.lengths.max())
 
     @property
     def leaders(self) -> np.ndarray:
         """The distinct keys, ascending (one per segment)."""
         return self.sorted_keys[self.first]
 
-    @property
-    def segment_id(self) -> np.ndarray:
-        """Segment index of each sorted position (0..num_segments-1)."""
-        if self._segment_id is None:
-            self._segment_id = np.cumsum(self.first) - 1
-        return self._segment_id
+    # -- segmented scan ----------------------------------------------------
 
-    # -- segmented scans ---------------------------------------------------
+    def first_true(self, mask: np.ndarray) -> np.ndarray:
+        """Per segment: the sorted position of its first True entry in
+        ``mask`` (a sorted-order bool array), or ``n`` if it has none.
 
-    def exclusive_count(self, mask: np.ndarray) -> np.ndarray:
-        """Per sorted position: how many True entries precede it *within
-        its segment* (strictly before, i.e. an exclusive segmented scan).
+        A segment's prefix before the event is then
+        ``min(first_true - first_pos, lengths)`` long, and the segment
+        sees the event at all iff ``first_true < n``.
         """
-        before = np.cumsum(mask) - mask
-        return before - before[self.first_pos[self.segment_id]]
-
-    def segment_total(self, mask: np.ndarray) -> np.ndarray:
-        """Per-segment count of True entries (aligned with ``leaders``)."""
-        if not mask.size:
+        n = mask.size
+        if not n:
             return np.zeros(0, dtype=np.int64)
-        return np.add.reduceat(mask.astype(np.int64), self.first_pos)
+        return np.minimum.reduceat(np.where(mask, np.arange(n), n), self.first_pos)
 
     # -- round decomposition (for models without a closed form) ------------
 
@@ -247,10 +305,13 @@ class DuplicateProbe:
 def segment(keys: np.ndarray, probe: Optional[DuplicateProbe] = None) -> SegmentedBatch:
     """Group a batch of integer keys into a :class:`SegmentedBatch`.
 
-    With a ``probe``, a batch proven collision-free skips the argsort and
+    With a ``probe``, a batch proven collision-free skips the sort and
     comes back as the sort-free identity grouping
-    (:meth:`SegmentedBatch.distinct`).
+    (:meth:`SegmentedBatch.distinct`); any other batch is grouped with
+    the probe's key space as the key bound.
     """
-    if probe is not None and probe.collision_free(keys):
+    if probe is None:
+        return SegmentedBatch(keys)
+    if probe.collision_free(keys):
         return SegmentedBatch.distinct(keys)
-    return SegmentedBatch(keys)
+    return SegmentedBatch(keys, bound=probe.space)

@@ -34,7 +34,7 @@ before writes (puts plus appends), pooled in one backend epoch so
 read/write traffic overlaps as in a pipelined steady state.  When a
 batch is all puts, the read and write passes share one frozen line
 vector, so the per-model :class:`~repro.cache.engine.BatchSegmenter`
-reuses a single argsort across both passes.
+reuses a single grouping sort across both passes.
 """
 
 from __future__ import annotations

@@ -141,6 +141,21 @@ def test_rounds_engine_is_not_a_production_export():
         DirectMappedCache(NUM_SETS * 64, engine="rounds")
 
 
+@pytest.mark.parametrize(
+    "scenario,sort", [("uniform", "_packed_sort"), ("all_same_set", "_stable_sort")]
+)
+def test_scenarios_reach_both_grouping_sorts(grouping_sorts, scenario, sort):
+    """The scenarios above reach both grouping sorts, so a wrong packed
+    order fails the bit-exact checks instead of slipping past them."""
+    rng = np.random.default_rng(0xD1CE)
+    cache = DirectMappedCache(NUM_SETS * 64)
+    for _ in range(BATCHES_PER_CASE // len(SCENARIOS)):
+        cache.llc_read(draw_batch(rng, scenario))
+    assert grouping_sorts[sort] > 0
+    if scenario == "all_same_set":
+        assert grouping_sorts["_packed_sort"] == 0  # one key: no descents
+
+
 # ---------------------------------------------------------------------------
 # Sector cache: closed form vs scalar reference vs legacy rounds engine
 # ---------------------------------------------------------------------------

@@ -145,3 +145,41 @@ class TestSegmenterContract:
         # frozen vector yields exactly one SegmentedBatch object.
         assert len(seen) >= 2 and len(seen) % 2 == 0
         assert len(set(map(id, seen))) == len(seen) // 2
+
+    def test_executor_output_rfo_and_write_back_share_one_segmentation(
+        self, monkeypatch
+    ):
+        """An op's output tensor is read (RFO) and then written back; the
+        executor passes both the same frozen line array, so the pair
+        costs one segmentation."""
+        from repro.cache import engine
+        from repro.config import default_platform
+        from repro.memsys import CachedBackend
+        from repro.nn import execute_iteration, plan_memory
+        from repro.nn.ir import Graph, OpKind
+
+        graph = Graph("one_output")
+        out = graph.tensor("out", (64, 1024))  # 4,096 lines: one batch
+        graph.add_op("relu", OpKind.RELU, [], [out])
+        plan = plan_memory(graph, alignment=1024)
+        cache = DirectMappedCache(64 * KiB)  # 1,024 sets: every batch collides
+        backend = CachedBackend(default_platform(4096), cache)
+
+        segmenter_calls, segmentations = [], []
+        real_segment = engine.segment
+
+        def counting_segment(keys, probe=None):
+            segmentations.append(keys.size)
+            return real_segment(keys, probe)
+
+        monkeypatch.setattr(engine, "segment", counting_segment)
+        real_method = engine.BatchSegmenter.segment
+
+        def counting_method(self, lines, keys):
+            segmenter_calls.append(lines.size)
+            return real_method(self, lines, keys)
+
+        monkeypatch.setattr(engine.BatchSegmenter, "segment", counting_method)
+        execute_iteration(plan, backend, sample_stride=1)
+        assert segmenter_calls == [4096, 4096]  # RFO, then write-back
+        assert segmentations == [4096]

@@ -1,5 +1,7 @@
 """Tests for traffic records, tag stats, and the uncore counter bank."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.memsys.counters import (
@@ -46,6 +48,32 @@ class TestTraffic:
         t = Traffic(dram_reads=1, dram_writes=2, nvram_reads=3, nvram_writes=4)
         assert t.total_accesses == 10
         assert t.total_bytes == 640
+
+
+@pytest.mark.parametrize("cls", [Traffic, TagStats])
+def test_arithmetic_covers_every_field(cls):
+    """+, +=, sub, scaled, copy and as_dict carry every dataclass field
+    to its own slot, so a field added later cannot be dropped silently
+    by the unrolled arithmetic."""
+    names = [f.name for f in fields(cls)]
+    a = cls(**{name: 10**i for i, name in enumerate(names, 1)})  # distinct values
+    b = cls(**{name: i for i, name in enumerate(names, 1)})
+
+    def values(counter):
+        return {name: getattr(counter, name) for name in names}
+
+    def each(op):
+        return {name: op(getattr(a, name), getattr(b, name)) for name in names}
+
+    assert values(a + b) == each(lambda x, y: x + y)
+    assert values(a.sub(b)) == each(lambda x, y: x - y)
+    assert values(a.scaled(3)) == each(lambda x, _: 3 * x)
+    copy = a.copy()
+    assert copy is not a and values(copy) == values(a)
+    copy += b
+    assert values(copy) == each(lambda x, y: x + y)
+    assert values(a) == {name: 10**i for i, name in enumerate(names, 1)}  # untouched
+    assert list(a.as_dict().items()) == list(values(a).items())
 
 
 class TestTagStats:

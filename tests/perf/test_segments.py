@@ -1,15 +1,17 @@
 """Unit tests for the segmented-batch primitives.
 
 Every derived view of :class:`~repro.perf.segments.SegmentedBatch` is
-checked against a brute-force per-key computation, the round
-decomposition is checked against the legacy per-round ``np.unique``
-loop it replaced, and the value-run folding of ``rounds(values)`` is
-checked against brute-force per-key runs.
+checked against a brute-force per-key computation, the grouping (packed
+sort or timsort, as the input picks) against ``np.argsort(kind=
+"stable")``, the round decomposition against the legacy per-round
+``np.unique`` loop it replaced, and the value-run folding of
+``rounds(values)`` against brute-force per-key runs.
 """
 
 import numpy as np
 import pytest
 
+from repro.perf import segments as segments_module
 from repro.perf.segments import SegmentedBatch, segment
 
 
@@ -68,28 +70,102 @@ def test_grouping_invariants(keys):
     assert seg.collision_free == (np.unique(keys).size == n)
 
 
+def groupings(keys):
+    """Every grouping the batch admits: sorted without a key bound,
+    sorted with one (the packed sort, unless the keys are nearly
+    sorted), and the sort-free identity grouping when they are
+    distinct."""
+    yield segment(keys)
+    yield SegmentedBatch(keys, bound=int(keys.max(initial=0)) + 1)
+    if np.unique(keys).size == keys.size:
+        yield SegmentedBatch.distinct(keys)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_segmented_scans_match_brute_force(seed):
+    """``first_true`` and ``lengths`` against per-segment brute force,
+    over colliding and collision-free batches and random, all-False and
+    all-True masks."""
     rng = np.random.default_rng(seed)
-    keys = rng.integers(0, 6, size=int(rng.integers(1, 80))).astype(np.int64)
-    mask = rng.random(keys.size) < 0.4
-    seg = segment(keys)
+    n = int(rng.integers(1, 80))
+    colliding = rng.integers(0, 6, size=n).astype(np.int64)
+    distinct = rng.permutation(n).astype(np.int64)
+    masks = [
+        rng.random(n) < 0.4,
+        rng.random(n) < 0.05,
+        np.zeros(n, dtype=bool),
+        np.ones(n, dtype=bool),
+    ]
+    for keys in (colliding, distinct):
+        for seg in groupings(keys):
+            grouped = keys[seg.order]
+            segments = [np.flatnonzero(grouped == key) for key in seg.leaders.tolist()]
+            assert seg.lengths.tolist() == [s.size for s in segments]
+            assert seg.max_multiplicity == max(s.size for s in segments)
+            for mask in masks:
+                first = seg.first_true(mask)
+                assert first.shape == (seg.num_segments,)
+                for got, positions in zip(first.tolist(), segments):
+                    hits = positions[mask[positions]]
+                    assert got == (int(hits[0]) if hits.size else n)
 
-    exclusive = seg.exclusive_count(mask)
-    totals = seg.segment_total(mask)
-    for s in range(seg.num_segments):
-        in_seg = np.flatnonzero(seg.segment_id == s)
-        seg_mask = mask[in_seg]
-        np.testing.assert_array_equal(
-            exclusive[in_seg], np.cumsum(seg_mask) - seg_mask
-        )
-        assert totals[s] == int(seg_mask.sum())
+
+def test_first_true_on_the_empty_batch():
+    empty = np.array([], dtype=np.int64)
+    for seg in (segment(empty), SegmentedBatch(empty, bound=8), SegmentedBatch.distinct(empty)):
+        assert seg.first_true(np.zeros(0, dtype=bool)).size == 0
+        assert seg.lengths.size == 0 and seg.max_multiplicity == 0
 
 
-def test_segment_total_empty():
-    seg = segment(np.array([], dtype=np.int64))
-    assert seg.segment_total(np.zeros(0, dtype=bool)).size == 0
-    assert seg.exclusive_count(np.zeros(0, dtype=bool)).size == 0
+def packed_cases():
+    """(name, keys, bound, whether the packed sort should run)."""
+    rng = np.random.default_rng(0xB17)
+    yield "random", rng.integers(0, 512, size=3000), 512, True
+    yield "random_few_keys", rng.integers(0, 3, size=3000), 3, True
+    # Ascending keys that wrap once, as log appends produce.
+    yield "nearly_sorted", (100 + np.arange(3000) * 512 // 3000) % 512, 512, False
+    yield "all_same", np.full(3000, 7), 8, False
+    yield "empty", np.zeros(0, dtype=np.int64), 8, False
+    yield "singleton", np.array([5]), 8, False
+    for k in (1, 6, 10, 12):
+        for n in (1 << k, (1 << k) + 1):  # the packing shift changes here
+            keys = rng.integers(0, 64, size=n)
+            keys[:2] = (1, 0)  # at least one descent, even for n = 2
+            yield f"n{n}", keys, 64, True
+    # Keys at the largest bound a 3000-key batch can pack (12 position
+    # bits), and just past it, where grouping falls back to timsort.
+    limit = 1 << (63 - 12)
+    top = limit - rng.integers(1, 100, size=3000)
+    yield "at_overflow_bound", top, limit, True
+    yield "past_overflow_bound", top + 1, limit + 1, False
+
+
+PACKED_CASES = [pytest.param(*case[1:], id=case[0]) for case in packed_cases()]
+
+
+@pytest.mark.parametrize("keys,bound,packed", PACKED_CASES)
+def test_grouping_sort_equals_the_stable_argsort(grouping_sorts, keys, bound, packed):
+    keys = keys.astype(np.int64)
+    seg = SegmentedBatch(keys, bound=bound)
+    order = np.argsort(keys, kind="stable")
+    np.testing.assert_array_equal(seg.order, order)
+    np.testing.assert_array_equal(seg.sorted_keys, keys[order])
+    assert seg.order.dtype == order.dtype and seg.sorted_keys.dtype == keys.dtype
+    taken = (grouping_sorts["_packed_sort"], grouping_sorts["_stable_sort"])
+    assert taken == (int(packed), int(not packed))
+
+
+@pytest.mark.parametrize(
+    "keys,bound,packed",
+    [case for case in PACKED_CASES if case.id != "past_overflow_bound"],  # would overflow
+)
+def test_packed_sort_equals_the_stable_argsort_on_every_shape(keys, bound, packed):
+    """The packed sort itself, also on shapes the input routes to timsort."""
+    keys = keys.astype(np.int64)
+    order, sorted_keys = segments_module._packed_sort(keys, (keys.size - 1).bit_length())
+    stable = np.argsort(keys, kind="stable")
+    np.testing.assert_array_equal(order, stable)
+    np.testing.assert_array_equal(sorted_keys, keys[stable])
 
 
 @pytest.mark.parametrize("keys", list(batches()), ids=lambda k: f"n{k.size}")
