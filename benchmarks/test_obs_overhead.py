@@ -23,7 +23,7 @@ from repro import obs
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, FlatBackend
-from repro.memsys.counters import Pattern
+from repro.perf.counters import Pattern
 
 NUM_LINES = 1 << 20  # 64 MiB buffer: enough batches to be representative
 

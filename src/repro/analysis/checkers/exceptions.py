@@ -9,7 +9,7 @@ programming errors.  Two shapes are legitimate and recognized:
 
 * a handler whose body re-raises with a bare ``raise`` (cleanup
   barriers) passes automatically;
-* a declared boundary — a sweep worker barrier, a claim evaluator —
+* a declared boundary — a sweep worker barrier, a service worker —
   carries an inline ``# repro-lint: disable=EXC001`` with a reason.
 
 Test modules (``test_*``/``conftest`` files and anything under a

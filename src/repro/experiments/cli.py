@@ -22,6 +22,10 @@ present are served from disk instead of re-simulated, and fresh runs
 are persisted for next time.  ``serve`` starts the long-running
 simulation service (:mod:`repro.service`) on the same store.
 
+The exit status is 1 when a ``check`` result it prints (alone or within
+``all``) has a failing paper claim, so a CI step running ``all`` fails
+on a broken claim.
+
 ``--trace`` writes a Chrome trace-event JSON (open it in Perfetto or
 ``chrome://tracing``; a ``.jsonl`` suffix switches to one-span-per-line
 JSONL).  ``--metrics`` writes a Prometheus text exposition of every
@@ -328,6 +332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 telemetry.metrics.flush()
                 print(f"[metrics -> {sink.path}]")
             obs.disable()
+    check = finished.get("check")
+    if check is not None and not check[0].data.get("all_pass"):
+        print("repro-experiment: a paper claim failed (see check)", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -13,8 +13,8 @@ throughout the simulator:
 
 This module lives in the observability layer (``repro.perf``): it is
 pure measurement vocabulary with no simulation logic, and the perf
-sampler/trace exporters consume it.  ``repro.memsys.counters`` remains
-as a compatibility re-export.
+sampler/trace exporters consume it.  The ``repro.memsys`` package
+re-exports the types next to the backends that count them.
 """
 
 from __future__ import annotations

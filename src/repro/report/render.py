@@ -10,7 +10,8 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.headline import KVTRACE_VERDICT_METRICS, PAPER_BASELINES
+from repro.experiments.check import paper_values
+from repro.experiments.headline import KVTRACE_VERDICT_METRICS
 from repro.report import svg
 from repro.report.bench import BenchHistory
 from repro.report.html import esc, page, table
@@ -48,7 +49,7 @@ def _delta_cell(repro_value: float, paper_value: float) -> str:
 
 
 def _paper_delta_section(experiment: str, latest: Dict[str, float]) -> List[str]:
-    baselines = PAPER_BASELINES.get(experiment)
+    baselines = paper_values(experiment)
     if not baselines:
         return []
     rows = []
@@ -281,7 +282,7 @@ def render_experiment(
     ]
     headline = latest["headline"]
     if headline:
-        baselines = PAPER_BASELINES.get(experiment, {})
+        baselines = paper_values(experiment)
         items = sorted(headline.items())
         body.append("<h2>Latest headline metrics</h2>")
         body.append(

@@ -17,14 +17,14 @@ class TestSelfClean:
 
     def test_suppressions_are_only_declared_boundaries(self):
         report = run_analysis([REPO_SRC])
-        # Host-clock reads in the span tracer, plus the sweep-worker,
-        # claim-evaluator, and service-worker crash barriers — nothing
-        # else may hide behind a disable.
+        # Host-clock reads in the span tracer, plus the sweep-worker and
+        # service-worker crash barriers — nothing else may hide behind a
+        # disable.
         assert {finding.rule for finding in report.suppressed} == {
             "DET001",
             "EXC001",
         }
-        assert len(report.suppressed) == 8
+        assert len(report.suppressed) == 7
 
     def test_json_report_is_deterministic(self):
         first = render_json(run_analysis([REPO_SRC]))

@@ -36,7 +36,7 @@ from repro.cache.rounds import (
     RoundsSetAssociativeCache,
 )
 from repro.cache import SetAssociativeCache
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 
 NUM_SETS = 8
 LINE_SPAN = NUM_SETS * 6  # six aliases per set

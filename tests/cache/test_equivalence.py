@@ -83,7 +83,7 @@ def test_one_batch_equals_singleton_batches(num_sets, batch):
     t_batched, g_batched = batched.llc_read(lines)
 
     serial = DirectMappedCache(num_sets * 64)
-    from repro.memsys.counters import TagStats, Traffic
+    from repro.perf.counters import TagStats, Traffic
 
     t_serial, g_serial = Traffic(), TagStats()
     for line in lines:

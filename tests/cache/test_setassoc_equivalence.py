@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import SetAssociativeCache
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 
 
 class _ScalarLRUCache:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.exec import fork_available
+from repro.experiments import check
+from repro.experiments.check import Claim
 from repro.experiments.cli import main
 
 
@@ -32,6 +34,13 @@ class TestCLI:
         for name in ("fig2", "table1", "table2", "dlrm", "gpt", "check"):
             assert name in err
         assert "'serve'" in err
+
+    @pytest.mark.parametrize("bound, code", [(1, 0), (0, 1)])
+    def test_check_exit_status_follows_the_claims(self, monkeypatch, capsys, bound, code):
+        # One table1 row that holds (matches_paper == 1) or cannot (== 0).
+        monkeypatch.setattr(check, "CLAIMS", [Claim("table1", "matches_paper", "==", bound, "")])
+        assert main(["check", "--quick"]) == code
+        assert f"{1 - code}/1 claims hold" in capsys.readouterr().out
 
     def test_bad_jobs_errors(self, capsys):
         with pytest.raises(SystemExit):

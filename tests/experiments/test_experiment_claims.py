@@ -1,275 +1,37 @@
 """Integration tests: each experiment must reproduce the paper's claims.
 
-These run the experiments in quick mode and assert the *shape* results
-the paper reports — who wins, by roughly what factor, where the
-crossovers fall.  EXPERIMENTS.md records the full-size numbers.
+One case per row of :data:`repro.experiments.check.CLAIMS`, judged on
+quick runs that the whole session shares, so no experiment runs twice.
+EXPERIMENTS.md records the full-size numbers.
 """
 
-import numpy as np
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import run_experiment
+from repro.experiments.check import CLAIMS, evaluate, headlines
 
 
-@pytest.fixture(scope="module")
-def fig2():
-    return run_experiment("fig2", quick=True)
+@pytest.fixture(scope="session")
+def quick_headlines():
+    return headlines(quick=True)
 
 
-@pytest.fixture(scope="module")
-def fig4():
-    return run_experiment("fig4", quick=True)
+@pytest.mark.parametrize(
+    "claim", CLAIMS, ids=[f"{claim.experiment}-{claim.metric}" for claim in CLAIMS]
+)
+def test_claim(claim, quick_headlines):
+    (verdict,) = evaluate([claim], quick_headlines)
+    assert verdict.ok, f"{claim} ({claim.citation}): got {verdict.value}"
 
 
-@pytest.fixture(scope="module")
-def fig5():
-    return run_experiment("fig5", quick=True)
-
-
-@pytest.fixture(scope="module")
-def fig7():
-    return run_experiment("fig7", quick=True)
-
-
-@pytest.fixture(scope="module")
-def fig9():
-    return run_experiment("fig9", quick=True)
-
-
-@pytest.fixture(scope="module")
-def table2():
-    return run_experiment("table2", quick=True)
-
-
-class TestFig2Claims:
-    def test_read_peaks_just_over_30(self, fig2):
-        # Section III-C: "just over 30 GB/s read".
-        assert 30 <= fig2.data["peak_read"] <= 33
-
-    def test_write_peaks_around_11(self, fig2):
-        assert 10 <= fig2.data["peak_write"] <= 12
-
-    def test_read_saturates_by_8_threads(self, fig2):
-        bw = fig2.data["bandwidth"]["read"]
-        assert bw[("sequential", 64, 8)] == pytest.approx(
-            bw[("sequential", 64, 24)], rel=0.05
-        )
-
-    def test_write_peaks_at_4_threads(self, fig2):
-        bw = fig2.data["bandwidth"]["write"]
-        assert bw[("sequential", 64, 4)] > bw[("sequential", 64, 24)]
-
-    def test_random_64b_write_collapse(self, fig2):
-        bw = fig2.data["bandwidth"]["write"]
-        assert bw[("random", 64, 4)] < 0.35 * bw[("sequential", 64, 4)]
-
-    def test_random_256b_write_matches_sequential(self, fig2):
-        bw = fig2.data["bandwidth"]["write"]
-        assert bw[("random", 256, 4)] == pytest.approx(
-            bw[("sequential", 64, 4)], rel=0.05
-        )
-
-
-class TestTable1Claims:
-    def test_exact_match_with_paper(self):
-        result = run_experiment("table1", quick=True)
-        assert result.data["matches_paper"]
-
-    def test_up_to_five_accesses_per_demand(self):
-        result = run_experiment("table1", quick=True)
-        amps = [row["amplification"] for row in result.data["measured"].values()]
-        assert max(amps) == 5.0
-        assert min(amps) == 1.0
-
-
-class TestFig4Claims:
-    def test_clean_read_miss_3x_amplification(self, fig4):
-        case = fig4.data["4a_read_clean_miss"]["sequential_64"]
-        assert case["amplification"] == pytest.approx(3.0, abs=0.05)
-        assert case["hit_rate"] < 0.01
-
-    def test_2lm_read_bandwidth_fraction_of_raw(self, fig4):
-        # Paper: 23 GB/s of ~31 GB/s raw.
-        case = fig4.data["4a_read_clean_miss"]["sequential_64"]
-        assert 20 <= case["nvram_read"] <= 26
-
-    def test_dirty_write_miss_5x_amplification(self, fig4):
-        case = fig4.data["4b_write_dirty_miss"]["sequential_64"]
-        assert case["amplification"] == pytest.approx(5.0, abs=0.05)
-
-    def test_write_miss_doubles_dram_writes(self, fig4):
-        # Section IV-B: "2x access amplification in DRAM writes alone".
-        case = fig4.data["4b_write_dirty_miss"]["sequential_64"]
-        assert case["dram_write"] == pytest.approx(2 * case["nvram_write"], rel=0.05)
-
-    def test_rmw_uses_ddo(self, fig4):
-        case = fig4.data["4c_rmw_ddo"]["sequential_64"]
-        assert case["ddo_fraction"] > 0.95
-        assert case["amplification"] == pytest.approx(2.5, abs=0.1)
-
-    def test_2lm_slower_than_1lm_raw(self, fig4, fig2):
-        read_2lm = fig4.data["4a_read_clean_miss"]["sequential_64"]["effective"]
-        read_raw = fig2.data["bandwidth"]["read"][("sequential", 64, 24)]
-        assert read_2lm < read_raw
-
-
-class TestFig5Claims:
-    def test_dirty_misses_dominate_clean(self, fig5):
-        # Section V-B observation (1)+(2): few clean, many dirty misses.
-        assert fig5.data["dirty_misses"] > 3 * fig5.data["clean_misses"]
-
-    def test_live_memory_rises_then_falls(self, fig5):
-        assert fig5.data["peak_live_bytes"] > fig5.data["cache_bytes"]
-
-    def test_footprint_exceeds_cache(self, fig5):
-        assert fig5.data["buffer_bytes"] > fig5.data["cache_bytes"]
-
-    def test_hit_bursts_exist(self, fig5):
-        # Observation (3): regions of high tag hits with a corresponding
-        # drop in dirty tag misses.
-        hits = fig5.data["hits_rate_series"]
-        assert np.percentile(hits, 90) > 3 * max(np.percentile(hits, 10), 1)
-
-    def test_hits_anticorrelate_with_dirty_misses(self, fig5):
-        hits = fig5.data["hits_rate_series"]
-        dirty = fig5.data["dirty_rate_series"]
-        clean = fig5.data["clean_rate_series"]
-        total = hits + dirty + clean
-        mask = total > 0
-        hit_frac = hits[mask] / total[mask]
-        dirty_frac = dirty[mask] / total[mask]
-        assert np.corrcoef(hit_frac, dirty_frac)[0, 1] < -0.5
-
-    def test_low_bandwidth_during_dirty_phases(self, fig5):
-        """Regions of high dirty-miss rate show lower DRAM bandwidth."""
-        dirty = fig5.data["dirty_rate_series"]
-        dram = fig5.data["dram_read_series"]
-        high_dirty = dirty > np.percentile(dirty, 80)
-        low_dirty = dirty < np.percentile(dirty, 20)
-        if high_dirty.any() and low_dirty.any():
-            assert dram[high_dirty].mean() < dram[low_dirty].mean()
-
-
-class TestFig6Claims:
-    def test_concat_and_batchnorm_memory_bound(self):
-        result = run_experiment("fig6", quick=True)
-        assert result.data["concat"]["memory_bound"]
-        assert result.data["batch_norm"]["memory_bound"]
-        assert not result.data["conv"]["memory_bound"]
-
-    def test_concat_bandwidth_below_dram_peak(self):
-        result = run_experiment("fig6", quick=True)
-        # Concat streams through the miss-heavy cache: well below the
-        # ~112 GB/s DRAM peak.
-        assert result.data["concat"]["bandwidth_gbps"] < 60
-
-
-class TestFig7Claims:
-    def test_kron_fits_wdc_exceeds(self, fig7):
-        platform_cache = 2 * 1.5 * 2**20  # quick graph platform, 2 sockets
-        assert fig7.data["kron"]["binary_bytes"] < platform_cache
-        assert fig7.data["wdc"]["binary_bytes"] > platform_cache
-
-    def test_hit_rate_drops_on_wdc(self, fig7):
-        for kernel in ("cc", "pr"):
-            assert (
-                fig7.data["wdc"]["kernels"][kernel]["hit_rate"]
-                < fig7.data["kron"]["kernels"][kernel]["hit_rate"]
-            )
-
-    def test_dram_bandwidth_drops_on_wdc(self, fig7):
-        # "there is a significant decrease in DRAM bandwidth".
-        for kernel in ("cc", "pr"):
-            assert (
-                fig7.data["wdc"]["kernels"][kernel]["dram_gbps"]
-                < 0.7 * fig7.data["kron"]["kernels"][kernel]["dram_gbps"]
-            )
-
-
-class TestFig8Claims:
-    def test_2lm_amplifies_all_kernels(self):
-        result = run_experiment("fig8", quick=True)
-        for kernel, row in result.data.items():
-            assert row["amplification"] > 1.1, kernel
-
-    def test_amplification_significant(self):
-        result = run_experiment("fig8", quick=True)
-        worst = max(row["amplification"] for row in result.data.values())
-        assert worst > 1.7
-
-
-class TestFig9Claims:
-    def test_kron_stable_dram_bandwidth(self, fig9):
-        series = fig9.data["kron"]["series"]["dram_read"][1:]  # skip cold start
-        if series.size > 1:
-            assert series.std() < 0.2 * series.mean()
-
-    def test_wdc_has_persistent_nvram_traffic(self, fig9):
-        nvram = fig9.data["wdc"]["series"]["nvram_read"]
-        assert (nvram[1:] > 0).all()
-
-    def test_wdc_bandwidth_below_kron(self, fig9):
-        assert fig9.data["wdc"]["dram_gbps"] < fig9.data["kron"]["dram_gbps"]
-
-    def test_wdc_shows_both_miss_kinds(self, fig9):
-        assert fig9.data["wdc"]["clean_misses"] > 0
-        assert fig9.data["wdc"]["dirty_misses"] > 0
-
-
-class TestFig10Claims:
-    def test_nvram_writes_forward_reads_backward(self):
-        result = run_experiment("fig10", quick=True)
-        data = result.data
-        assert data["nvram_writes_forward"] > 100 * max(
-            data["nvram_writes_backward"], 1
-        )
-        assert data["nvram_reads_backward"] > 100 * max(
-            data["nvram_reads_forward"], 1
-        )
-
-    def test_stash_equals_restore(self):
-        result = run_experiment("fig10", quick=True)
-        assert result.data["stash_bytes"] == result.data["restore_bytes"]
-
-
-class TestTable2Claims:
-    def test_autotm_faster_everywhere(self, table2):
-        for network, row in table2.data.items():
-            assert row["speedup"] > 1.1, network
-
-    def test_speedup_ordering_matches_paper(self, table2):
-        # Paper: Inception 1.8x < ResNet 2.2x < DenseNet 3.1x.
-        assert (
-            table2.data["densenet264"]["speedup"]
-            > table2.data["inception_v4"]["speedup"]
-        )
-
-    def test_nvram_traffic_half_of_2lm(self, table2):
-        # Paper: "only 50% to 60% of the NVRAM traffic".
-        for network, row in table2.data.items():
-            assert 0.3 < row["nvram_traffic_ratio"] < 0.7, network
-
-    def test_dram_traffic_similar(self, table2):
-        # Paper: "AutoTM generates similar amounts of DRAM traffic".
-        for network, row in table2.data.items():
-            ratio = row["autotm_dram_gb"] / row["2lm_dram_gb"]
-            assert 0.7 < ratio < 1.3, network
-
-
-class TestAblationClaims:
-    def test_associativity_reduces_nvram_traffic(self):
-        result = run_experiment("ablation", quick=True)
-        base = result.data["baseline (direct-mapped, DDO, insert-on-miss)"]
-        assoc = result.data["8-way LRU"]
-        assert assoc["nvram_read_gb"] <= base["nvram_read_gb"]
-
-    def test_ddo_saves_tag_checks(self):
-        result = run_experiment("ablation", quick=True)
-        base = result.data["baseline (direct-mapped, DDO, insert-on-miss)"]
-        no_ddo = result.data["no DDO"]
-        assert base["ddo_writes"] > 0
-        assert no_ddo["ddo_writes"] == 0
-        assert no_ddo["seconds"] >= base["seconds"]
+@pytest.mark.parametrize("doc", ["EXPERIMENTS.md", "DESIGN.md", "README.md"])
+def test_docs_count_the_claim_table(doc):
+    text = (Path(__file__).resolve().parents[2] / doc).read_text()
+    counts = re.findall(r"(\d+) declared shape claims", text)
+    assert counts and all(int(count) == len(CLAIMS) for count in counts)
 
 
 class TestRegistry:
@@ -289,5 +51,5 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_experiment("fig99")
 
-    def test_render_includes_title(self, fig2):
-        assert "fig2" in fig2.render()
+    def test_render_includes_title(self):
+        assert "fig2" in run_experiment("fig2", quick=True).render()

@@ -120,9 +120,3 @@ class TestGptExperiment:
 
     def test_dirty_misses_present(self, result):
         assert result.data["dirty_misses"] > 0
-
-
-class TestCheckExperiment:
-    def test_all_claims_pass(self):
-        result = run_experiment("check", quick=True)
-        assert result.data["all_pass"], result.render()

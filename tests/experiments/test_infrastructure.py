@@ -11,7 +11,7 @@ from repro.experiments.platform import (
     training_setup,
     wdc_graph,
 )
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 from repro.perf.trace import Trace
 
 

@@ -8,7 +8,7 @@ from repro.kernels.patterns import (
     pattern_cache_clear,
     pattern_cache_info,
 )
-from repro.memsys.counters import Pattern
+from repro.perf.counters import Pattern
 
 
 class TestSequential:

@@ -7,7 +7,7 @@ from repro.cache import DirectMappedCache
 from repro.cache.base import AccessKind
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
-from repro.memsys.counters import AccessContext
+from repro.perf.counters import AccessContext
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.memsys.counters import (
+from repro.perf.counters import (
     AccessContext,
     Pattern,
     TagStats,
@@ -149,15 +149,3 @@ class TestUncoreCounters:
         with pytest.raises(ValueError):
             UncoreCounters().retire(-1)
 
-
-class TestPerfCountersShim:
-    def test_legacy_import_path_is_the_same_objects(self):
-        # The counter types moved to repro.perf.counters (ARC001:
-        # observability must not import simulation); the old path is a
-        # re-export, not a copy — isinstance checks across both import
-        # styles must keep working.
-        import repro.memsys.counters as legacy
-        import repro.perf.counters as canonical
-
-        for name in legacy.__all__:
-            assert getattr(legacy, name) is getattr(canonical, name)

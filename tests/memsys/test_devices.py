@@ -8,7 +8,7 @@ write amplification) and the read/write asymmetry.
 import pytest
 
 from repro.config import DRAMConfig, NVRAMConfig
-from repro.memsys.counters import AccessContext, Pattern
+from repro.perf.counters import AccessContext, Pattern
 from repro.memsys.dram import DRAMDevice
 from repro.memsys.nvram import NVRAMDevice
 

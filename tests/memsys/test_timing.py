@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PAPER_PLATFORM
-from repro.memsys.counters import AccessContext, Traffic
+from repro.perf.counters import AccessContext, Traffic
 from repro.memsys.timing import TimingModel
 from repro.units import GiB
 

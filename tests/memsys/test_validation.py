@@ -7,7 +7,7 @@ from repro.cache import DirectMappedCache
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import CachedBackend, StoreType
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 from repro.memsys.validation import (
     expected_from_tags,
     validate_traffic,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.base import ExperimentResult
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 from repro.perf.export import export_result, to_jsonable
 
 
@@ -60,7 +60,7 @@ class TestToJsonable:
         assert to_jsonable(array) == [[0, 1, 2], [3, 4, 5]]
 
     def test_object_arrays_still_recurse(self):
-        from repro.memsys.counters import Pattern
+        from repro.perf.counters import Pattern
 
         array = np.array([Pattern.RANDOM, Pattern.SEQUENTIAL], dtype=object)
         assert to_jsonable(array) == ["random", "sequential"]

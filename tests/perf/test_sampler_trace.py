@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.memsys.counters import TagStats, Traffic, UncoreCounters
+from repro.perf.counters import TagStats, Traffic, UncoreCounters
 from repro.perf import CounterSampler, Trace, TracePoint
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PAPER_PLATFORM
-from repro.memsys.counters import AccessContext, Pattern, Traffic
+from repro.perf.counters import AccessContext, Pattern, Traffic
 from repro.memsys.nvram import NVRAMDevice
 from repro.memsys.timing import TimingModel
 from repro.nn.planner import FirstFitArena
