@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.autotm.model import (
     CandidateTensor,
     PlacementMode,
@@ -32,22 +30,15 @@ def _cheapest_demotion(candidate: CandidateTensor) -> PlacementMode:
 def solve_greedy(problem: PlacementProblem) -> PlacementPlan:
     """Greedy demotion until every capacity checkpoint is satisfied."""
     candidates = problem.candidates
-    checkpoints = problem.capacity_checkpoints()
-    n, m = len(candidates), len(checkpoints)
+    n = len(candidates)
 
-    # occupancy[mode][i, j]: candidate i holds DRAM at checkpoint j.
-    dram_occ = np.zeros((n, m), dtype=bool)
-    demoted_occ = np.zeros((n, m), dtype=bool)
+    # [i, j]: candidate i holds DRAM at checkpoint j, resident or demoted.
     demotion_modes = [_cheapest_demotion(c) for c in candidates]
-    for i, candidate in enumerate(candidates):
-        for j, point in enumerate(checkpoints):
-            dram_occ[i, j] = problem.occupies_dram(candidate, PlacementMode.DRAM, point)
-            demoted_occ[i, j] = problem.occupies_dram(
-                candidate, demotion_modes[i], point
-            )
+    dram_occ = problem.dram_held([PlacementMode.DRAM] * n)
+    demoted_occ = problem.dram_held(demotion_modes)
 
-    sizes = np.array([c.tensor.size_bytes for c in candidates], dtype=np.int64)
-    usage = problem.pinned_bytes + (sizes[:, None] * dram_occ).sum(axis=0)
+    sizes = problem.candidate_bytes()
+    usage = problem.pinned_bytes + sizes @ dram_occ
     budget = problem.budget_bytes
 
     def demotion_cost_per_byte(i: int) -> float:

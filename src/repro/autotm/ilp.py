@@ -3,7 +3,10 @@
 Mirrors AutoTM's formulation at tensor granularity: one binary variable
 per (tensor, mode), a one-hot constraint per tensor, and a DRAM
 capacity constraint per schedule checkpoint.  Solved with
-``scipy.optimize.milp`` (the HiGHS branch-and-bound solver).
+``scipy.optimize.milp`` (the HiGHS branch-and-bound solver), with every
+option that shapes the returned plan passed explicitly: at a nonzero
+gap the plan is whichever solution HiGHS's search path reaches first,
+so a changed library default must not be able to move it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.autotm.model import (
+    MODE_INDEX,
     CandidateTensor,
     PlacementMode,
     PlacementPlan,
@@ -22,6 +26,13 @@ from repro.autotm.model import (
 )
 from repro.errors import SolverError
 from repro.nn.ir import Tensor
+
+#: Wall-clock cap on one solve, in seconds.
+TIME_LIMIT_S = 120.0
+#: Relative primal-dual gap at which HiGHS stops (its own default).
+MIP_REL_GAP = 1e-4
+#: Run HiGHS's presolve.
+PRESOLVE = True
 
 
 def _variables(problem: PlacementProblem) -> List[Tuple[CandidateTensor, PlacementMode]]:
@@ -34,7 +45,7 @@ def _variables(problem: PlacementProblem) -> List[Tuple[CandidateTensor, Placeme
     return variables
 
 
-def solve_ilp(problem: PlacementProblem, time_limit: float = 120.0) -> PlacementPlan:
+def solve_ilp(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> PlacementPlan:
     """Solve the placement ILP; raises :class:`SolverError` on failure."""
     variables = _variables(problem)
     n = len(variables)
@@ -55,27 +66,23 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = 120.0) -> Placement
 
     # One-hot: each tensor picks exactly one mode.
     tensor_index = {c.tensor: i for i, c in enumerate(problem.candidates)}
-    rows = [tensor_index[c.tensor] for c, _ in variables]
+    rows = np.array([tensor_index[c.tensor] for c, _ in variables], dtype=np.intp)
     onehot = sparse.csr_matrix(
         (np.ones(n), (rows, np.arange(n))), shape=(len(problem.candidates), n)
     )
     ones = np.ones(len(problem.candidates))
     constraints.append(LinearConstraint(onehot, ones, ones))
 
-    # Capacity at every checkpoint.
+    # Capacity at every checkpoint: each variable's column of DRAM
+    # occupancy, one row per checkpoint, entries in row-major order.
     checkpoints = problem.capacity_checkpoints()
-    cap_rows: List[int] = []
-    cap_cols: List[int] = []
-    cap_vals: List[float] = []
-    for i, point in enumerate(checkpoints):
-        for j, (candidate, mode) in enumerate(variables):
-            if problem.occupies_dram(candidate, mode, point):
-                cap_rows.append(i)
-                cap_cols.append(j)
-                cap_vals.append(float(candidate.tensor.size_bytes))
-    if cap_rows:
+    modes = np.array([MODE_INDEX[mode] for _, mode in variables], dtype=np.intp)
+    occupied = problem.dram_occupancy()[modes, :, rows]
+    cap_rows, cap_cols = np.nonzero(occupied.T)
+    if cap_rows.size:
+        sizes = problem.candidate_bytes().astype(np.float64)
         capacity = sparse.csr_matrix(
-            (cap_vals, (cap_rows, cap_cols)), shape=(len(checkpoints), n)
+            (sizes[rows[cap_cols]], (cap_rows, cap_cols)), shape=(len(checkpoints), n)
         )
         upper = np.full(len(checkpoints), float(problem.budget_bytes - problem.pinned_bytes))
         constraints.append(
@@ -87,7 +94,11 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = 120.0) -> Placement
         constraints=constraints,
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
-        options={"time_limit": time_limit},
+        options={
+            "time_limit": time_limit,
+            "mip_rel_gap": MIP_REL_GAP,
+            "presolve": PRESOLVE,
+        },
     )
     if not result.success or result.x is None:
         raise SolverError(f"HiGHS failed to solve the placement ILP: {result.message}")
@@ -105,4 +116,7 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = 120.0) -> Placement
         objective_seconds=float(result.fun),
         budget_bytes=problem.budget_bytes,
         solver="ilp",
+        mip_gap=result.mip_gap,
+        mip_dual_bound=result.mip_dual_bound,
+        mip_node_count=result.mip_node_count,
     )

@@ -13,14 +13,20 @@ For each transient tensor the optimizer chooses one of three modes:
 
 The objective is total execution-time overhead (profile-derived, like
 AutoTM's kernel profiles); the constraints cap live DRAM bytes at every
-point in the schedule.
+point in the schedule.  Which tensors hold DRAM at each capacity
+checkpoint, under each mode, is one boolean array
+(:meth:`PlacementProblem.dram_occupancy`) that the ILP's capacity rows,
+the greedy solver and :meth:`PlacementProblem.is_feasible` all read;
+:meth:`PlacementProblem.occupies_dram` is its scalar statement.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.config import PlatformConfig
 from repro.errors import ConfigurationError, InvariantError
@@ -33,6 +39,11 @@ class PlacementMode(enum.Enum):
     DRAM = "dram"
     NVRAM = "nvram"
     STASH = "stash"
+
+
+#: Position of each mode along :meth:`PlacementProblem.dram_occupancy`'s
+#: first axis.
+MODE_INDEX = {mode: index for index, mode in enumerate(PlacementMode)}
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,11 @@ class PlacementPlan:
     objective_seconds: float
     budget_bytes: int
     solver: str
+    #: HiGHS's relative gap, dual bound and branch-and-bound node count
+    #: for the returned solution (``None`` when no MIP was solved).
+    mip_gap: Optional[float] = None
+    mip_dual_bound: Optional[float] = None
+    mip_node_count: Optional[int] = None
 
     def count(self, mode: PlacementMode) -> int:
         return sum(1 for p in self.placements.values() if p.mode is mode)
@@ -216,6 +232,51 @@ class PlacementProblem:
             or op_index >= candidate.first_backward_use
         )
 
+    def dram_occupancy(self) -> np.ndarray:
+        """:meth:`occupies_dram` at every (mode, checkpoint, candidate).
+
+        A boolean array of shape ``(len(PlacementMode), checkpoints,
+        candidates)``, indexed by :data:`MODE_INDEX`: a candidate holds
+        DRAM in resident (``DRAM``) mode wherever it is live, in stash
+        mode wherever it is live up to its last forward use or from its
+        first backward use on, and in NVRAM mode nowhere.  Candidates
+        that are not stash-eligible never hold DRAM in stash mode.
+        """
+        points = np.asarray(self.capacity_checkpoints())[:, None]
+        candidates = self.candidates
+        starts = np.array([c.life.start for c in candidates], dtype=np.int64)
+        ends = np.array([c.life.end for c in candidates], dtype=np.int64)
+        # Ineligible candidates get boundaries no checkpoint reaches.
+        hot_until = np.array(
+            [c.last_forward_use if c.stash_eligible else -1 for c in candidates],
+            dtype=np.int64,
+        )
+        hot_from = np.array(
+            [c.first_backward_use if c.stash_eligible else self.num_ops for c in candidates],
+            dtype=np.int64,
+        )
+        live = (starts <= points) & (points <= ends)
+        occupancy = np.zeros((len(MODE_INDEX),) + live.shape, dtype=bool)
+        occupancy[MODE_INDEX[PlacementMode.DRAM]] = live
+        occupancy[MODE_INDEX[PlacementMode.STASH]] = live & (
+            (points <= hot_until) | (points >= hot_from)
+        )
+        return occupancy
+
+    def dram_held(self, modes: Sequence[PlacementMode]) -> np.ndarray:
+        """Candidate × checkpoint DRAM occupancy, candidate ``i`` in ``modes[i]``."""
+        for candidate, mode in zip(self.candidates, modes):
+            if mode is PlacementMode.STASH and not candidate.stash_eligible:
+                raise ConfigurationError(
+                    f"tensor {candidate.tensor.name!r} is not stash-eligible"
+                )
+        index = np.array([MODE_INDEX[mode] for mode in modes], dtype=np.intp)
+        return self.dram_occupancy()[index, :, np.arange(index.size)]
+
+    def candidate_bytes(self) -> np.ndarray:
+        """Each candidate's size, in candidate order."""
+        return np.array([c.tensor.size_bytes for c in self.candidates], dtype=np.int64)
+
     def placement_for(
         self, candidate: CandidateTensor, mode: PlacementMode
     ) -> TensorPlacement:
@@ -242,12 +303,8 @@ class PlacementProblem:
 
     def is_feasible(self, plan: PlacementPlan) -> bool:
         """Does the plan respect the DRAM budget at every checkpoint?"""
-        for point in self.capacity_checkpoints():
-            used = self.pinned_bytes
-            for candidate in self.candidates:
-                placement = plan.placements[candidate.tensor]
-                if self.occupies_dram(candidate, placement.mode, point):
-                    used += candidate.tensor.size_bytes
-            if used > self.budget_bytes:
-                return False
-        return True
+        held = self.dram_held(
+            [plan.placements[c.tensor].mode for c in self.candidates]
+        )
+        used = self.pinned_bytes + self.candidate_bytes() @ held
+        return bool((used <= self.budget_bytes).all())

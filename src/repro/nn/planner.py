@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.nn.ir import Graph, Tensor
 from repro.nn.liveness import TensorLife, analyze_liveness
@@ -60,15 +62,23 @@ class FirstFitArena:
 
     ``allocate(size, start, end)`` returns the lowest aligned offset
     whose byte range is free for the whole [start, end] interval.  Used
-    by the ngraph-style planner and by AutoTM's explicit DRAM pool.
+    by the ngraph-style planner and by AutoTM's DRAM and NVRAM pools.
+
+    Placed extents are kept in growable int64 columns.  A fit masks the
+    extents whose intervals overlap the request, sorts them by offset,
+    and takes the running maximum of their ends: the gap in front of
+    each blocker opens where every lower blocker has ended, and the
+    first gap wide enough wins (else the space above them all).
     """
 
     def __init__(self, alignment: int = 64) -> None:
         if alignment <= 0 or alignment & (alignment - 1):
             raise ConfigurationError("alignment must be a positive power of two")
         self.alignment = alignment
-        #: Allocated extents: (offset, size, start, end).
-        self._placed: List[Tuple[int, int, int, int]] = []
+        #: Allocated extents, one column each: offset, offset + aligned
+        #: size, interval start, interval end.
+        self._extents = np.empty((4, 64), dtype=np.int64)
+        self._count = 0
         self.high_water = 0
 
     def allocate(self, size: int, start: int, end: int) -> int:
@@ -77,19 +87,21 @@ class FirstFitArena:
         if end < start:
             raise ConfigurationError("interval end precedes start")
         size = _align(size, self.alignment)
-        blockers = sorted(
-            (off, sz)
-            for off, sz, other_start, other_end in self._placed
-            if other_start <= end and start <= other_end
-        )
-        candidate = 0
-        for off, sz in blockers:
-            if candidate + size <= off:
-                break
-            candidate = max(candidate, _align(off + sz, self.alignment))
-        self._placed.append((candidate, size, start, end))
-        self.high_water = max(self.high_water, candidate + size)
-        return candidate
+        offsets, tops, starts, ends = self._extents[:, : self._count]
+        blocking = (starts <= end) & (start <= ends)
+        lows = offsets[blocking]
+        # Stable (timsort): extents are mostly placed in rising offset
+        # order, and ties on offset cannot change the fit.
+        order = np.argsort(lows, kind="stable")
+        gaps = np.concatenate(([0], np.maximum.accumulate(tops[blocking][order])))
+        fits = np.flatnonzero(gaps[:-1] + size <= lows[order])
+        offset = int(gaps[fits[0]] if fits.size else gaps[-1])
+        if self._count == self._extents.shape[1]:
+            self._extents = np.concatenate([self._extents, np.empty_like(self._extents)], axis=1)
+        self._extents[:, self._count] = (offset, offset + size, start, end)
+        self._count += 1
+        self.high_water = max(self.high_water, offset + size)
+        return offset
 
 
 def plan_memory(graph: Graph, alignment: int = 64) -> MemoryPlan:

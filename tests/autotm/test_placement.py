@@ -1,6 +1,8 @@
 """Tests for the AutoTM placement problem, ILP, and greedy solvers."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.autotm import (
     PlacementMode,
@@ -8,10 +10,15 @@ from repro.autotm import (
     solve_greedy,
     solve_ilp,
 )
+from repro.autotm import ilp as ilp_module
+from repro.autotm.model import MODE_INDEX
 from repro.config import default_platform
 from repro.errors import ConfigurationError, SolverError
+from repro.experiments.autotm_common import AUTOTM_BUDGET_FRACTION
+from repro.experiments.platform import cnn_platform_for, training_setup
 from repro.nn import build_training_graph
 from repro.nn.ops import GraphBuilder
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +58,7 @@ class TestProblemConstruction:
 
     def test_small_tensors_pinned(self, platform):
         generous = build_problem(platform, 1.0, min_candidate_bytes=1)
-        filtered = build_problem(platform, 1.0, min_candidate_bytes=1 << 20)
+        filtered = build_problem(platform, 1.0, min_candidate_bytes=MiB)
         assert len(filtered.candidates) < len(generous.candidates)
         assert filtered.pinned_bytes > generous.pinned_bytes
 
@@ -106,6 +113,17 @@ class TestSolvers:
         plan = solve_ilp(problem)
         assert problem.evaluate(plan) == pytest.approx(plan.objective_seconds, rel=1e-6)
 
+    def test_ilp_records_a_closed_gap(self, platform):
+        problem = build_problem(platform, 0.0004, capacity_stride=1)
+        plan = solve_ilp(problem)
+        assert plan.mip_gap <= ilp_module.MIP_REL_GAP
+        # At a zero gap HiGHS's dual bound can sit one rounding step
+        # above the objective it sums in another order.
+        assert plan.mip_dual_bound <= plan.objective_seconds * (1 + 1e-12)
+        assert isinstance(plan.mip_node_count, int)
+        greedy = solve_greedy(problem)
+        assert greedy.mip_gap is greedy.mip_dual_bound is greedy.mip_node_count is None
+
     def test_stash_placement_records_boundaries(self, platform):
         problem = build_problem(platform, 0.0004, capacity_stride=1)
         plan = solve_ilp(problem)
@@ -141,3 +159,72 @@ class TestOccupancy:
             assert not problem.occupies_dram(
                 candidate, PlacementMode.DRAM, after_death
             )
+
+    @pytest.mark.parametrize("network", ["densenet264", "resnet200", "inception_v4"])
+    def test_matrix_equals_the_scalar_oracle(self, network):
+        platform = cnn_platform_for(True)
+        training, _ = training_setup(network, True)
+        budget = int(platform.socket.dram_capacity * AUTOTM_BUDGET_FRACTION)
+        problem = PlacementProblem.build(training, platform, budget, capacity_stride=4)
+        occupancy = problem.dram_occupancy()
+        points = problem.capacity_checkpoints()
+        assert occupancy.shape == (len(PlacementMode), len(points), len(problem.candidates))
+        for column, candidate in enumerate(problem.candidates):
+            for mode in PlacementMode:
+                if mode is PlacementMode.STASH and not candidate.stash_eligible:
+                    assert not occupancy[MODE_INDEX[mode], :, column].any()
+                    continue
+                expected = [problem.occupies_dram(candidate, mode, p) for p in points]
+                assert occupancy[MODE_INDEX[mode], :, column].tolist() == expected
+
+    def test_feasibility_rejects_stashing_an_ineligible_tensor(self, platform):
+        problem = build_problem(platform, 1.0)
+        plan = solve_greedy(problem)
+        candidate = next(c for c in problem.candidates if not c.stash_eligible)
+        plan.placements[candidate.tensor] = problem.placement_for(
+            candidate, PlacementMode.STASH
+        )
+        with pytest.raises(ConfigurationError):
+            problem.is_feasible(plan)
+
+
+def loop_capacity_rows(problem):
+    """The capacity matrix as a per-(checkpoint, variable) scalar loop builds it."""
+    variables = ilp_module._variables(problem)
+    checkpoints = problem.capacity_checkpoints()
+    rows, cols, vals = [], [], []
+    for i, point in enumerate(checkpoints):
+        for j, (candidate, mode) in enumerate(variables):
+            if problem.occupies_dram(candidate, mode, point):
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(candidate.tensor.size_bytes))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(checkpoints), len(variables)))
+
+
+@pytest.mark.parametrize(
+    "budget_fraction, stride", [(0.0004, 1), (0.003, 1), (0.0004, 7), (1.0, 8)]
+)
+def test_ilp_capacity_rows_equal_the_scalar_loop(platform, monkeypatch, budget_fraction, stride):
+    problem = build_problem(platform, budget_fraction, capacity_stride=stride)
+    models = []
+    real_milp = ilp_module.milp
+
+    def recording_milp(**kwargs):
+        models.append(kwargs)
+        return real_milp(**kwargs)
+
+    monkeypatch.setattr(ilp_module, "milp", recording_milp)
+    solve_ilp(problem)
+    (model,) = models
+    _, capacity = model["constraints"]
+    expected = loop_capacity_rows(problem)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(capacity.A, name), getattr(expected, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert model["options"] == {
+        "time_limit": ilp_module.TIME_LIMIT_S,
+        "mip_rel_gap": ilp_module.MIP_REL_GAP,
+        "presolve": ilp_module.PRESOLVE,
+    }

@@ -6,6 +6,7 @@ from repro.nn.autodiff import build_training_graph
 from repro.nn.ir import OpKind
 from repro.nn.networks import densenet264, inception_v4, resnet200
 from repro.nn.planner import plan_memory
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -92,4 +93,4 @@ class TestScaling:
         g = densenet264(3)
         build_training_graph(g)
         plan = plan_memory(g, alignment=1024)
-        assert plan.total_bytes > 192 * 2**20
+        assert plan.total_bytes > 192 * MiB

@@ -9,7 +9,8 @@ from repro.config import PAPER_PLATFORM
 from repro.perf.counters import AccessContext, Pattern, Traffic
 from repro.memsys.nvram import NVRAMDevice
 from repro.memsys.timing import TimingModel
-from repro.nn.planner import FirstFitArena
+from repro.nn.planner import FirstFitArena, _align
+from repro.units import TB
 
 
 traffic_counts = st.integers(min_value=0, max_value=10**9)
@@ -94,8 +95,8 @@ class TestNVRAMProperties:
         assert device.read_bandwidth(ctx) >= device.write_bandwidth(ctx)
 
     @given(
-        read_bytes=st.integers(min_value=0, max_value=10**12),
-        write_bytes=st.integers(min_value=0, max_value=10**12),
+        read_bytes=st.integers(min_value=0, max_value=TB),
+        write_bytes=st.integers(min_value=0, max_value=TB),
         ctx=contexts(),
     )
     @settings(max_examples=100, deadline=None)
@@ -108,14 +109,55 @@ class TestNVRAMProperties:
 
 @st.composite
 def allocation_requests(draw):
+    """Interval requests for a 64-byte-aligned arena.
+
+    Sizes are arbitrary or whole alignment units (so extents abut and
+    gaps fit exactly), and a request may reuse the previous request's
+    size just after its interval ends, landing at the same offset: a
+    later request that overlaps both then meets blockers tied on offset.
+    """
     n = draw(st.integers(min_value=1, max_value=30))
     requests = []
     for _ in range(n):
-        start = draw(st.integers(min_value=0, max_value=50))
+        if requests and draw(st.booleans()):
+            size, _, previous_end = requests[-1]
+            start = previous_end + 1
+        else:
+            size = draw(
+                st.one_of(
+                    st.integers(min_value=1, max_value=4096),
+                    st.integers(min_value=1, max_value=8).map(lambda units: units * 64),
+                )
+            )
+            start = draw(st.integers(min_value=0, max_value=50))
         length = draw(st.integers(min_value=0, max_value=20))
-        size = draw(st.integers(min_value=1, max_value=4096))
         requests.append((size, start, start + length))
     return requests
+
+
+class LoopFirstFitArena:
+    """Reference first fit: scan every placed extent in Python per request."""
+
+    def __init__(self, alignment):
+        self.alignment = alignment
+        self._placed = []
+        self.high_water = 0
+
+    def allocate(self, size, start, end):
+        size = _align(size, self.alignment)
+        blockers = sorted(
+            (off, sz)
+            for off, sz, other_start, other_end in self._placed
+            if other_start <= end and start <= other_end
+        )
+        candidate = 0
+        for off, sz in blockers:
+            if candidate + size <= off:
+                break
+            candidate = max(candidate, _align(off + sz, self.alignment))
+        self._placed.append((candidate, size, start, end))
+        self.high_water = max(self.high_water, candidate + size)
+        return candidate
 
 
 class TestArenaProperties:
@@ -132,6 +174,17 @@ class TestArenaProperties:
                 time_overlap = start_a <= end_b and start_b <= end_a
                 space_overlap = off_a < off_b + size_b and off_b < off_a + size_a
                 assert not (time_overlap and space_overlap)
+
+    @given(requests=allocation_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_reference(self, requests):
+        arena = FirstFitArena(alignment=64)
+        reference = LoopFirstFitArena(alignment=64)
+        for size, start, end in requests:
+            offset = arena.allocate(size, start, end)
+            assert type(offset) is int
+            assert offset == reference.allocate(size, start, end)
+            assert arena.high_water == reference.high_water
 
     @given(requests=allocation_requests())
     @settings(max_examples=100, deadline=None)
