@@ -37,7 +37,7 @@ from repro.analysis.core import (
     Project,
     run_analysis,
 )
-from repro.analysis.checkers import ALL_CHECKERS, checker_for
+from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.reporters import render_json, render_text
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Project",
-    "checker_for",
     "render_json",
     "render_text",
     "run_analysis",

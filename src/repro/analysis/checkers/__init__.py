@@ -34,16 +34,6 @@ ALL_CHECKERS: List[Type[Checker]] = [
 ]
 
 
-def checker_for(rule: str) -> Type[Checker]:
-    """Look one checker class up by its rule id (e.g. ``"DET001"``)."""
-    for cls in ALL_CHECKERS:
-        if cls.rule == rule:
-            return cls
-    raise KeyError(
-        f"unknown rule {rule!r}; known: {', '.join(c.rule for c in ALL_CHECKERS)}"
-    )
-
-
 __all__ = [
     "ALL_CHECKERS",
     "ArchitectureChecker",
@@ -56,5 +46,4 @@ __all__ = [
     "ServiceChecker",
     "TelemetryChecker",
     "UnitsChecker",
-    "checker_for",
 ]

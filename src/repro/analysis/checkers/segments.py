@@ -16,11 +16,9 @@ the request hot paths:
   inside the engine functions, not in the model hot path;
 * no defining the legacy per-round hooks ``_read_round``/
   ``_write_round``/``_rounds`` at all — variants customize via the
-  engine-level ``_apply_read``/``_apply_write`` hooks instead.
-
-Modules whose final component is ``rounds`` (the tests-only legacy
-engine, :mod:`repro.cache.rounds`) are exempt: keeping the old
-decomposition importable is the point of that module.
+  engine-level ``_apply_read``/``_apply_write`` hooks instead.  This
+  prong is the one that catches a per-round engine whose ``llc_read``
+  loops a module-level round helper, which the other two cannot see.
 """
 
 from __future__ import annotations
@@ -40,14 +38,11 @@ _HOT_FUNCTIONS = {
     "_write_round",
 }
 
-#: The legacy per-round hook surface, banned outside the rounds module.
+#: The legacy per-round hook surface, banned everywhere.
 _LEGACY_HOOKS = {"_read_round", "_write_round", "_rounds"}
 
 #: Attribute calls that iterate collision rounds.
 _ROUND_ITERATORS = {"rounds", "_rounds"}
-
-#: Final module-name component of the tests-only legacy engine.
-_EXEMPT_COMPONENT = "rounds"
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -56,13 +51,11 @@ class SegmentsChecker(Checker):
     rule = "SEG001"
     description = (
         "no np.unique or round loops in cache hot paths "
-        "(llc_read/llc_write/prime/contains); closed-form segmented "
-        "engine only, legacy rounds engine is tests-only"
+        "(llc_read/llc_write/prime/contains) and no per-round hooks; "
+        "closed-form segmented engine only"
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
-        if module.module.rsplit(".", 1)[-1] == _EXEMPT_COMPONENT:
-            return
         for func in ast.walk(module.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -70,9 +63,9 @@ class SegmentsChecker(Checker):
                 yield self.finding(
                     module,
                     func,
-                    f"legacy round hook {func.name}() defined outside the "
-                    "tests-only rounds engine; customize batches via the "
-                    "engine-level _apply_read/_apply_write hooks",
+                    f"legacy round hook {func.name}() defined; customize "
+                    "batches via the engine-level _apply_read/_apply_write "
+                    "hooks",
                 )
             if func.name in _HOT_FUNCTIONS:
                 yield from self._check_hot_function(module, func)

@@ -10,9 +10,7 @@ recurrences, and applies every state update with array operations — no
 Python loop over collision rounds, so adversarial all-same-set batches
 cost the same as collision-free ones.  The result is bit-for-bit
 equivalent to processing the batch one access at a time (property-tested
-against :class:`~repro.cache.flow.ReferenceCache` and the legacy
-round engine in :mod:`repro.cache.rounds`, which is kept for tests and
-benchmarks only).
+against :class:`~repro.cache.flow.ReferenceCache`).
 
 The one :class:`~repro.cache.engine.BatchSegmenter` per model also fuses
 the read-pass and write-pass telemetry: when ``llc_read`` and

@@ -22,8 +22,8 @@ uses fits), so the segmented engine (:mod:`repro.cache.engine`) can
 resolve whole batches with bitwise closed forms: writes in one pass of
 ``bitwise_or.reduceat`` over the miss-delimited run partition, reads
 with a fill-resolution loop bounded by ``sector_lines`` — never by
-batch size.  The legacy per-round path lives on in
-:class:`repro.cache.rounds.RoundsSectorCache` for tests only.
+batch size.  The scalar oracle is
+:class:`~repro.cache.flow.ScalarSectorCache`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ and returns results in deterministic grid order.  See
 from repro.exec.sweep import (
     SweepError,
     SweepSpec,
-    default_jobs,
     fork_available,
     merge_worker_telemetry,
     run_sweep,
@@ -19,7 +18,6 @@ from repro.exec.sweep import (
 __all__ = [
     "SweepError",
     "SweepSpec",
-    "default_jobs",
     "fork_available",
     "merge_worker_telemetry",
     "run_sweep",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -156,11 +155,6 @@ def merge_worker_telemetry(
 def fork_available() -> bool:
     """Whether this platform supports the ``fork`` start method."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` for "use the machine": the CPU count."""
-    return os.cpu_count() or 1
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> List[Any]:

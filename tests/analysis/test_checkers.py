@@ -559,7 +559,7 @@ class TestSegments:
         )
         assert findings == []
 
-    def test_rounds_module_is_exempt(self, tmp_path):
+    def test_rounds_module_is_not_exempt(self, tmp_path):
         findings = lint(
             tmp_path,
             "rounds.py",
@@ -567,7 +567,7 @@ class TestSegments:
             import numpy as np
 
 
-            class RoundsCache:
+            class LegacyCache:
                 def _rounds(self, sets):
                     yield np.unique(sets)
 
@@ -580,7 +580,11 @@ class TestSegments:
             """,
             SegmentsChecker(),
         )
-        assert findings == []
+        assert [(f.rule, f.line) for f in findings] == [
+            ("SEG001", 5),
+            ("SEG001", 9),
+            ("SEG001", 12),
+        ]
 
 
 class TestSuppressions:

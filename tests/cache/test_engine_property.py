@@ -4,11 +4,8 @@ Drives every production cache model — direct-mapped, sector,
 set-associative, and the three research variants — through thousands of
 randomized batches (uniform, high-collision, adversarial all-same-set,
 and runs of repeated hot lines) and asserts per-batch traffic and tag
-counters plus final cache state match a deliberately naive
-one-access-at-a-time scalar reference exactly.  The direct-mapped, sector, and set-associative
-models are additionally checked against the legacy per-round engines in
-:mod:`repro.cache.rounds`, which are kept importable for exactly this
-purpose (and the old-vs-new benchmark) but are not production exports.
+counters plus cache state match the model's one-access-at-a-time oracle
+in :mod:`repro.cache.flow` exactly.
 
 Together with ``tests/cache/test_equivalence.py`` (hypothesis-driven)
 this is the evidence that the closed-form duplicate-resolution
@@ -16,12 +13,13 @@ recurrences in :mod:`repro.cache.engine` are bit-for-bit equivalent to
 serial processing.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cache as cache_pkg
 from repro.cache import (
     BypassCache,
     DirectMappedCache,
@@ -29,14 +27,15 @@ from repro.cache import (
     NextLinePrefetchCache,
     ReferenceCache,
     SectorCache,
+    SetAssociativeCache,
 )
-from repro.cache.rounds import (
-    RoundsDirectMappedCache,
-    RoundsSectorCache,
-    RoundsSetAssociativeCache,
+from repro.cache.flow import (
+    ScalarBypass,
+    ScalarLRUCache,
+    ScalarMissPredictor,
+    ScalarNextLinePrefetch,
+    ScalarSectorCache,
 )
-from repro.cache import SetAssociativeCache
-from repro.perf.counters import TagStats, Traffic
 
 NUM_SETS = 8
 LINE_SPAN = NUM_SETS * 6  # six aliases per set
@@ -83,7 +82,7 @@ SCENARIOS = ["uniform", "high_collision", "all_same_set", "repeat_runs"]
 
 
 # ---------------------------------------------------------------------------
-# Direct-mapped: closed form vs scalar reference vs legacy rounds engine
+# Direct-mapped: closed form vs scalar reference
 # ---------------------------------------------------------------------------
 
 
@@ -94,9 +93,6 @@ def test_direct_mapped_matches_reference(ddo, insert):
         vectorized = DirectMappedCache(
             NUM_SETS * 64, ddo_enabled=ddo, insert_on_write_miss=insert
         )
-        legacy = RoundsDirectMappedCache(
-            NUM_SETS * 64, ddo_enabled=ddo, insert_on_write_miss=insert
-        )
         reference = ReferenceCache(
             NUM_SETS, ddo_enabled=ddo, insert_on_write_miss=insert
         )
@@ -104,17 +100,13 @@ def test_direct_mapped_matches_reference(ddo, insert):
             lines = draw_batch(rng, scenario)
             if rng.random() < 0.5:
                 vt, vg = vectorized.llc_read(lines)
-                lt, lg = legacy.llc_read(lines)
                 rt, rg = reference.llc_read(lines)
             else:
                 vt, vg = vectorized.llc_write(lines)
-                lt, lg = legacy.llc_write(lines)
                 rt, rg = reference.llc_write(lines)
             context = f"{scenario} step {step}: {lines.tolist()}"
             assert vt == rt, f"traffic diverged ({context}): {vt} vs {rt}"
             assert vg == rg, f"tag stats diverged ({context}): {vg} vs {rg}"
-            assert lt == rt, f"rounds traffic diverged ({context}): {lt} vs {rt}"
-            assert lg == rg, f"rounds tag stats diverged ({context}): {lg} vs {rg}"
         # Final state, line by line over the whole alias span.
         for line in range(LINE_SPAN):
             probe = np.array([line], dtype=np.int64)
@@ -133,14 +125,6 @@ def test_empty_and_singleton_batches():
     assert tags.clean_misses == 1
 
 
-def test_rounds_engine_is_not_a_production_export():
-    """The legacy engine is tests-only: not exported, not a kwarg."""
-    assert not hasattr(cache_pkg, "RoundsDirectMappedCache")
-    assert "rounds" not in cache_pkg.__all__
-    with pytest.raises(TypeError):
-        DirectMappedCache(NUM_SETS * 64, engine="rounds")
-
-
 @pytest.mark.parametrize(
     "scenario,sort", [("uniform", "_packed_sort"), ("all_same_set", "_stable_sort")]
 )
@@ -157,80 +141,8 @@ def test_scenarios_reach_both_grouping_sorts(grouping_sorts, scenario, sort):
 
 
 # ---------------------------------------------------------------------------
-# Sector cache: closed form vs scalar reference vs legacy rounds engine
+# Sector cache: closed form vs scalar reference
 # ---------------------------------------------------------------------------
-
-
-class ScalarSectorCache:
-    """One-access-at-a-time sector cache with footprint fetch."""
-
-    def __init__(self, num_sets, sector_lines, footprint):
-        self.num_sets = num_sets
-        self.sector_lines = sector_lines
-        self.footprint = footprint
-        self.tags = {}
-        self.valid = {}  # index -> set of offsets
-        self.dirty = {}
-
-    def _where(self, line):
-        sector = line // self.sector_lines
-        offset = line - sector * self.sector_lines
-        return sector, offset, sector % self.num_sets
-
-    def _fill(self, index, offset, traffic):
-        span = min(self.footprint, self.sector_lines - offset)
-        window = set(range(offset, offset + span))
-        fresh = window - self.valid.setdefault(index, set())
-        traffic.nvram_reads += len(fresh)
-        traffic.dram_writes += len(fresh)
-        self.valid[index] |= window
-
-    def _evict(self, index, sector, traffic, tags):
-        dirty = self.dirty.get(index, set())
-        if dirty:
-            tags.dirty_misses += 1
-        else:
-            tags.clean_misses += 1
-        traffic.nvram_writes += len(dirty)
-        self.tags[index] = sector
-        self.valid[index] = set()
-        self.dirty[index] = set()
-
-    def llc_read(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_reads = len(lines)
-        for line in lines:
-            sector, offset, index = self._where(int(line))
-            traffic.dram_reads += 1
-            if self.tags.get(index) == sector:
-                if offset in self.valid.get(index, set()):
-                    tags.hits += 1
-                else:
-                    tags.clean_misses += 1
-                    self._fill(index, offset, traffic)
-            else:
-                self._evict(index, sector, traffic, tags)
-                self._fill(index, offset, traffic)
-        return traffic, tags
-
-    def llc_write(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_writes = len(lines)
-        for line in lines:
-            sector, offset, index = self._where(int(line))
-            traffic.dram_reads += 1
-            if self.tags.get(index) == sector:
-                tags.hits += 1
-            else:
-                self._evict(index, sector, traffic, tags)
-            traffic.dram_writes += 1
-            self.valid.setdefault(index, set()).add(offset)
-            self.dirty.setdefault(index, set()).add(offset)
-        return traffic, tags
-
-    def contains(self, line):
-        sector, offset, index = self._where(int(line))
-        return self.tags.get(index) == sector and offset in self.valid.get(index, set())
 
 
 SECTOR_GEOMETRIES = [
@@ -243,16 +155,12 @@ SECTOR_GEOMETRIES = [
 
 
 @pytest.mark.parametrize("sector_lines,footprint", SECTOR_GEOMETRIES)
-def test_sector_matches_scalar_and_rounds(sector_lines, footprint):
+def test_sector_matches_scalar(sector_lines, footprint):
     num_sets = 4
     span = num_sets * 3 * sector_lines  # three sector aliases per set
     rng = np.random.default_rng(0x5EC + sector_lines * 64 + footprint)
     for scenario in SCENARIOS:
         vectorized = SectorCache(
-            num_sets * sector_lines * 64,
-            sector_lines=sector_lines, footprint=footprint,
-        )
-        legacy = RoundsSectorCache(
             num_sets * sector_lines * 64,
             sector_lines=sector_lines, footprint=footprint,
         )
@@ -271,24 +179,16 @@ def test_sector_matches_scalar_and_rounds(sector_lines, footprint):
                 )
             if rng.random() < 0.5:
                 vt, vg = vectorized.llc_read(lines)
-                lt, lg = legacy.llc_read(lines)
-                st_, sg = scalar.llc_read(lines.tolist())
+                st_, sg = scalar.llc_read(lines)
             else:
                 vt, vg = vectorized.llc_write(lines)
-                lt, lg = legacy.llc_write(lines)
-                st_, sg = scalar.llc_write(lines.tolist())
+                st_, sg = scalar.llc_write(lines)
             context = f"{scenario} step {step}: {lines.tolist()}"
             assert vt == st_, f"traffic diverged ({context}): {vt} vs {st_}"
             assert vg == sg, f"tag stats diverged ({context}): {vg} vs {sg}"
-            assert lt == st_, f"rounds traffic diverged ({context}): {lt} vs {st_}"
-            assert lg == sg, f"rounds tag stats diverged ({context}): {lg} vs {sg}"
-        probe = np.arange(span, dtype=np.int64)
-        vec_contains = vectorized.contains(probe)
-        legacy_contains = legacy.contains(probe)
+        vec_contains = vectorized.contains(np.arange(span, dtype=np.int64))
         for line in range(span):
-            expected = scalar.contains(line)
-            assert bool(vec_contains[line]) == expected
-            assert bool(legacy_contains[line]) == expected
+            assert bool(vec_contains[line]) == scalar.contains(line)
 
 
 @given(
@@ -345,37 +245,55 @@ def test_sector_prime_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Set-associative LRU: run-folding engine vs legacy rounds engine
+# Set-associative LRU: run-folding engine vs scalar LRU
 # ---------------------------------------------------------------------------
 
 
+def lru_sets(cache):
+    """Each set's resident lines as (tag, dirty, known-resident), least
+    recent first: the order of the stamps, not their values."""
+    state = []
+    for index in range(cache.num_sets):
+        ways = np.argsort(cache._stamp[index])
+        state.append([
+            (tag, dirty, known)
+            for tag, dirty, known in zip(
+                cache._tags[index, ways].tolist(),
+                cache._dirty[index, ways].tolist(),
+                cache._known_resident[index, ways].tolist(),
+            )
+            if tag >= 0
+        ])
+    return state
+
+
+@pytest.mark.parametrize("ddo", [False, True], ids=["ddo0", "ddo1"])
 @pytest.mark.parametrize("ways", [1, 2, 8])
-def test_setassoc_matches_rounds_engine(ways):
-    """Full state equivalence (tags, dirty, stamps, clock) with the
-    legacy engine: folding same-line repeats into their run's head must
-    leave every stamp and the clock as one round per occurrence rank."""
+def test_setassoc_matches_scalar_lru(ways, ddo):
+    """Folding same-line repeats into their run's head must leave every
+    set's recency order exactly as one access at a time would."""
     num_sets = 4
     span = num_sets * ways * 3
     rng = np.random.default_rng(0xA550 + ways)
     for scenario in SCENARIOS:
-        vectorized = SetAssociativeCache(num_sets * ways * 64, ways=ways)
-        legacy = RoundsSetAssociativeCache(num_sets * ways * 64, ways=ways)
+        vectorized = SetAssociativeCache(num_sets * ways * 64, ways=ways, ddo_enabled=ddo)
+        scalar = ScalarLRUCache(num_sets, ways, ddo_enabled=ddo)
         for step in range(150):
             lines = draw_batch(rng, scenario, span=span, num_sets=num_sets)
             if rng.random() < 0.5:
                 vt, vg = vectorized.llc_read(lines)
-                lt, lg = legacy.llc_read(lines)
+                st_, sg = scalar.llc_read(lines)
             else:
                 vt, vg = vectorized.llc_write(lines)
-                lt, lg = legacy.llc_write(lines)
+                st_, sg = scalar.llc_write(lines)
             context = f"{scenario} step {step}: {lines.tolist()}"
-            assert vt == lt, f"traffic diverged ({context}): {vt} vs {lt}"
-            assert vg == lg, f"tag stats diverged ({context}): {vg} vs {lg}"
-        assert np.array_equal(vectorized._tags, legacy._tags)
-        assert np.array_equal(vectorized._dirty, legacy._dirty)
-        assert np.array_equal(vectorized._known_resident, legacy._known_resident)
-        assert np.array_equal(vectorized._stamp, legacy._stamp)
-        assert vectorized._clock == legacy._clock
+            assert vt == st_, f"traffic diverged ({context}): {vt} vs {st_}"
+            assert vg == sg, f"tag stats diverged ({context}): {vg} vs {sg}"
+            expected = [
+                [astuple(entry) for entry in scalar.bucket(index)]
+                for index in range(num_sets)
+            ]
+            assert lru_sets(vectorized) == expected, f"state diverged ({context})"
 
 
 def test_setassoc_prime_follows_lru():
@@ -396,161 +314,17 @@ def test_setassoc_prime_follows_lru():
 # ---------------------------------------------------------------------------
 
 
-class ScalarVariantBase:
-    """Scalar direct-mapped baseline (always-insert, DDO on) the research
-    variants share for the paths they do not modify."""
-
-    def __init__(self, num_sets):
-        self.num_sets = num_sets
-        self.tags = {}
-        self.dirty = set()
-        self.known = set()
-
-    def llc_write(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_writes = len(lines)
-        for line in lines:
-            line = int(line)
-            s = line % self.num_sets
-            if self.tags.get(s) == line:
-                if s in self.known:
-                    tags.ddo_writes += 1
-                    traffic.dram_writes += 1
-                else:
-                    traffic.dram_reads += 1
-                    tags.hits += 1
-                    traffic.dram_writes += 1
-                self.dirty.add(s)
-                continue
-            traffic.dram_reads += 1
-            if s in self.dirty:
-                tags.dirty_misses += 1
-                traffic.nvram_writes += 1
-            else:
-                tags.clean_misses += 1
-            traffic.nvram_reads += 1
-            traffic.dram_writes += 2
-            self.tags[s] = line
-            self.dirty.add(s)
-            self.known.discard(s)
-        return traffic, tags
-
-    def _baseline_read_one(self, line, traffic, tags):
-        """Demand-read one line; returns True when it missed."""
-        s = line % self.num_sets
-        if self.tags.get(s) == line:
-            tags.hits += 1
-            self.known.add(s)
-            return False
-        if s in self.dirty:
-            tags.dirty_misses += 1
-            traffic.nvram_writes += 1
-        else:
-            tags.clean_misses += 1
-        traffic.nvram_reads += 1
-        traffic.dram_writes += 1
-        self.tags[s] = line
-        self.dirty.discard(s)
-        self.known.add(s)
-        return True
-
-    def contains(self, line):
-        return self.tags.get(int(line) % self.num_sets) == int(line)
-
-
-class ScalarMissPredictor(ScalarVariantBase):
-    def __init__(self, num_sets, accuracy, seed):
-        super().__init__(num_sets)
-        self.accuracy = accuracy
-        self.rng = np.random.default_rng(seed)
-
-    def llc_read(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_reads = len(lines)
-        correct = self.rng.random(len(lines)) < self.accuracy
-        for line, ok in zip(lines, correct):
-            line = int(line)
-            s = line % self.num_sets
-            hit = self.tags.get(s) == line
-            predicted_hit = hit if ok else not hit
-            if predicted_hit:
-                traffic.dram_reads += 1
-            elif hit:  # mispredicted hit: verification read + wasted fetch
-                traffic.dram_reads += 1
-                traffic.nvram_reads += 1
-            self._baseline_read_one(line, traffic, tags)
-        return traffic, tags
-
-
-class ScalarBypass(ScalarVariantBase):
-    def __init__(self, num_sets, insert_probability, seed):
-        super().__init__(num_sets)
-        self.insert_probability = insert_probability
-        self.rng = np.random.default_rng(seed)
-
-    def llc_read(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_reads = len(lines)
-        draws = self.rng.random(len(lines)) < self.insert_probability
-        for line, allocate in zip(lines, draws):
-            line = int(line)
-            s = line % self.num_sets
-            traffic.dram_reads += 1
-            if self.tags.get(s) == line:
-                tags.hits += 1
-                self.known.add(s)
-                continue
-            traffic.nvram_reads += 1
-            if s in self.dirty:
-                tags.dirty_misses += 1
-            else:
-                tags.clean_misses += 1
-            if allocate:
-                traffic.dram_writes += 1
-                if s in self.dirty:
-                    traffic.nvram_writes += 1
-                self.tags[s] = line
-                self.dirty.discard(s)
-                self.known.add(s)
-        return traffic, tags
-
-
-class ScalarNextLinePrefetch(ScalarVariantBase):
-    def llc_read(self, lines):
-        traffic, tags = Traffic(), TagStats()
-        traffic.demand_reads = len(lines)
-        missed = []
-        for line in lines:
-            line = int(line)
-            traffic.dram_reads += 1
-            if self._baseline_read_one(line, traffic, tags):
-                missed.append(line)
-        for cand in missed:
-            cand += 1
-            s = cand % self.num_sets
-            if self.tags.get(s) == cand:
-                continue
-            traffic.nvram_reads += 1
-            traffic.dram_writes += 1
-            if s in self.dirty:
-                traffic.nvram_writes += 1
-            self.tags[s] = cand
-            self.dirty.discard(s)
-            self.known.add(s)
-        return traffic, tags
-
-
 VARIANT_CASES = [
     pytest.param(
         lambda cap, seed, a=a: MissPredictorCache(cap, accuracy=a, seed=seed),
-        lambda ns, seed, a=a: ScalarMissPredictor(ns, a, seed),
+        lambda ns, seed, a=a: ScalarMissPredictor(ns, accuracy=a, seed=seed),
         id=f"predictor-{a}",
     )
     for a in (0.0, 0.3, 1.0)
 ] + [
     pytest.param(
         lambda cap, seed, p=p: BypassCache(cap, insert_probability=p, seed=seed),
-        lambda ns, seed, p=p: ScalarBypass(ns, p, seed),
+        lambda ns, seed, p=p: ScalarBypass(ns, insert_probability=p, seed=seed),
         id=f"bypass-{p}",
     )
     for p in (0.0, 0.5, 1.0)
@@ -577,13 +351,53 @@ def test_research_variants_match_scalar(make_vectorized, make_scalar):
             lines = draw_batch(rng, scenario)
             if rng.random() < 0.7:
                 vt, vg = vectorized.llc_read(lines)
-                st_, sg = scalar.llc_read(lines.tolist())
+                st_, sg = scalar.llc_read(lines)
             else:
                 vt, vg = vectorized.llc_write(lines)
-                st_, sg = scalar.llc_write(lines.tolist())
+                st_, sg = scalar.llc_write(lines)
             context = f"{scenario} step {step}: {lines.tolist()}"
             assert vt == st_, f"traffic diverged ({context}): {vt} vs {st_}"
             assert vg == sg, f"tag stats diverged ({context}): {vg} vs {sg}"
         for line in range(LINE_SPAN):
             probe = np.array([line], dtype=np.int64)
             assert bool(vectorized.contains(probe)[0]) == scalar.contains(line)
+
+
+# ---------------------------------------------------------------------------
+# Sortless fast path: every model, every request path
+# ---------------------------------------------------------------------------
+
+
+SORTLESS_CASES = [
+    pytest.param(lambda: DirectMappedCache(NUM_SETS * 64), 1, id="direct_mapped"),
+    pytest.param(
+        lambda: DirectMappedCache(
+            NUM_SETS * 64, ddo_enabled=False, insert_on_write_miss=False
+        ),
+        1,
+        id="write_around_no_ddo",
+    ),
+    pytest.param(
+        lambda: SectorCache(NUM_SETS * 4 * 64, sector_lines=4, footprint=2), 4, id="sector"
+    ),
+    pytest.param(lambda: SetAssociativeCache(NUM_SETS * 2 * 64, ways=2), 1, id="set_assoc"),
+    pytest.param(lambda: BypassCache(NUM_SETS * 64, insert_probability=0.5), 1, id="bypass"),
+    pytest.param(lambda: MissPredictorCache(NUM_SETS * 64, accuracy=0.5), 1, id="predictor"),
+    pytest.param(lambda: NextLinePrefetchCache(NUM_SETS * 64), 1, id="prefetch"),
+]
+
+
+@pytest.mark.parametrize("make_cache,lines_per_set", SORTLESS_CASES)
+def test_collision_free_batches_take_no_grouping_sort(
+    grouping_sorts, make_cache, lines_per_set
+):
+    """A batch whose requests all map to distinct sets is grouped by the
+    duplicate probe alone, with no sort, on every request path; a batch
+    that repeats a set is the control that shows the spy is live."""
+    cache = make_cache()
+    distinct = np.random.default_rng(0).permutation(cache.num_sets) * lines_per_set
+    for request in (cache.llc_read, cache.llc_write, lambda b: cache.prime(b, dirty=True)):
+        request(distinct.copy())
+        assert sum(grouping_sorts.values()) == 0, request
+    cache.llc_read(np.append(distinct, distinct[0]))
+    assert sum(grouping_sorts.values()) >= 1

@@ -6,12 +6,10 @@ reads and writes, including batches with heavy set conflicts.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import DirectMappedCache, ReferenceCache
-from repro.cache.rounds import RoundsDirectMappedCache
 
 # Tiny caches + addresses spanning several aliases force set conflicts.
 NUM_SETS = st.sampled_from([1, 2, 7, 16])
@@ -44,15 +42,11 @@ def apply_ops(cache, ops):
     return results
 
 
-@pytest.mark.parametrize(
-    "implementation", [DirectMappedCache, RoundsDirectMappedCache],
-    ids=["closed-form", "legacy-rounds"],
-)
 @given(scenarios())
 @settings(max_examples=300, deadline=None)
-def test_vectorized_matches_reference(implementation, scenario):
+def test_vectorized_matches_reference(scenario):
     num_sets, ops, ddo, insert = scenario
-    vectorized = implementation(
+    vectorized = DirectMappedCache(
         num_sets * 64, ddo_enabled=ddo, insert_on_write_miss=insert
     )
     reference = ReferenceCache(

@@ -13,6 +13,7 @@ from repro.experiments.platform import (
 )
 from repro.perf.counters import TagStats, Traffic
 from repro.perf.trace import Trace
+from repro.units import GB
 
 
 class TestExperimentResult:
@@ -42,9 +43,9 @@ class TestGraphRun:
 
     def test_bandwidth_scaling(self):
         run = self.make()
-        # 1000 lines * 64 B / 2 s * scale 100 / 1e9.
+        # 1000 lines * 64 B / 2 s * scale 100 / GB.
         assert run.bandwidth_gbps("dram_reads") == pytest.approx(
-            1000 * 64 / 2.0 * 100 / 1e9
+            1000 * 64 / 2.0 * 100 / GB
         )
 
     def test_zero_seconds(self):
@@ -53,11 +54,11 @@ class TestGraphRun:
 
     def test_total_moved(self):
         run = self.make()
-        assert run.total_moved_gb == pytest.approx(1500 * 64 * 100 / 1e9)
+        assert run.total_moved_gb == pytest.approx(1500 * 64 * 100 / GB)
 
     def test_demand_gb(self):
         run = self.make()
-        assert run.demand_gb == pytest.approx(1500 * 64 * 100 / 1e9)
+        assert run.demand_gb == pytest.approx(1500 * 64 * 100 / GB)
 
 
 class TestPlatformCaches:

@@ -9,6 +9,7 @@ from repro.kernels.patterns import (
     pattern_cache_info,
 )
 from repro.perf.counters import Pattern
+from repro.units import MiB
 
 
 class TestSequential:
@@ -87,7 +88,7 @@ class TestMemoization:
 
         pattern_cache_clear()
         platform = cnn_platform()
-        num_lines = (1 * 1024 * 1024) // platform.line_size
+        num_lines = MiB // platform.line_size
         cached = access_blocks(num_lines, Pattern.RANDOM, granularity=256)
         pristine = cached.copy()
 

@@ -7,6 +7,7 @@ from repro.cache import DirectMappedCache
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend, Pattern, StoreType
 from repro.kernels import Kernel, KernelSpec, run_kernel
+from repro.units import GB, MiB
 
 
 @pytest.fixture
@@ -64,22 +65,22 @@ class TestDDOViaDelayedWriteback:
     def test_rmw_standard_stores_trigger_ddo(self, platform):
         # Figure 4c: the load's tag check arms the DDO; the delayed LLC
         # write-back skips its own tag check.
-        be = cached_backend(platform, capacity=1 << 20)
+        be = cached_backend(platform, capacity=MiB)
         spec = KernelSpec(
             Kernel.READ_MODIFY_WRITE, store_type=StoreType.STANDARD, threads=4
         )
-        num_lines = (1 << 20) // 64 // 2  # fits in the cache: stays resident
+        num_lines = MiB // 64 // 2  # fits in the cache: stays resident
         r = run_kernel(be, spec, num_lines)
         assert r.tags.ddo_writes == num_lines
 
     def test_nt_rmw_does_not_ddo_differently(self, platform):
         # NT stores arrive immediately; line is resident from the read,
         # so DDO still applies under our model.
-        be = cached_backend(platform, capacity=1 << 20)
+        be = cached_backend(platform, capacity=MiB)
         spec = KernelSpec(
             Kernel.READ_MODIFY_WRITE, store_type=StoreType.NONTEMPORAL, threads=4
         )
-        num_lines = (1 << 20) // 64 // 2
+        num_lines = MiB // 64 // 2
         r = run_kernel(be, spec, num_lines)
         assert r.tags.ddo_writes == num_lines
 
@@ -97,7 +98,7 @@ class TestResults:
         be = flat_backend(platform)
         r = run_kernel(be, KernelSpec(Kernel.READ_ONLY, threads=8), 100_000)
         assert r.effective_bandwidth > 0
-        assert r.effective_gb_per_s == pytest.approx(r.effective_bandwidth / 1e9)
+        assert r.effective_gb_per_s == pytest.approx(r.effective_bandwidth / GB)
 
     def test_bandwidth_by_field(self, platform):
         be = flat_backend(platform)

@@ -5,7 +5,7 @@ import pytest
 from repro.config import PAPER_PLATFORM
 from repro.perf.counters import AccessContext, Traffic
 from repro.memsys.timing import TimingModel
-from repro.units import GiB
+from repro.units import GB, GiB
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestDemandLimits:
 
 class TestDeviceLimits:
     def test_nvram_read_bandwidth_ceiling(self, timing):
-        nbytes = 318 * 1_000_000_000 // 10  # 31.8 GB
+        nbytes = 318 * GB // 10  # 31.8 GB
         traffic = Traffic(nvram_reads=lines(nbytes), demand_reads=lines(nbytes))
         elapsed = timing.elapsed(traffic, AccessContext(threads=24))
         assert elapsed == pytest.approx(1.0, rel=0.01)
