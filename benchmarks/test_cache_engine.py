@@ -26,6 +26,11 @@ host-speed probe:
 * ``high_collision`` (direct-mapped and sector) — ~100k requests over
   256 sets, the adversarial extreme.  Gate: at most 8x the uniform
   row's per-line cost.
+* ``small_ordered`` (direct-mapped only) — cnn_2lm's shape: 256
+  batches of a tensor's sampled lines, 137 lines 16 apart and ascending,
+  on the quick CNN platform's 786,432 sets.  Each batch is far too small
+  for the duplicate probe's scratch over that many sets, so only its
+  order proves it collision-free.  Trajectory only.
 * ``trace_zipfian`` (set-associative only) — a real YCSB-style trace
   from :mod:`repro.traces` expanded to line addresses.  A hot key
   re-touches its whole multi-line object, so one set sees the same line
@@ -62,6 +67,13 @@ SECTOR_SETS = 1 << 14
 SECTOR_LINES = 32
 SA_SETS = 1 << 15
 SA_WAYS = 8
+
+#: cnn_2lm's direct-mapped geometry and batch shape: the quick CNN
+#: platform's 48 MiB cache, and each tensor's sampled lines.
+SMALL_ORDERED_SETS = 786_432
+SMALL_ORDERED_LINES = 137
+SMALL_ORDERED_STRIDE = 16
+SMALL_ORDERED_BATCHES = 256
 
 #: Cost-contract bounds: a row's per-line seconds over its model's
 #: ``uniform`` row's, both from this run.
@@ -170,6 +182,17 @@ def _high_collision_batch(spec, rng, n=100_000):
     return _freeze(spec.to_lines(sets, alias))
 
 
+def _small_ordered_batches():
+    """Tensors laid end to end, each ``first + arange(0, 137 * 16, 16)``;
+    the 256 of them span 561,152 lines, so none wraps past the last set."""
+    span = SMALL_ORDERED_LINES * SMALL_ORDERED_STRIDE
+    assert SMALL_ORDERED_BATCHES * span <= SMALL_ORDERED_SETS
+    return [
+        _freeze(first + np.arange(0, span, SMALL_ORDERED_STRIDE))
+        for first in range(0, SMALL_ORDERED_BATCHES * span, span)
+    ]
+
+
 def _trace_zipfian_batch():
     """A real YCSB-style KV trace, expanded to line addresses.
 
@@ -193,13 +216,14 @@ def _trace_zipfian_batch():
     return _freeze(np.repeat(bases, sizes) + offsets)
 
 
-def _time(make_cache, batch):
-    """Best-of-N seconds for a read pass plus a write pass."""
+def _time(make_cache, batches):
+    """Best-of-N seconds for a read pass plus a write pass over each batch."""
 
     def run():
         cache = make_cache()
-        cache.llc_read(batch)
-        cache.llc_write(batch)
+        for batch in batches:
+            cache.llc_read(batch)
+            cache.llc_write(batch)
 
     run()  # warm numpy / allocator
     return min(timeit.repeat(run, number=1, repeat=REPEATS, timer=time.perf_counter))
@@ -219,18 +243,31 @@ def test_closed_form_engine_cost_contract():
         else:
             workloads.append(("high_collision", _high_collision_batch(spec, rng)))
         for workload, batch in workloads:
-            seconds = _time(spec.make, batch)
+            seconds = _time(spec.make, [batch])
             results[f"{spec.name}/{workload}"] = {
                 "batch_lines": int(batch.size),
                 "closed_form_s": seconds,
                 "per_line_s": seconds / batch.size,
             }
 
+    small = _small_ordered_batches()
+    seconds = _time(lambda: DirectMappedCache(SMALL_ORDERED_SETS * 64), small)
+    results["direct_mapped/small_ordered"] = {
+        "batch_lines": SMALL_ORDERED_LINES,
+        "batches": len(small),
+        "closed_form_s": seconds,
+        "per_line_s": seconds / sum(batch.size for batch in small),
+    }
+
     results["metadata"] = {
         "models": {
             "direct_mapped": {"num_sets": DM_SETS},
             "sector": {"num_sets": SECTOR_SETS, "sector_lines": SECTOR_LINES},
             "set_associative": {"num_sets": SA_SETS, "ways": SA_WAYS},
+            "direct_mapped/small_ordered": {
+                "num_sets": SMALL_ORDERED_SETS,
+                "stride": SMALL_ORDERED_STRIDE,
+            },
         },
         "repeats": REPEATS,
         "timer": "perf_counter, best-of-N, read pass + write pass",

@@ -85,7 +85,7 @@ class SetAssociativeCache:
         lines = as_lines(lines)
         traffic, tags = Traffic(), TagStats()
         traffic.demand_reads = int(lines.size)
-        seg = self._segmenter.segment(lines, lines % self.num_sets)
+        seg = self._segmenter.segment(lines)
         counts, self._clock = _engine_ops.setassoc_read_batch(
             lines, seg, self._tags, self._dirty, self._known_resident,
             self._stamp, self._clock,
@@ -104,7 +104,7 @@ class SetAssociativeCache:
         lines = as_lines(lines)
         traffic, tags = Traffic(), TagStats()
         traffic.demand_writes = int(lines.size)
-        seg = self._segmenter.segment(lines, lines % self.num_sets)
+        seg = self._segmenter.segment(lines)
         counts, self._clock = _engine_ops.setassoc_write_batch(
             lines, seg, self._tags, self._dirty, self._known_resident,
             self._stamp, self._clock,
@@ -134,7 +134,7 @@ class SetAssociativeCache:
         occurrences win the way they would under real accesses.
         """
         lines = as_lines(lines)
-        seg = self._segmenter.segment(lines, lines % self.num_sets)
+        seg = self._segmenter.segment(lines)
         self._clock = _engine_ops.setassoc_prime_batch(
             lines, seg, self._tags, self._dirty, self._known_resident,
             self._stamp, self._clock,

@@ -94,7 +94,7 @@ class DirectMappedCache:
     def _segment(self, lines: np.ndarray) -> SegmentedBatch:
         """Set-grouped view of the batch; one sort at most, shared
         with the other pass when the line vector is reused."""
-        return self._segmenter.segment(lines, lines % self.num_sets)
+        return self._segmenter.segment(lines)
 
     # -- LLC read --------------------------------------------------------------
 

@@ -81,16 +81,18 @@ batches (the common uniform case) skip the loop and the sort entirely
 via the duplicate probe.
 
 Each closed form is a handful of vectorized segment operations — at
-most one grouping sort per batch (zero for probe-proven uniform
+most one grouping sort per batch (zero for probe-proven collision-free
 batches, shared across the read and write pass when the line vector is
 reused) — and is property-tested bit-for-bit against scalar references
-(``tests/cache/test_engine_property.py``).
+(``tests/cache/test_engine_property.py``).  A collision-free batch is
+one independent round over the batch as given: one gather per state
+array, whole-batch scatters, and no index copies.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,15 +117,16 @@ else:  # pragma: no cover - numpy < 2.0 fallback
 class BatchSegmenter:
     """Per-model segmentation cache: at most one sort per line batch.
 
-    Owns the model's :class:`~repro.perf.segments.DuplicateProbe` (so
-    probe-proven uniform batches skip the sort entirely) and remembers
-    the most recent batch's :class:`SegmentedBatch` keyed on array
-    identity.  A workload that feeds the same line vector to
-    ``llc_read`` and then ``llc_write`` — the read-modify-write shape of
-    the paper's microbenchmarks, and an output tensor's RFO and
-    write-back — therefore pays for exactly one grouping sort across
-    both passes.  The probe's key space, ``num_sets``, is also the key
-    bound that lets the sort pack keys with positions.
+    Owns the model's set-index step and its
+    :class:`~repro.perf.segments.DuplicateProbe`, so probe-proven
+    collision-free batches skip the sort entirely, and remembers the
+    most recent batch's :class:`SegmentedBatch` keyed on array identity.
+    A workload that feeds the same line vector to ``llc_read`` and then
+    ``llc_write`` — the read-modify-write shape of the paper's
+    microbenchmarks, and an output tensor's RFO and write-back —
+    therefore pays for exactly one grouping (and one set-index pass)
+    across both passes.  The probe's key space, ``num_sets``, is also
+    the key bound that lets the sort pack keys with positions.
 
     Reuse is only offered for arrays marked non-writeable (the memoized
     ``access_blocks()``/``lfsr_sequence()`` streams and the executors'
@@ -138,11 +141,22 @@ class BatchSegmenter:
         self._probe = DuplicateProbe(num_sets)
         self._last: Optional[Tuple[weakref.ref, SegmentedBatch]] = None
 
-    def segment(self, lines: np.ndarray, keys: np.ndarray) -> SegmentedBatch:
-        """Grouped view of ``keys`` (the per-model set indices of ``lines``)."""
+    def segment(
+        self, lines: np.ndarray, keys: Optional[np.ndarray] = None
+    ) -> SegmentedBatch:
+        """Grouped view of ``lines`` by set index.
+
+        ``keys`` are the per-line set indices, ``lines % num_sets`` by
+        default; that default is computed only when no segmentation of
+        ``lines`` is reused.  A caller that needs the indices itself, or
+        whose sets are not ``lines % num_sets`` (the sector cache),
+        passes its own.
+        """
         cached = self._last
         if cached is not None and cached[0]() is lines:
             return cached[1]
+        if keys is None:
+            keys = lines % self.num_sets
         seg = segment(keys, probe=self._probe)
         if lines.size and not lines.flags.writeable:
             self._last = (weakref.ref(lines), seg)
@@ -193,14 +207,15 @@ def read_batch(
     n = int(lines.size)
     sets = seg.keys
     if seg.collision_free:
-        # No set is touched twice: the whole batch is one independent round.
-        hit = tags[sets] == lines
-        miss = ~hit
-        n_miss = int(miss.sum())
-        n_dirty = int((miss & dirty[sets]).sum())
-        miss_sets = sets[miss]
-        tags[miss_sets] = lines[miss]
-        dirty[miss_sets] = False
+        # No set is touched twice: the whole batch is one independent
+        # round.  A hit's tag already equals its line, so every set takes
+        # its line, and only a miss clears the dirty bit.
+        miss = tags[sets] != lines
+        was_dirty = dirty[sets]
+        n_miss = int(np.count_nonzero(miss))
+        n_dirty = int(np.count_nonzero(miss & was_dirty))
+        tags[sets] = lines
+        dirty[sets] = was_dirty & ~miss
         known_resident[sets] = True
         return ReadCounts(n, n_miss, n_dirty), (miss if want_misses else None)
 
@@ -268,25 +283,28 @@ def _write_distinct(
     ddo_enabled: bool,
     insert_on_write_miss: bool,
 ) -> WriteCounts:
-    """Collision-free batch: one independent vectorized round."""
+    """Collision-free batch: one independent vectorized round.
+
+    One gather per state array, then whole-batch scatters: a match (DDO
+    or tag-checked hit) dirties its set, and a miss either installs
+    dirty and not known-resident or, written around, leaves the set as
+    it was.
+    """
     n = int(lines.size)
     match = tags[sets] == lines
-    if ddo_enabled:
-        ddo = match & known_resident[sets]
-    else:
-        ddo = np.zeros(n, dtype=bool)
-    hit = match & ~ddo
-    miss = ~match
-    n_dirty = int((miss & dirty[sets]).sum())
+    was_dirty = dirty[sets]
+    known = known_resident[sets]
+    n_match = int(np.count_nonzero(match))
+    n_ddo = int(np.count_nonzero(match & known)) if ddo_enabled else 0
+    n_dirty = int(np.count_nonzero(was_dirty & ~match))
 
-    dirty[sets[ddo]] = True
-    dirty[sets[hit]] = True
     if insert_on_write_miss:
-        miss_sets = sets[miss]
-        tags[miss_sets] = lines[miss]
-        dirty[miss_sets] = True
-        known_resident[miss_sets] = False
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(miss.sum()), n_dirty)
+        tags[sets] = lines
+        dirty[sets] = True
+        known_resident[sets] = known & match
+    else:
+        dirty[sets] = was_dirty | match
+    return WriteCounts(n, n_ddo, n_match - n_ddo, n - n_match, n_dirty)
 
 
 def _write_insert(
@@ -649,6 +667,23 @@ def _lru_lookup(
     return hit, sub_sets * tags.shape[1] + way
 
 
+def _lru_rounds(
+    lines: np.ndarray, seg: SegmentedBatch
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Union[np.ndarray, int], Union[np.ndarray, int]]]:
+    """Per round: its run heads' lines and sets, each head's last rank
+    and each run's size.
+
+    A collision-free batch is one round of the whole batch, every run a
+    single occurrence, read in place: ``lines`` and ``seg.keys`` with
+    scalar rank 0 and size 1, no gather.
+    """
+    if seg.collision_free:
+        yield lines, seg.keys, 0, 1
+        return
+    for rnd in seg.rounds(lines):
+        yield lines[rnd.index], seg.keys[rnd.index], rnd.last_rank, rnd.size
+
+
 def setassoc_read_batch(
     lines: np.ndarray,
     seg: SegmentedBatch,
@@ -672,12 +707,10 @@ def setassoc_read_batch(
     """
     n = int(lines.size)
     n_miss = n_dirty = 0
-    sets = seg.keys
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
     known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
-    for rnd in seg.rounds(lines):
-        sub_lines = lines[rnd.index]
-        hit, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
+    for sub_lines, sub_sets, last_rank, _ in _lru_rounds(lines, seg):
+        hit, slot = _lru_lookup(sub_lines, sub_sets, tags, stamp)
         miss = ~hit
         miss_slot = slot[miss]
         n_miss += int(miss_slot.size)
@@ -686,7 +719,7 @@ def setassoc_read_batch(
         tags_at[miss_slot] = sub_lines[miss]
         dirty_at[miss_slot] = False
         known_at[slot] = True
-        stamp_at[slot] = clock + 1 + rnd.last_rank
+        stamp_at[slot] = clock + 1 + last_rank
     return ReadCounts(n, n_miss, n_dirty), clock + seg.max_multiplicity
 
 
@@ -710,14 +743,12 @@ def setassoc_write_batch(
     """
     n = int(lines.size)
     n_ddo = n_miss = n_dirty = 0
-    sets = seg.keys
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
     known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
-    for rnd in seg.rounds(lines):
-        sub_lines = lines[rnd.index]
-        hit, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
+    for sub_lines, sub_sets, last_rank, size in _lru_rounds(lines, seg):
+        hit, slot = _lru_lookup(sub_lines, sub_sets, tags, stamp)
         if ddo_enabled:
-            n_ddo += int(rnd.size[hit & known_at[slot]].sum())
+            n_ddo += int(np.sum(size * (hit & known_at[slot])))
         miss = ~hit
         miss_slot = slot[miss]
         n_miss += int(miss_slot.size)
@@ -726,7 +757,7 @@ def setassoc_write_batch(
         dirty_at[slot] = True
         tags_at[miss_slot] = sub_lines[miss]
         known_at[miss_slot] = False
-        stamp_at[slot] = clock + 1 + rnd.last_rank
+        stamp_at[slot] = clock + 1 + last_rank
     n_hit = n - n_ddo - n_miss
     return WriteCounts(n, n_ddo, n_hit, n_miss, n_dirty), clock + seg.max_multiplicity
 
@@ -953,14 +984,12 @@ def setassoc_prime_batch(
     caller-chosen dirty/known-resident marks and no traffic.  Repeats
     fold into their run's head as in :func:`setassoc_read_batch`.
     """
-    sets = seg.keys
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
     known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
-    for rnd in seg.rounds(lines):
-        sub_lines = lines[rnd.index]
-        _, slot = _lru_lookup(sub_lines, sets[rnd.index], tags, stamp)
+    for sub_lines, sub_sets, last_rank, _ in _lru_rounds(lines, seg):
+        _, slot = _lru_lookup(sub_lines, sub_sets, tags, stamp)
         tags_at[slot] = sub_lines
         dirty_at[slot] = mark_dirty
         known_at[slot] = mark_known_resident
-        stamp_at[slot] = clock + 1 + rnd.last_rank
+        stamp_at[slot] = clock + 1 + last_rank
     return clock + seg.max_multiplicity

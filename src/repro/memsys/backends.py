@@ -37,7 +37,13 @@ from repro.memsys.topology import AddressMap
 
 
 class _CacheLike(Protocol):
-    """Structural stand-in for :class:`repro.cache.base.CacheModel`."""
+    """Structural stand-in for :class:`repro.cache.base.CacheModel`.
+
+    The model validates its input: :class:`CachedBackend` passes each
+    batch straight through, and ``llc_read``/``llc_write`` coerce it with
+    :func:`~repro.perf.counters.as_lines`, raising ``ValueError`` on a
+    negative or non-1-D batch.
+    """
 
     def llc_read(self, lines: np.ndarray) -> "tuple[Traffic, TagStats]": ...
 
@@ -359,7 +365,6 @@ class CachedBackend(_EpochSupport):
         advance: bool,
         weight: int,
     ) -> AccessReport:
-        lines = as_lines(lines)
         if kind is AccessKind.LLC_READ:
             traffic, tags = self.cache.llc_read(lines)
         else:

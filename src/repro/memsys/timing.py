@@ -25,6 +25,7 @@ backends use efficiency 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Dict
 
 from repro.config import PlatformConfig
 from repro.perf.counters import AccessContext, Traffic
@@ -84,6 +85,9 @@ class TimingModel:
         self.cache_managed = cache_managed
         self._dram = DRAMDevice(platform.socket.dram)
         self._nvram = NVRAMDevice(platform.socket.nvram)
+        #: Epoch context -> the context the NVRAM device sees, built
+        #: once per distinct context (epochs repeat a handful of them).
+        self._nvram_ctxs: Dict[AccessContext, AccessContext] = {}
 
     def breakdown(self, traffic: Traffic, ctx: AccessContext) -> TimeBreakdown:
         """Compute the per-constraint service times for one epoch."""
@@ -110,17 +114,11 @@ class TimingModel:
             socket.dram.channel_bus_bandwidth,
         )
         dram_device = self._dram.service_time(dram_bytes, ctx)
-        nvram_ctx = ctx
-        if self.cache_managed:
-            nvram_ctx = replace(
-                ctx,
-                threads=socket.nvram.write_saturation_threads * sockets,
-            )
         nvram_device = (
             self._nvram.service_time(
                 nvram_read_bytes,
                 nvram_write_bytes,
-                nvram_ctx,
+                self._nvram_ctx(ctx),
                 serialize=self.cache_managed,
             )
             / self.nvram_efficiency
@@ -133,6 +131,18 @@ class TimingModel:
             dram_device=dram_device,
             nvram_device=nvram_device,
         )
+
+    def _nvram_ctx(self, ctx: AccessContext) -> AccessContext:
+        """``ctx`` as the NVRAM device sees it: in 2LM, the miss handler
+        drives the media at its write-saturation thread count."""
+        if not self.cache_managed:
+            return ctx
+        nvram_ctx = self._nvram_ctxs.get(ctx)
+        if nvram_ctx is None:
+            sockets = min(ctx.sockets, self.platform.sockets)
+            threads = self.platform.socket.nvram.write_saturation_threads * sockets
+            nvram_ctx = self._nvram_ctxs[ctx] = replace(ctx, threads=threads)
+        return nvram_ctx
 
     def elapsed(self, traffic: Traffic, ctx: AccessContext) -> float:
         """Seconds to complete ``traffic`` under ``ctx``."""

@@ -167,14 +167,17 @@ def execute_iteration(
     addresser = TensorAddresser(plan, base_line, sample_stride, platform.line_size)
 
     result = ExecutionResult(graph=plan.graph)
+    contexts: Dict[int, AccessContext] = {}  # one per distinct stream count
     for _ in range(iterations):
         for op in plan.graph.ops:
             # Streams at the memory controller: one per tensor read,
             # two per output (RFO + write-back).
             streams = max(1, len(op.inputs) + 2 * len(op.outputs))
-            ctx = AccessContext(
-                threads=threads, pattern=Pattern.SEQUENTIAL, streams=streams
-            )
+            ctx = contexts.get(streams)
+            if ctx is None:
+                ctx = contexts[streams] = AccessContext(
+                    threads=threads, pattern=Pattern.SEQUENTIAL, streams=streams
+                )
             record = _run_op(op, addresser, backend, ctx, cpu, sample_stride)
             result.records.append(record)
             if sampler is not None:

@@ -35,10 +35,17 @@ cost O(n^2 log n).  Everything here is derived from one sort, so
 adversarial all-same-set batches cost the same O(n log n) as
 collision-free ones.
 
-Uniform traffic skips even the one sort: a :class:`DuplicateProbe` does
-an O(n) scatter/gather over a persistent per-model scratch array to
-prove a batch collision-free, and :meth:`SegmentedBatch.distinct` then
-builds the grouped view as the identity permutation — no sort at all.
+Collision-free traffic skips even the one sort.  A :class:`DuplicateProbe`
+proves a batch's keys pairwise distinct in O(n), in one of two ways.
+Strictly increasing keys are distinct by order alone, which one
+comparison of each key with its successor shows; that proof needs no
+memory, so it covers the small ascending batches (a tensor's sampled
+lines, ``first + arange(0, n, stride)``) that a large key space would
+make too costly to scatter.  Any other batch is scattered into a
+persistent per-model scratch array and gathered back, when the scratch
+is affordable.  A proven batch becomes :meth:`SegmentedBatch.distinct`,
+the identity grouping, which allocates nothing per batch — no sort at
+all.
 """
 
 from __future__ import annotations
@@ -111,16 +118,20 @@ class SegmentedBatch:
     and within a segment sorted positions preserve original batch order.
     Per-segment arrays (``first_pos``, ``lengths``, ``leaders`` and the
     result of :meth:`first_true`) are aligned with one another.
+
+    The one exception is :meth:`distinct`, the identity grouping of a
+    batch proven collision-free: its segments appear in batch order, and
+    its grouping arrays are built only when something reads them.
     """
 
     __slots__ = (
         "keys",
-        "order",
         "sorted_keys",
-        "first",
-        "last",
-        "first_pos",
         "collision_free",
+        "_order",
+        "_first",
+        "_last",
+        "_first_pos",
         "_lengths",
     )
 
@@ -129,16 +140,16 @@ class SegmentedBatch:
         (and no key may be negative)."""
         n = keys.size
         self.keys = keys
-        self.order, self.sorted_keys = _group(keys, bound)
+        self._order, self.sorted_keys = _group(keys, bound)
         if n:
             boundary = self.sorted_keys[1:] != self.sorted_keys[:-1]
-            self.first = np.concatenate(([True], boundary))
-            self.last = np.concatenate((boundary, [True]))
+            self._first = np.concatenate(([True], boundary))
+            self._last = np.concatenate((boundary, [True]))
         else:
-            self.first = np.zeros(0, dtype=bool)
-            self.last = np.zeros(0, dtype=bool)
-        self.first_pos = np.flatnonzero(self.first)
-        self.collision_free = bool(self.first_pos.size == n)
+            self._first = np.zeros(0, dtype=bool)
+            self._last = np.zeros(0, dtype=bool)
+        self._first_pos = np.flatnonzero(self._first)
+        self.collision_free = bool(self._first_pos.size == n)
         self._lengths: Optional[np.ndarray] = None
 
     @classmethod
@@ -148,27 +159,60 @@ class SegmentedBatch:
         Skips the sort entirely: every position is its own segment, so
         the identity permutation is a valid grouping (segments appear in
         batch order rather than ascending key order, which no consumer of
-        a collision-free batch depends on).  Callers must have
-        established distinctness, e.g. via :class:`DuplicateProbe`.
+        a collision-free batch depends on).  Allocates nothing: the
+        collision-free closed forms read only ``keys``, so ``order``,
+        ``first``, ``last`` and ``first_pos`` are built on first access.
+        Callers must have established distinctness, e.g. via
+        :class:`DuplicateProbe`.
         """
         self = cls.__new__(cls)
-        n = keys.size
-        self.keys = keys
-        self.order = np.arange(n, dtype=np.int64)
-        self.sorted_keys = keys
-        self.first = np.ones(n, dtype=bool)
-        self.last = self.first
-        self.first_pos = self.order
+        self.keys = self.sorted_keys = keys
         self.collision_free = True
+        self._order = self._first = self._last = self._first_pos = None
         self._lengths = None
         return self
+
+    def _build_identity(self) -> None:
+        n = self.keys.size
+        self._order = self._first_pos = np.arange(n, dtype=np.int64)
+        self._first = self._last = np.ones(n, dtype=bool)
+
+    # -- grouping arrays (an identity grouping builds them on first use) ---
+
+    @property
+    def order(self) -> np.ndarray:
+        """Batch position of each sorted position."""
+        if self._order is None:
+            self._build_identity()
+        return self._order
+
+    @property
+    def first(self) -> np.ndarray:
+        """Sorted positions that open a segment."""
+        if self._first is None:
+            self._build_identity()
+        return self._first
+
+    @property
+    def last(self) -> np.ndarray:
+        """Sorted positions that close a segment."""
+        if self._last is None:
+            self._build_identity()
+        return self._last
+
+    @property
+    def first_pos(self) -> np.ndarray:
+        """Sorted position of each segment's start."""
+        if self._first_pos is None:
+            self._build_identity()
+        return self._first_pos
 
     # -- derived views (computed on first use) -----------------------------
 
     @property
     def num_segments(self) -> int:
         """Number of distinct keys in the batch."""
-        return int(self.first_pos.size)
+        return int(self.keys.size if self.collision_free else self._first_pos.size)
 
     @property
     def lengths(self) -> np.ndarray:
@@ -186,7 +230,8 @@ class SegmentedBatch:
 
     @property
     def leaders(self) -> np.ndarray:
-        """The distinct keys, ascending (one per segment)."""
+        """Each segment's key: ascending for a sorted grouping, in batch
+        order for the identity grouping (:meth:`distinct`)."""
         return self.sorted_keys[self.first]
 
     # -- segmented scan ----------------------------------------------------
@@ -223,13 +268,6 @@ class SegmentedBatch:
         n = self.keys.size
         if not n:
             return
-        if self.collision_free:
-            yield Round(
-                np.arange(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-                np.ones(n, dtype=np.int64),
-            )
-            return
         # Run heads as sorted positions: segment starts and value changes.
         grouped = values[self.order]
         run_start = self.first.copy()
@@ -254,23 +292,32 @@ class SegmentedBatch:
 class DuplicateProbe:
     """O(n) duplicate detection over a bounded key space.
 
-    Scatters each batch position into a persistent per-key scratch slot
-    and gathers it back: a position that does not read its own value was
-    overwritten by a later occurrence of the same key, so the batch has
-    duplicates.  The scratch is never cleared — every probe writes each
-    slot it will read before reading it — so the per-batch cost is O(n)
-    regardless of key-space size, and the only standing cost is the
-    scratch allocation (one int64 per key, made lazily).
+    Two proofs, cheapest first:
 
-    The probe is *sound in both directions*: it returns ``True`` iff the
-    batch is genuinely collision-free, so callers may take semantic
-    shortcuts (single-round processing, sort-free grouping) on a
-    ``True`` result.  To keep the standing allocation proportional to
-    real work, the probe declines (returns ``False`` without allocating)
-    until it sees a batch for which the scratch would be at most
-    ``MAX_SLOTS_PER_KEY`` slots per batch element — tiny batches over a
-    huge key space fall back to the sort, which is cheap at that size
-    anyway.
+    * **Order.**  Strictly increasing keys are pairwise distinct, and
+      one comparison of each key with its successor shows it — no
+      memory beyond the comparison.  A tensor's sampled lines
+      (``first + arange(0, n, stride)``) pass whenever their set range
+      does not wrap past the last set.
+    * **Scatter/gather.**  Each batch position is scattered into a
+      persistent per-key scratch slot and gathered back: a position that
+      does not read its own value was overwritten by a later occurrence
+      of the same key, so the batch has duplicates.  The scratch is never
+      cleared — every probe writes each slot it will read before reading
+      it — so the per-batch cost is O(n) regardless of key-space size,
+      and the only standing cost is the scratch allocation (one int64
+      per key, made lazily).
+
+    A ``True`` result is always a proof: the batch is genuinely
+    collision-free, so callers may take semantic shortcuts
+    (single-round processing, sort-free grouping) on it.  A ``False``
+    result is not a proof of duplicates: to keep the standing allocation
+    proportional to real work, the probe declines (returns ``False``
+    without allocating) a batch that is not in order until it sees one
+    for which the scratch would be at most ``MAX_SLOTS_PER_KEY`` slots
+    per batch element.  A declined batch falls back to the grouping
+    sort, which is exact either way, so the probe is sound but not
+    complete.
     """
 
     #: Refuse to allocate scratch larger than this many slots per element
@@ -286,12 +333,18 @@ class DuplicateProbe:
         self._scratch: Optional[np.ndarray] = None
 
     def collision_free(self, keys: np.ndarray) -> bool:
-        """Whether ``keys`` (all in ``[0, space)``) are pairwise distinct."""
+        """Whether ``keys`` (all in ``[0, space)``) are provably pairwise
+        distinct; ``False`` when they repeat or the probe declines."""
         n = keys.size
         if n <= 1:
             return True
         if n > self.space:
             return False  # pigeonhole: some key must repeat
+        # Strictly increasing.  The O(1) end check goes first: an
+        # unordered batch whose last key is not above its first skips
+        # the O(n) comparison.
+        if keys[0] < keys[-1] and (keys[1:] > keys[:-1]).all():
+            return True
         scratch = self._scratch
         if scratch is None:
             if self.space > n * self.MAX_SLOTS_PER_KEY:

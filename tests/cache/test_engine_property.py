@@ -36,6 +36,7 @@ from repro.cache.flow import (
     ScalarNextLinePrefetch,
     ScalarSectorCache,
 )
+from repro.units import MiB
 
 NUM_SETS = 8
 LINE_SPAN = NUM_SETS * 6  # six aliases per set
@@ -368,36 +369,92 @@ def test_research_variants_match_scalar(make_vectorized, make_scalar):
 # ---------------------------------------------------------------------------
 
 
+def permuted_sets(lines_per_set):
+    """Every set once, in random order: the probe's scatter/gather
+    proves the batch collision-free."""
+    return lambda cache: np.random.default_rng(0).permutation(cache.num_sets) * lines_per_set
+
+
+def ascending(n, stride):
+    """``n`` strictly increasing lines ``stride`` apart, a tensor's
+    sampled lines: the probe proves them distinct by order, and with a
+    key space above 64 slots per line it has no affordable scratch."""
+    return lambda cache: cache.num_sets // 3 + np.arange(0, n * stride, stride)
+
+
 SORTLESS_CASES = [
-    pytest.param(lambda: DirectMappedCache(NUM_SETS * 64), 1, id="direct_mapped"),
+    pytest.param(lambda: DirectMappedCache(NUM_SETS * 64), permuted_sets(1), id="direct_mapped"),
     pytest.param(
         lambda: DirectMappedCache(
             NUM_SETS * 64, ddo_enabled=False, insert_on_write_miss=False
         ),
-        1,
+        permuted_sets(1),
         id="write_around_no_ddo",
     ),
     pytest.param(
-        lambda: SectorCache(NUM_SETS * 4 * 64, sector_lines=4, footprint=2), 4, id="sector"
+        lambda: SectorCache(NUM_SETS * 4 * 64, sector_lines=4, footprint=2),
+        permuted_sets(4),
+        id="sector",
     ),
-    pytest.param(lambda: SetAssociativeCache(NUM_SETS * 2 * 64, ways=2), 1, id="set_assoc"),
-    pytest.param(lambda: BypassCache(NUM_SETS * 64, insert_probability=0.5), 1, id="bypass"),
-    pytest.param(lambda: MissPredictorCache(NUM_SETS * 64, accuracy=0.5), 1, id="predictor"),
-    pytest.param(lambda: NextLinePrefetchCache(NUM_SETS * 64), 1, id="prefetch"),
+    pytest.param(
+        lambda: SetAssociativeCache(NUM_SETS * 2 * 64, ways=2), permuted_sets(1), id="set_assoc"
+    ),
+    pytest.param(
+        lambda: BypassCache(NUM_SETS * 64, insert_probability=0.5), permuted_sets(1), id="bypass"
+    ),
+    pytest.param(
+        lambda: MissPredictorCache(NUM_SETS * 64, accuracy=0.5), permuted_sets(1), id="predictor"
+    ),
+    pytest.param(lambda: NextLinePrefetchCache(NUM_SETS * 64), permuted_sets(1), id="prefetch"),
+    # Production geometry (the quick CNN platform's 786,432 sets): the
+    # small ascending batches the NN executor sends, too small for scratch.
+    pytest.param(
+        lambda: DirectMappedCache(48 * MiB), ascending(137, 16), id="direct_mapped_48MiB_ordered"
+    ),
+    pytest.param(
+        lambda: SetAssociativeCache(48 * MiB, ways=8),
+        ascending(137, 16),
+        id="set_assoc_48MiB_ordered",
+    ),
+    pytest.param(
+        lambda: NextLinePrefetchCache(48 * MiB), ascending(2400, 1), id="prefetch_48MiB_ordered"
+    ),
 ]
 
 
-@pytest.mark.parametrize("make_cache,lines_per_set", SORTLESS_CASES)
-def test_collision_free_batches_take_no_grouping_sort(
-    grouping_sorts, make_cache, lines_per_set
-):
+@pytest.mark.parametrize("make_cache,make_batch", SORTLESS_CASES)
+def test_collision_free_batches_take_no_grouping_sort(grouping_sorts, make_cache, make_batch):
     """A batch whose requests all map to distinct sets is grouped by the
     duplicate probe alone, with no sort, on every request path; a batch
-    that repeats a set is the control that shows the spy is live."""
+    that repeats a set is the control that shows the spy is live.  An
+    ascending batch is proven by order, so the probe allocates no
+    scratch for it."""
     cache = make_cache()
-    distinct = np.random.default_rng(0).permutation(cache.num_sets) * lines_per_set
+    distinct = make_batch(cache)
+    ordered = bool((np.diff(distinct) > 0).all())
+    probe = cache._segmenter._probe
     for request in (cache.llc_read, cache.llc_write, lambda b: cache.prime(b, dirty=True)):
         request(distinct.copy())
         assert sum(grouping_sorts.values()) == 0, request
+        if ordered:
+            assert probe._scratch is None, request
     cache.llc_read(np.append(distinct, distinct[0]))
     assert sum(grouping_sorts.values()) >= 1
+
+
+@pytest.mark.parametrize("make_cache,make_batch", SORTLESS_CASES)
+def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_batch):
+    """The collision-free closed forms read only the batch and its set
+    indices, so the identity grouping's per-line arrays (``order``,
+    ``first``, ``last``, ``first_pos``) are never built on the read and
+    write paths."""
+    cache = make_cache()
+    batch = make_batch(cache)
+    batch.flags.writeable = False  # the segmenter keeps its grouping
+    cache.llc_read(batch)
+    cache.llc_write(batch)
+    seg = cache._segmenter._last[1]
+    assert seg.collision_free
+    assert all(
+        built is None for built in (seg._order, seg._first, seg._last, seg._first_pos)
+    )

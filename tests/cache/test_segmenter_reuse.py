@@ -128,7 +128,7 @@ class TestSegmenterContract:
             def __init__(self, inner):
                 self._inner = inner
 
-            def segment(self, lines, keys):
+            def segment(self, lines, keys=None):
                 seg = self._inner.segment(lines, keys)
                 seen.append(seg)
                 return seg
@@ -175,7 +175,7 @@ class TestSegmenterContract:
         monkeypatch.setattr(engine, "segment", counting_segment)
         real_method = engine.BatchSegmenter.segment
 
-        def counting_method(self, lines, keys):
+        def counting_method(self, lines, keys=None):
             segmenter_calls.append(lines.size)
             return real_method(self, lines, keys)
 

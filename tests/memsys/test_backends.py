@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.cache import DirectMappedCache
+from repro.cache import (
+    BypassCache,
+    DirectMappedCache,
+    MissPredictorCache,
+    NextLinePrefetchCache,
+    SectorCache,
+    SetAssociativeCache,
+)
 from repro.cache.base import AccessKind
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.perf.counters import AccessContext
+from repro.units import KiB
 
 
 @pytest.fixture
@@ -84,6 +92,33 @@ class TestCachedBackend:
         flat_report = flat.access(lines, AccessKind.LLC_READ, ctx)
         cached_report = cached.access(lines, AccessKind.LLC_READ, ctx)
         assert cached_report.seconds > flat_report.seconds
+
+
+PRODUCTION_MODELS = [
+    pytest.param(lambda: DirectMappedCache(64 * KiB), id="direct_mapped"),
+    pytest.param(
+        lambda: DirectMappedCache(64 * KiB, ddo_enabled=False, insert_on_write_miss=False),
+        id="write_around_no_ddo",
+    ),
+    pytest.param(lambda: SectorCache(64 * KiB, sector_lines=4, footprint=2), id="sector"),
+    pytest.param(lambda: SetAssociativeCache(64 * KiB, ways=8), id="set_assoc"),
+    pytest.param(lambda: BypassCache(64 * KiB), id="bypass"),
+    pytest.param(lambda: MissPredictorCache(64 * KiB), id="predictor"),
+    pytest.param(lambda: NextLinePrefetchCache(64 * KiB), id="prefetch"),
+]
+
+
+@pytest.mark.parametrize("make_cache", PRODUCTION_MODELS)
+@pytest.mark.parametrize("kind", [AccessKind.LLC_READ, AccessKind.LLC_WRITE], ids=["read", "write"])
+@pytest.mark.parametrize(
+    "lines", [np.array([3, -1, 5]), np.arange(6).reshape(2, 3)], ids=["negative", "2d"]
+)
+def test_cached_backend_rejects_invalid_lines(platform, make_cache, kind, lines):
+    """The backend hands batches to the model unvalidated; every
+    production model rejects a negative or non-1-D batch itself."""
+    backend = CachedBackend(platform, make_cache())
+    with pytest.raises(ValueError):
+        backend.access(lines, kind, AccessContext())
 
 
 class TestEpochs:

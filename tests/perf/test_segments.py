@@ -5,14 +5,18 @@ checked against a brute-force per-key computation, the grouping (packed
 sort or timsort, as the input picks) against ``np.argsort(kind=
 "stable")``, the round decomposition against the legacy per-round
 ``np.unique`` loop it replaced, and the value-run folding of
-``rounds(values)`` against brute-force per-key runs.
+``rounds(values)`` against brute-force per-key runs.  The duplicate
+probe's two proofs (order, and scatter/gather) are property-tested with
+Hypothesis over key spaces on both sides of its scratch allowance.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import segments as segments_module
-from repro.perf.segments import SegmentedBatch, segment
+from repro.perf.segments import DuplicateProbe, SegmentedBatch, segment
 
 
 def legacy_rounds(keys):
@@ -263,3 +267,88 @@ def test_repeat_runs_resolve_in_run_count_rounds():
     rounds = list(seg.rounds(values))
     assert len(rounds) == 3
     check_folded_rounds(keys, values, rounds)
+
+
+# ---------------------------------------------------------------------------
+# DuplicateProbe: the ordered proof and the scatter/gather
+# ---------------------------------------------------------------------------
+
+SLOTS = DuplicateProbe.MAX_SLOTS_PER_KEY
+
+
+@st.composite
+def probe_cases(draw, distinct, ascending=False):
+    """``(keys, space)`` with a key space either within the probe's
+    scratch allowance (at most 64 slots per key) or above it."""
+    n = draw(st.integers(2, 48))
+    affordable = draw(st.booleans())
+    low, high = (n, n * SLOTS) if affordable else (n * SLOTS + 1, n * SLOTS * 64)
+    space = draw(st.integers(low, high))
+    if distinct:
+        keys = sorted(draw(st.sets(st.integers(0, space - 1), min_size=n, max_size=n)))
+        if not ascending:
+            keys = draw(st.permutations(keys))
+    else:
+        keys = draw(st.lists(st.integers(0, space - 1), min_size=n - 1, max_size=n - 1))
+        keys.insert(draw(st.integers(0, n - 1)), keys[draw(st.integers(0, n - 2))])
+        if draw(st.booleans()):
+            keys.sort()  # ascending but not strictly: the ordered proof must refuse it
+    return np.array(keys, dtype=np.int64), space
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_cases(distinct=False))
+def test_probe_never_proves_a_batch_with_a_duplicate(case):
+    keys, space = case
+    assert not DuplicateProbe(space).collision_free(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_cases(distinct=True, ascending=True))
+def test_probe_proves_ascending_keys_without_scratch(case):
+    keys, space = case
+    probe = DuplicateProbe(space)
+    assert probe.collision_free(keys)
+    assert probe._scratch is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_cases(distinct=True), st.booleans())
+def test_proven_batches_group_as_the_identity(case, ascending):
+    """What ``segment`` returns for a batch the probe proves — ascending,
+    or any order over an affordable key space — is the identity grouping."""
+    keys, space = case
+    if ascending or space > keys.size * SLOTS:  # the probe declines unordered keys there
+        keys = np.sort(keys)
+    n = keys.size
+    seg = segment(keys, DuplicateProbe(space))
+    assert seg.collision_free
+    np.testing.assert_array_equal(seg.order, np.arange(n))
+    np.testing.assert_array_equal(seg.first, np.ones(n, dtype=bool))
+    np.testing.assert_array_equal(seg.last, np.ones(n, dtype=bool))
+    np.testing.assert_array_equal(seg.first_pos, np.arange(n))
+    np.testing.assert_array_equal(seg.lengths, np.ones(n, dtype=np.int64))
+    np.testing.assert_array_equal(seg.leaders, keys)
+    assert seg.num_segments == n and seg.max_multiplicity == 1
+
+
+def test_probe_declines_unordered_batches_over_a_large_key_space(grouping_sorts):
+    """The control: distinct but unordered keys over a key space above
+    64 slots per key are declined, allocate nothing, and sort."""
+    keys = np.array([5, 3, 9, 1], dtype=np.int64)
+    probe = DuplicateProbe(keys.size * SLOTS + 1)
+    assert not probe.collision_free(keys)
+    assert probe._scratch is None
+    seg = segment(keys, probe)
+    assert seg.collision_free and sum(grouping_sorts.values()) == 1
+    np.testing.assert_array_equal(seg.leaders, np.sort(keys))
+
+
+def test_distinct_grouping_is_built_on_first_access():
+    keys = np.array([4, 0, 7], dtype=np.int64)
+    seg = SegmentedBatch.distinct(keys)
+    assert seg.num_segments == 3 and seg.max_multiplicity == 1
+    assert all(built is None for built in (seg._order, seg._first, seg._last, seg._first_pos))
+    np.testing.assert_array_equal(seg.first_pos, np.arange(3))
+    np.testing.assert_array_equal(seg.first & seg.last, np.ones(3, dtype=bool))
+    np.testing.assert_array_equal(seg.leaders, keys)  # batch order, not ascending
