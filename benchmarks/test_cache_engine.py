@@ -31,6 +31,11 @@ host-speed probe:
   on the quick CNN platform's 786,432 sets.  Each batch is far too small
   for the duplicate probe's scratch over that many sets, so only its
   order proves it collision-free.  Trajectory only.
+* ``contiguous`` (direct-mapped only) — the prefetch design's shape on
+  the same platform: 256 batches of 2,400 consecutive lines, none
+  wrapping past the last set.  Each batch's sets are one range, so the
+  segmenter skips the set-index pass and the probe, and the closed
+  forms index state by slice.  Trajectory only.
 * ``trace_zipfian`` (set-associative only) — a real YCSB-style trace
   from :mod:`repro.traces` expanded to line addresses.  A hot key
   re-touches its whole multi-line object, so one set sees the same line
@@ -70,10 +75,14 @@ SA_WAYS = 8
 
 #: cnn_2lm's direct-mapped geometry and batch shape: the quick CNN
 #: platform's 48 MiB cache, and each tensor's sampled lines.
-SMALL_ORDERED_SETS = 786_432
+CNN_SETS = 786_432
 SMALL_ORDERED_LINES = 137
 SMALL_ORDERED_STRIDE = 16
 SMALL_ORDERED_BATCHES = 256
+
+#: The same geometry, fed whole tensors: runs of consecutive lines.
+CONTIGUOUS_LINES = 2_400
+CONTIGUOUS_BATCHES = 256
 
 #: Cost-contract bounds: a row's per-line seconds over its model's
 #: ``uniform`` row's, both from this run.
@@ -186,10 +195,20 @@ def _small_ordered_batches():
     """Tensors laid end to end, each ``first + arange(0, 137 * 16, 16)``;
     the 256 of them span 561,152 lines, so none wraps past the last set."""
     span = SMALL_ORDERED_LINES * SMALL_ORDERED_STRIDE
-    assert SMALL_ORDERED_BATCHES * span <= SMALL_ORDERED_SETS
+    assert SMALL_ORDERED_BATCHES * span <= CNN_SETS
     return [
         _freeze(first + np.arange(0, span, SMALL_ORDERED_STRIDE))
         for first in range(0, SMALL_ORDERED_BATCHES * span, span)
+    ]
+
+
+def _contiguous_batches():
+    """Tensors laid end to end, each ``first + arange(2400)``; the 256 of
+    them span 614,400 lines, so none wraps past the last set."""
+    assert CONTIGUOUS_BATCHES * CONTIGUOUS_LINES <= CNN_SETS
+    return [
+        _freeze(first + np.arange(CONTIGUOUS_LINES))
+        for first in range(0, CONTIGUOUS_BATCHES * CONTIGUOUS_LINES, CONTIGUOUS_LINES)
     ]
 
 
@@ -250,14 +269,17 @@ def test_closed_form_engine_cost_contract():
                 "per_line_s": seconds / batch.size,
             }
 
-    small = _small_ordered_batches()
-    seconds = _time(lambda: DirectMappedCache(SMALL_ORDERED_SETS * 64), small)
-    results["direct_mapped/small_ordered"] = {
-        "batch_lines": SMALL_ORDERED_LINES,
-        "batches": len(small),
-        "closed_form_s": seconds,
-        "per_line_s": seconds / sum(batch.size for batch in small),
-    }
+    for workload, batches in (
+        ("small_ordered", _small_ordered_batches()),
+        ("contiguous", _contiguous_batches()),
+    ):
+        seconds = _time(lambda: DirectMappedCache(CNN_SETS * 64), batches)
+        results[f"direct_mapped/{workload}"] = {
+            "batch_lines": int(batches[0].size),
+            "batches": len(batches),
+            "closed_form_s": seconds,
+            "per_line_s": seconds / sum(batch.size for batch in batches),
+        }
 
     results["metadata"] = {
         "models": {
@@ -265,9 +287,10 @@ def test_closed_form_engine_cost_contract():
             "sector": {"num_sets": SECTOR_SETS, "sector_lines": SECTOR_LINES},
             "set_associative": {"num_sets": SA_SETS, "ways": SA_WAYS},
             "direct_mapped/small_ordered": {
-                "num_sets": SMALL_ORDERED_SETS,
+                "num_sets": CNN_SETS,
                 "stride": SMALL_ORDERED_STRIDE,
             },
+            "direct_mapped/contiguous": {"num_sets": CNN_SETS},
         },
         "repeats": REPEATS,
         "timer": "perf_counter, best-of-N, read pass + write pass",

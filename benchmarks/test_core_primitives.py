@@ -14,7 +14,7 @@ from repro.kernels import Kernel, KernelSpec, lfsr_sequence, run_kernel
 from repro.kernels.lfsr import max_length_lfsr_states
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 
-N_ACCESSES = 1 << 20
+N_ACCESSES = 1 << 20  # repro-lint: disable=UNIT001 (an access count, not bytes)
 
 
 @pytest.fixture(scope="module")

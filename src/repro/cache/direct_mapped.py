@@ -5,10 +5,11 @@ Implements exactly the protocol documented in :mod:`repro.cache.flow`
 with numpy in a single pass per batch: the segmented engine
 (:mod:`repro.cache.engine`) groups each batch by set with at most one
 sort (none at all when the duplicate probe proves the batch
-collision-free), resolves duplicate occurrences with closed-form
-recurrences, and applies every state update with array operations — no
-Python loop over collision rounds, so adversarial all-same-set batches
-cost the same as collision-free ones.  The result is bit-for-bit
+collision-free, or when it is a run of consecutive lines, whose state
+is then read and written by slice), resolves duplicate occurrences
+with closed-form recurrences, and applies every state update with
+array operations — no Python loop over collision rounds, so
+adversarial all-same-set batches cost the same as collision-free ones.  The result is bit-for-bit
 equivalent to processing the batch one access at a time (property-tested
 against :class:`~repro.cache.flow.ReferenceCache`).
 

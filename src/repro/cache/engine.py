@@ -87,6 +87,17 @@ reused) — and is property-tested bit-for-bit against scalar references
 (``tests/cache/test_engine_property.py``).  A collision-free batch is
 one independent round over the batch as given: one gather per state
 array, whole-batch scatters, and no index copies.
+
+**Contiguous batches.**  A run of consecutive lines whose sets do not
+wrap past the last set maps to the set range ``range(s0, s0 + n)``, so
+:class:`BatchSegmenter` skips the ``lines % num_sets`` pass and the
+duplicate probe for it, and the grouping's ``index`` is that range as a
+``slice``.  The direct-mapped collision-free forms (:func:`read_batch`
+and the distinct write) index state with ``seg.index``, so for such a
+batch each gather is a contiguous view and each scatter a slice
+assignment, from the same statements.  A view aliases the state array,
+so those forms read every state array before their first write to it.
+The other forms read ``seg.keys``, which the grouping then builds.
 """
 
 from __future__ import annotations
@@ -119,7 +130,9 @@ class BatchSegmenter:
 
     Owns the model's set-index step and its
     :class:`~repro.perf.segments.DuplicateProbe`, so probe-proven
-    collision-free batches skip the sort entirely, and remembers the
+    collision-free batches skip the sort entirely, and a contiguous
+    batch (consecutive lines whose sets do not wrap) skips both the
+    set-index pass and the probe.  It also remembers the
     most recent batch's :class:`SegmentedBatch` keyed on array identity.
     A workload that feeds the same line vector to ``llc_read`` and then
     ``llc_write`` — the read-modify-write shape of the paper's
@@ -155,12 +168,32 @@ class BatchSegmenter:
         cached = self._last
         if cached is not None and cached[0]() is lines:
             return cached[1]
-        if keys is None:
-            keys = lines % self.num_sets
-        seg = segment(keys, probe=self._probe)
+        seg = segment(self._set_index(lines) if keys is None else keys, probe=self._probe)
         if lines.size and not lines.flags.writeable:
             self._last = (weakref.ref(lines), seg)
         return seg
+
+    def _set_index(self, lines: np.ndarray) -> Union[np.ndarray, range]:
+        """``lines % num_sets``, or the range of sets a contiguous batch
+        covers.
+
+        A batch whose ends are ``n - 1`` lines apart, whose first set
+        leaves room for ``n`` sets before the last, and whose lines
+        strictly increase is ``first + arange(n)``, so its sets are
+        ``range(first % num_sets, first % num_sets + n)``.  Any other
+        batch pays only the two end reads before the modulo pass.
+        """
+        n = lines.size
+        if n:
+            first = int(lines[0])
+            start = first % self.num_sets
+            if (
+                int(lines[-1]) - first == n - 1
+                and start + n <= self.num_sets
+                and (lines[1:] > lines[:-1]).all()
+            ):
+                return range(start, start + n)
+        return lines % self.num_sets
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +235,16 @@ def read_batch(
     the tag outcome counts; the caller owns traffic accounting.  With
     ``want_misses`` the per-request miss mask (batch order) is returned
     as well — the hook the research variants charge their own traffic
-    from.
+    from.  A collision-free batch indexes state with ``seg.index``; when
+    that is a slice, a gather is a view of the state array, so every
+    read of a state array comes before the first write to it.
     """
     n = int(lines.size)
-    sets = seg.keys
     if seg.collision_free:
         # No set is touched twice: the whole batch is one independent
         # round.  A hit's tag already equals its line, so every set takes
         # its line, and only a miss clears the dirty bit.
+        sets = seg.index
         miss = tags[sets] != lines
         was_dirty = dirty[sets]
         n_miss = int(np.count_nonzero(miss))
@@ -261,7 +296,7 @@ def write_batch(
     """
     if seg.collision_free:
         return _write_distinct(
-            lines, seg.keys, tags, dirty, known_resident,
+            lines, seg.index, tags, dirty, known_resident,
             ddo_enabled=ddo_enabled, insert_on_write_miss=insert_on_write_miss,
         )
     if insert_on_write_miss:
@@ -275,7 +310,7 @@ def write_batch(
 
 def _write_distinct(
     lines: np.ndarray,
-    sets: np.ndarray,
+    sets: Union[np.ndarray, slice],
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -288,7 +323,9 @@ def _write_distinct(
     One gather per state array, then whole-batch scatters: a match (DDO
     or tag-checked hit) dirties its set, and a miss either installs
     dirty and not known-resident or, written around, leaves the set as
-    it was.
+    it was.  ``sets`` is the grouping's ``index``; when it is a slice,
+    each gather is a view of its state array, so every read of a state
+    array comes before the first write to it.
     """
     n = int(lines.size)
     match = tags[sets] == lines
@@ -659,11 +696,11 @@ def _lru_lookup(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-request (hit mask, slot): the flat index ``set * ways + way``
     of the hit way or, on a miss, of the LRU victim."""
-    matches = tags[sub_sets] == sub_lines[:, None]
+    matches = np.take(tags, sub_sets, axis=0) == sub_lines[:, None]
     way = matches.argmax(axis=1)
     hit = matches[np.arange(way.size), way]
     miss = ~hit
-    way[miss] = stamp[sub_sets[miss]].argmin(axis=1)
+    way[miss] = np.take(stamp, sub_sets[miss], axis=0).argmin(axis=1)
     return hit, sub_sets * tags.shape[1] + way
 
 

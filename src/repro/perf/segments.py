@@ -36,21 +36,30 @@ adversarial all-same-set batches cost the same O(n log n) as
 collision-free ones.
 
 Collision-free traffic skips even the one sort.  A :class:`DuplicateProbe`
-proves a batch's keys pairwise distinct in O(n), in one of two ways.
+proves a batch's keys pairwise distinct in O(n), in one of three ways.
 Strictly increasing keys are distinct by order alone, which one
-comparison of each key with its successor shows; that proof needs no
-memory, so it covers the small ascending batches (a tensor's sampled
-lines, ``first + arange(0, n, stride)``) that a large key space would
-make too costly to scatter.  Any other batch is scattered into a
+comparison of each key with its successor shows, and so is any rotation
+of them; those proofs need no memory, so they cover the small ascending
+batches (a tensor's sampled lines, ``first + arange(0, n, stride)``,
+whose set range may wrap past the last set) that a large key space
+would make too costly to scatter.  Any other batch is scattered into a
 persistent per-model scratch array and gathered back, when the scratch
 is affordable.  A proven batch becomes :meth:`SegmentedBatch.distinct`,
 the identity grouping, which allocates nothing per batch — no sort at
 all.
+
+A contiguous run of keys needs no proof at all.  :func:`segment`
+accepts a ``range`` (the cache segmenter passes one for a run of
+consecutive lines whose sets do not wrap) as distinct by construction:
+its grouping's :attr:`~SegmentedBatch.index` is a ``slice``, so the
+collision-free closed forms read and write state through contiguous
+views, and the per-line ``keys`` array is built only if a consumer
+reads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,12 +131,19 @@ class SegmentedBatch:
     The one exception is :meth:`distinct`, the identity grouping of a
     batch proven collision-free: its segments appear in batch order, and
     its grouping arrays are built only when something reads them.
+
+    ``index`` selects each batch position's key from a per-key state
+    array: the ``keys`` array itself or, for a contiguous range of keys,
+    the equivalent ``slice``, under which a gather is a view and a
+    scatter a slice assignment.
     """
 
     __slots__ = (
-        "keys",
-        "sorted_keys",
+        "index",
         "collision_free",
+        "_size",
+        "_keys",
+        "_sorted_keys",
         "_order",
         "_first",
         "_last",
@@ -139,10 +155,11 @@ class SegmentedBatch:
         """Group ``keys``; ``bound``, if given, must exceed every key
         (and no key may be negative)."""
         n = keys.size
-        self.keys = keys
-        self._order, self.sorted_keys = _group(keys, bound)
+        self.index = self._keys = keys
+        self._size = n
+        self._order, self._sorted_keys = _group(keys, bound)
         if n:
-            boundary = self.sorted_keys[1:] != self.sorted_keys[:-1]
+            boundary = self._sorted_keys[1:] != self._sorted_keys[:-1]
             self._first = np.concatenate(([True], boundary))
             self._last = np.concatenate((boundary, [True]))
         else:
@@ -153,29 +170,53 @@ class SegmentedBatch:
         self._lengths: Optional[np.ndarray] = None
 
     @classmethod
-    def distinct(cls, keys: np.ndarray) -> "SegmentedBatch":
+    def distinct(cls, keys: Union[np.ndarray, range]) -> "SegmentedBatch":
         """Grouped view of a batch *proven* to have pairwise-distinct keys.
 
         Skips the sort entirely: every position is its own segment, so
         the identity permutation is a valid grouping (segments appear in
         batch order rather than ascending key order, which no consumer of
         a collision-free batch depends on).  Allocates nothing: the
-        collision-free closed forms read only ``keys``, so ``order``,
-        ``first``, ``last`` and ``first_pos`` are built on first access.
-        Callers must have established distinctness, e.g. via
-        :class:`DuplicateProbe`.
+        collision-free closed forms read only ``index``, so ``order``,
+        ``first``, ``last`` and ``first_pos`` are built on first access,
+        and so are ``keys`` and ``sorted_keys`` when ``keys`` is a
+        ``range``, whose ``index`` is the equivalent ``slice``.  Callers
+        must have established distinctness, e.g. via
+        :class:`DuplicateProbe`; a ``range`` is distinct by construction.
         """
         self = cls.__new__(cls)
-        self.keys = self.sorted_keys = keys
+        if isinstance(keys, range):
+            self.index = slice(keys.start, keys.stop)
+            self._keys = None
+            self._size = len(keys)
+        else:
+            self.index = self._keys = keys
+            self._size = keys.size
         self.collision_free = True
-        self._order = self._first = self._last = self._first_pos = None
-        self._lengths = None
+        self._sorted_keys = self._order = self._first = self._last = None
+        self._first_pos = self._lengths = None
         return self
 
     def _build_identity(self) -> None:
-        n = self.keys.size
+        n = self._size
         self._order = self._first_pos = np.arange(n, dtype=np.int64)
         self._first = self._last = np.ones(n, dtype=bool)
+
+    # -- keys (a contiguous range builds them on first use) -----------------
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Each batch position's key, in batch order."""
+        if self._keys is None:
+            self._keys = np.arange(self.index.start, self.index.stop, dtype=np.int64)
+        return self._keys
+
+    @property
+    def sorted_keys(self) -> np.ndarray:
+        """The keys in grouped order: ``keys[order]``."""
+        if self._sorted_keys is None:
+            return self.keys  # the identity grouping
+        return self._sorted_keys
 
     # -- grouping arrays (an identity grouping builds them on first use) ---
 
@@ -212,20 +253,20 @@ class SegmentedBatch:
     @property
     def num_segments(self) -> int:
         """Number of distinct keys in the batch."""
-        return int(self.keys.size if self.collision_free else self._first_pos.size)
+        return int(self._size if self.collision_free else self._first_pos.size)
 
     @property
     def lengths(self) -> np.ndarray:
         """Occurrences of each segment's key."""
         if self._lengths is None:
-            self._lengths = np.diff(self.first_pos, append=self.keys.size)
+            self._lengths = np.diff(self.first_pos, append=self._size)
         return self._lengths
 
     @property
     def max_multiplicity(self) -> int:
         """Occurrences of the most frequent key (0 for an empty batch)."""
         if self.collision_free:
-            return int(self.keys.size > 0)
+            return int(self._size > 0)
         return int(self.lengths.max())
 
     @property
@@ -265,7 +306,7 @@ class SegmentedBatch:
         positions of occurrence rank ``r`` — the rounds the legacy
         per-round ``np.unique`` loop produced, but from one sort.
         """
-        n = self.keys.size
+        n = self._size
         if not n:
             return
         # Run heads as sorted positions: segment starts and value changes.
@@ -292,13 +333,18 @@ class SegmentedBatch:
 class DuplicateProbe:
     """O(n) duplicate detection over a bounded key space.
 
-    Two proofs, cheapest first:
+    Three proofs, cheapest first:
 
     * **Order.**  Strictly increasing keys are pairwise distinct, and
       one comparison of each key with its successor shows it — no
       memory beyond the comparison.  A tensor's sampled lines
       (``first + arange(0, n, stride)``) pass whenever their set range
       does not wrap past the last set.
+    * **Rotation.**  Where the scratch below would be declined, a batch
+      with exactly one descent whose last key is below its first is
+      accepted: it is two strictly increasing runs, and the second
+      ends below where the first begins, so their ranges are disjoint.
+      That is a sampled tensor whose set range wraps past the last set.
     * **Scatter/gather.**  Each batch position is scattered into a
       persistent per-key scratch slot and gathered back: a position that
       does not read its own value was overwritten by a later occurrence
@@ -313,11 +359,11 @@ class DuplicateProbe:
     (single-round processing, sort-free grouping) on it.  A ``False``
     result is not a proof of duplicates: to keep the standing allocation
     proportional to real work, the probe declines (returns ``False``
-    without allocating) a batch that is not in order until it sees one
-    for which the scratch would be at most ``MAX_SLOTS_PER_KEY`` slots
-    per batch element.  A declined batch falls back to the grouping
-    sort, which is exact either way, so the probe is sound but not
-    complete.
+    without allocating) a batch that is neither in order nor a rotation
+    of an ordered one until it sees one for which the scratch would be
+    at most ``MAX_SLOTS_PER_KEY`` slots per batch element.  A declined
+    batch falls back to the grouping sort, which is exact either way, so
+    the probe is sound but not complete.
     """
 
     #: Refuse to allocate scratch larger than this many slots per element
@@ -348,21 +394,31 @@ class DuplicateProbe:
         scratch = self._scratch
         if scratch is None:
             if self.space > n * self.MAX_SLOTS_PER_KEY:
-                return False  # scratch would dwarf the batch; let it sort
+                # Scratch would dwarf the batch: prove a rotation of
+                # increasing keys by its one descent, or let it sort.
+                return bool(
+                    keys[-1] < keys[0]
+                    and np.count_nonzero(keys[1:] <= keys[:-1]) == 1
+                )
             scratch = self._scratch = np.empty(self.space, dtype=np.int64)
         positions = np.arange(n, dtype=np.int64)
         scratch[keys] = positions
         return bool(np.array_equal(scratch[keys], positions))
 
 
-def segment(keys: np.ndarray, probe: Optional[DuplicateProbe] = None) -> SegmentedBatch:
+def segment(
+    keys: Union[np.ndarray, range], probe: Optional[DuplicateProbe] = None
+) -> SegmentedBatch:
     """Group a batch of integer keys into a :class:`SegmentedBatch`.
 
-    With a ``probe``, a batch proven collision-free skips the sort and
-    comes back as the sort-free identity grouping
-    (:meth:`SegmentedBatch.distinct`); any other batch is grouped with
-    the probe's key space as the key bound.
+    A ``range`` of keys is distinct by construction: it becomes the
+    sort-free identity grouping (:meth:`SegmentedBatch.distinct`),
+    indexed by slice, with no probe call.  With a ``probe``, a key array
+    proven collision-free comes back as the identity grouping too; any
+    other batch is grouped with the probe's key space as the key bound.
     """
+    if isinstance(keys, range):
+        return SegmentedBatch.distinct(keys)
     if probe is None:
         return SegmentedBatch(keys)
     if probe.collision_free(keys):

@@ -10,7 +10,10 @@ in :mod:`repro.cache.flow` exactly.
 Together with ``tests/cache/test_equivalence.py`` (hypothesis-driven)
 this is the evidence that the closed-form duplicate-resolution
 recurrences in :mod:`repro.cache.engine` are bit-for-bit equivalent to
-serial processing.
+serial processing.  Runs of consecutive lines, which the engine indexes
+by slice instead of by a set-index array, get their own Hypothesis
+sweep against the same oracles, with full state compared after every
+batch.
 """
 
 from dataclasses import astuple
@@ -29,6 +32,7 @@ from repro.cache import (
     SectorCache,
     SetAssociativeCache,
 )
+from repro.cache import engine
 from repro.cache.flow import (
     ScalarBypass,
     ScalarLRUCache,
@@ -36,6 +40,7 @@ from repro.cache.flow import (
     ScalarNextLinePrefetch,
     ScalarSectorCache,
 )
+from repro.perf.segments import DuplicateProbe
 from repro.units import MiB
 
 NUM_SETS = 8
@@ -378,8 +383,16 @@ def permuted_sets(lines_per_set):
 def ascending(n, stride):
     """``n`` strictly increasing lines ``stride`` apart, a tensor's
     sampled lines: the probe proves them distinct by order, and with a
-    key space above 64 slots per line it has no affordable scratch."""
+    key space above 64 slots per line it has no affordable scratch.
+    With stride 1 they are a contiguous run, which needs no probe."""
     return lambda cache: cache.num_sets // 3 + np.arange(0, n * stride, stride)
+
+
+def consecutive(n, wrap=False):
+    """``n`` consecutive lines, a tensor's unsampled lines: their sets
+    are one range or, with ``wrap``, a range that wraps past the last set
+    (one descent, which the probe proves by rotation)."""
+    return lambda cache: (cache.num_sets - n // 2 if wrap else cache.num_sets // 3) + np.arange(n)
 
 
 SORTLESS_CASES = [
@@ -418,6 +431,25 @@ SORTLESS_CASES = [
     ),
     pytest.param(
         lambda: NextLinePrefetchCache(48 * MiB), ascending(2400, 1), id="prefetch_48MiB_ordered"
+    ),
+    # Unsampled tensors: contiguous set ranges, and one that wraps.
+    pytest.param(
+        lambda: DirectMappedCache(48 * MiB), consecutive(2400), id="direct_mapped_48MiB_contiguous"
+    ),
+    pytest.param(
+        lambda: DirectMappedCache(48 * MiB, ddo_enabled=False, insert_on_write_miss=False),
+        consecutive(2400),
+        id="write_around_no_ddo_48MiB_contiguous",
+    ),
+    pytest.param(
+        lambda: SetAssociativeCache(48 * MiB, ways=8),
+        consecutive(2400),
+        id="set_assoc_48MiB_contiguous",
+    ),
+    pytest.param(
+        lambda: DirectMappedCache(48 * MiB),
+        consecutive(2400, wrap=True),
+        id="direct_mapped_48MiB_wrapping",
     ),
 ]
 
@@ -458,3 +490,161 @@ def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_b
     assert all(
         built is None for built in (seg._order, seg._first, seg._last, seg._first_pos)
     )
+
+
+# ---------------------------------------------------------------------------
+# Contiguous batches: state indexed by slice
+# ---------------------------------------------------------------------------
+
+
+SLICE_MODELS = [
+    pytest.param(lambda: DirectMappedCache(48 * MiB), id="direct_mapped"),
+    pytest.param(
+        lambda: DirectMappedCache(48 * MiB, ddo_enabled=False, insert_on_write_miss=False),
+        id="write_around_no_ddo",
+    ),
+    pytest.param(lambda: MissPredictorCache(48 * MiB, accuracy=0.5), id="predictor"),
+]
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["contiguous", "wrapping"])
+@pytest.mark.parametrize("make_cache", SLICE_MODELS)
+def test_contiguous_batches_index_state_by_slice(grouping_sorts, monkeypatch, make_cache, wrap):
+    """At the production geometry, a run of consecutive lines whose sets
+    do not wrap is grouped as a slice on ``llc_read`` and ``llc_write``:
+    no per-line set-index array is built, and no probe call or sort is
+    made.  One whose sets wrap takes the set-index array and the probe,
+    which proves it by rotation, so it does not sort either."""
+    segs, probes = [], []
+    real_segment, real_probe = engine.segment, DuplicateProbe.collision_free
+
+    def spy_segment(keys, probe=None):
+        segs.append(real_segment(keys, probe))
+        return segs[-1]
+
+    def spy_probe(self, keys):
+        probes.append(keys.size)
+        return real_probe(self, keys)
+
+    monkeypatch.setattr(engine, "segment", spy_segment)
+    monkeypatch.setattr(DuplicateProbe, "collision_free", spy_probe)
+    cache = make_cache()
+    batch = consecutive(2400, wrap)(cache)
+    cache.llc_read(batch.copy())
+    cache.llc_write(batch.copy())
+    assert len(segs) == 2 and all(seg.collision_free for seg in segs)
+    assert sum(grouping_sorts.values()) == 0
+    if wrap:
+        assert all(isinstance(seg.index, np.ndarray) for seg in segs)
+        assert probes == [2400, 2400]
+        assert cache._segmenter._probe._scratch is None
+    else:
+        first_set = cache.num_sets // 3
+        assert all(seg.index == slice(first_set, first_set + 2400) for seg in segs)
+        assert all(seg._keys is None for seg in segs)
+        assert probes == []
+
+
+CONTIGUOUS_SETS = 16
+CONTIGUOUS_SPAN = CONTIGUOUS_SETS * 4  # four aliases per set
+
+CONTIGUOUS_MODELS = [
+    pytest.param(
+        lambda ddo=ddo, insert=insert: DirectMappedCache(
+            CONTIGUOUS_SETS * 64, ddo_enabled=ddo, insert_on_write_miss=insert
+        ),
+        lambda ddo=ddo, insert=insert: ReferenceCache(
+            CONTIGUOUS_SETS, ddo_enabled=ddo, insert_on_write_miss=insert
+        ),
+        id=f"direct_mapped-ddo{int(ddo)}-insert{int(insert)}",
+    )
+    for ddo in (False, True)
+    for insert in (False, True)
+] + [
+    pytest.param(
+        lambda: SetAssociativeCache(CONTIGUOUS_SETS * 2 * 64, ways=2),
+        lambda: ScalarLRUCache(CONTIGUOUS_SETS, 2),
+        id="set_assoc",
+    ),
+    pytest.param(
+        lambda: MissPredictorCache(CONTIGUOUS_SETS * 64, accuracy=0.5, seed=5),
+        lambda: ScalarMissPredictor(CONTIGUOUS_SETS, accuracy=0.5, seed=5),
+        id="predictor",
+    ),
+    pytest.param(
+        lambda: BypassCache(CONTIGUOUS_SETS * 64, insert_probability=0.5, seed=5),
+        lambda: ScalarBypass(CONTIGUOUS_SETS, insert_probability=0.5, seed=5),
+        id="bypass",
+    ),
+    pytest.param(
+        lambda: NextLinePrefetchCache(CONTIGUOUS_SETS * 64),
+        lambda: ScalarNextLinePrefetch(CONTIGUOUS_SETS),
+        id="prefetch",
+    ),
+]
+
+
+def full_state(cache):
+    """Every set's state: its LRU stack for a set-associative cache, else
+    its (tag, dirty, known-resident), with ``-1`` for an empty set."""
+    if isinstance(cache, SetAssociativeCache):
+        return lru_sets(cache)
+    return list(zip(
+        cache._tags.tolist(), cache._dirty.tolist(), cache._known_resident.tolist()
+    ))
+
+
+def oracle_state(oracle):
+    if isinstance(oracle, ScalarLRUCache):
+        return [
+            [astuple(entry) for entry in oracle.bucket(index)]
+            for index in range(oracle.num_sets)
+        ]
+    empty = (-1, False, False)
+    return [
+        astuple(oracle._sets[index]) if index in oracle._sets else empty
+        for index in range(oracle.num_sets)
+    ]
+
+
+#: A read-then-write over one frozen run of consecutive lines (the RFO
+#: and write-back of an unsampled tensor), or a random batch.
+contiguous_step = st.tuples(
+    st.just("rmw"),
+    st.integers(0, CONTIGUOUS_SPAN - 1),
+    st.integers(1, CONTIGUOUS_SETS),
+)
+random_step = st.tuples(
+    st.sampled_from(["read", "write"]),
+    st.lists(st.integers(0, CONTIGUOUS_SPAN - 1), max_size=12),
+)
+
+
+@pytest.mark.parametrize("make_cache,make_oracle", CONTIGUOUS_MODELS)
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.one_of(contiguous_step, random_step), min_size=1, max_size=8))
+def test_contiguous_batches_match_the_oracle(make_cache, make_oracle, steps):
+    """Every model whose sets are ``lines % num_sets``, fed runs of
+    consecutive lines from random starts (some wrapping past the last
+    set, which the slice path must leave to the array path) with random
+    batches mixed in, matches its oracle in traffic, tag stats and full
+    state after every batch.  The write pass reuses the read pass's
+    grouping, as an RFO and write-back do."""
+    cache, oracle = make_cache(), make_oracle()
+    for step in steps:
+        if step[0] == "rmw":
+            _, start, n = step
+            lines = np.arange(start, start + n, dtype=np.int64)
+            lines.flags.writeable = False
+            passes = [("read", lines), ("write", lines)]
+        else:
+            passes = [(step[0], np.array(step[1], dtype=np.int64))]
+        for kind, lines in passes:
+            got = getattr(cache, f"llc_{kind}")(lines)
+            want = getattr(oracle, f"llc_{kind}")(lines)
+            context = f"{kind} {lines.tolist()}"
+            assert got == want, f"counters diverged ({context}): {got} vs {want}"
+            assert full_state(cache) == oracle_state(oracle), f"state diverged ({context})"
+        if step[0] == "rmw":
+            seg = cache._segmenter._last[1]
+            assert isinstance(seg.index, slice) == (start % CONTIGUOUS_SETS + n <= CONTIGUOUS_SETS)

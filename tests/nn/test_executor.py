@@ -107,7 +107,7 @@ class TestComputeTime:
         b = GraphBuilder("t", batch=1)
         x = b.input(1, 8, 8)
         y = b.concat([x])
-        assert compute_time(y.producer, 1e12) == 0.0
+        assert compute_time(y.producer, 1e12) == 0.0  # repro-lint: disable=UNIT001 (FLOP/s)
 
     def test_compute_bound_kinds_more_efficient(self):
         b = GraphBuilder("t", batch=1, weight_scale=1)
@@ -116,7 +116,9 @@ class TestComputeTime:
         bn_out = b.batch_norm(conv_out)
         conv, bn = conv_out.producer, bn_out.producer
         # Same flops would take longer on a memory-bound kernel.
-        assert compute_time(conv, 1e12) / conv.flops < compute_time(bn, 1e12) / bn.flops
+        conv_time = compute_time(conv, 1e12)  # repro-lint: disable=UNIT001 (FLOP/s, not bytes)
+        bn_time = compute_time(bn, 1e12)  # repro-lint: disable=UNIT001 (FLOP/s, not bytes)
+        assert conv_time / conv.flops < bn_time / bn.flops
 
 
 class TestTensorAddresser:

@@ -6,8 +6,10 @@ sort or timsort, as the input picks) against ``np.argsort(kind=
 "stable")``, the round decomposition against the legacy per-round
 ``np.unique`` loop it replaced, and the value-run folding of
 ``rounds(values)`` against brute-force per-key runs.  The duplicate
-probe's two proofs (order, and scatter/gather) are property-tested with
-Hypothesis over key spaces on both sides of its scratch allowance.
+probe's three proofs (order, rotation, and scatter/gather) are
+property-tested with Hypothesis over key spaces on both sides of its
+scratch allowance, and a contiguous ``range`` of keys is checked to
+group by slice without a probe call or a per-line key array.
 """
 
 import numpy as np
@@ -334,7 +336,8 @@ def test_proven_batches_group_as_the_identity(case, ascending):
 
 def test_probe_declines_unordered_batches_over_a_large_key_space(grouping_sorts):
     """The control: distinct but unordered keys over a key space above
-    64 slots per key are declined, allocate nothing, and sort."""
+    64 slots per key, with two descents so that neither order proof
+    applies, are declined, allocate nothing, and sort."""
     keys = np.array([5, 3, 9, 1], dtype=np.int64)
     probe = DuplicateProbe(keys.size * SLOTS + 1)
     assert not probe.collision_free(keys)
@@ -352,3 +355,74 @@ def test_distinct_grouping_is_built_on_first_access():
     np.testing.assert_array_equal(seg.first_pos, np.arange(3))
     np.testing.assert_array_equal(seg.first & seg.last, np.ones(3, dtype=bool))
     np.testing.assert_array_equal(seg.leaders, keys)  # batch order, not ascending
+
+
+# ---------------------------------------------------------------------------
+# The rotation proof, and contiguous ranges
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rotated_cases(draw, distinct):
+    """``(keys, space)``: a rotation of ascending keys over a key space
+    above the scratch allowance, where only the order proofs apply.  With
+    ``distinct`` the ascent is strict; otherwise one key repeats, either
+    inside the ascent or across the two runs of a rotation whose ranges
+    overlap."""
+    n = draw(st.integers(2, 48))
+    space = draw(st.integers(n * SLOTS + 1, n * SLOTS * 64))
+    keys = sorted(draw(st.sets(st.integers(0, space - 1), min_size=n, max_size=n)))
+    if not distinct:
+        if draw(st.booleans()):
+            keys[draw(st.integers(1, n - 1))] = keys[0]  # non-strict ascent
+            keys.sort()
+        else:  # two ascending runs sharing a key
+            cut = draw(st.integers(1, n - 1))
+            head, tail = keys[:cut], keys[cut:]
+            tail[draw(st.integers(0, len(tail) - 1))] = head[draw(st.integers(0, cut - 1))]
+            return np.array(head + sorted(tail), dtype=np.int64), space
+    shift = draw(st.integers(0, n - 1))
+    return np.array(keys[shift:] + keys[:shift], dtype=np.int64), space
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_cases(distinct=False))
+def test_probe_never_proves_a_rotated_batch_with_a_duplicate(case):
+    keys, space = case
+    assert not DuplicateProbe(space).collision_free(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_cases(distinct=True))
+def test_probe_proves_every_rotation_of_increasing_keys_without_scratch(case):
+    """A sampled tensor whose set range wraps past the last set descends
+    once; over a key space too big for scratch, the rotation proof is
+    what keeps it from sorting."""
+    keys, space = case
+    probe = DuplicateProbe(space)
+    assert probe.collision_free(keys)
+    assert probe._scratch is None
+
+
+@pytest.mark.parametrize("start,n", [(0, 1), (5, 3), (0, 16), (1000, 2400)])
+def test_contiguous_range_groups_by_slice(grouping_sorts, start, n):
+    """A ``range`` is the identity grouping indexed by slice: no probe
+    call and no sort, and the per-line keys are built only on first
+    read, equal to the array the range stands for."""
+
+    class NoProbe(DuplicateProbe):
+        def collision_free(self, keys):
+            raise AssertionError("a range needs no probe")
+
+    seg = segment(range(start, start + n), NoProbe(start + n))
+    assert seg.collision_free and seg.index == slice(start, start + n)
+    assert seg.num_segments == n and seg.max_multiplicity == 1
+    assert seg._keys is None and sum(grouping_sorts.values()) == 0
+    expected = np.arange(start, start + n, dtype=np.int64)
+    np.testing.assert_array_equal(seg.keys, expected)
+    assert seg.keys.dtype == np.int64 and seg.keys is seg.sorted_keys
+    np.testing.assert_array_equal(seg.leaders, expected)
+    np.testing.assert_array_equal(seg.order, np.arange(n))
+    np.testing.assert_array_equal(seg.lengths, np.ones(n, dtype=np.int64))
+    state = np.arange(2 * (start + n))
+    np.testing.assert_array_equal(state[seg.index], state[expected])
