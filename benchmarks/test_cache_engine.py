@@ -36,6 +36,11 @@ host-speed probe:
   wrapping past the last set.  Each batch's sets are one range, so the
   segmenter skips the set-index pass and the probe, and the closed
   forms index state by slice.  Trajectory only.
+* ``btree_window`` (direct-mapped only) — kv_replay's B-tree shape: the
+  read pass of the first 262,144-line window of kvtrace's full B-tree
+  trace at seed 7, on that trace's replay cache (66,560 sets).  Its set
+  indices descend about n/160 times, between n/256 and n/64, so the
+  grouping takes the packed sort, not timsort.  Trajectory only.
 * ``trace_zipfian`` (set-associative only) — a real YCSB-style trace
   from :mod:`repro.traces` expanded to line addresses.  A hot key
   re-touches its whole multi-line object, so one set sees the same line
@@ -63,6 +68,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.cache import DirectMappedCache, SectorCache, SetAssociativeCache
+from repro.experiments.kvtrace import TRACE_SPECS
+from repro.traces import generate
+from repro.traces.format import OP_APPEND
+from repro.traces.replay import (
+    _cache_capacity,
+    _expand_lines,
+    identity_placement,
+    platform_for,
+)
 
 REPEATS = 5
 BENCH_PATH = Path("BENCH_cache.json")
@@ -220,19 +234,24 @@ def _trace_zipfian_batch():
     recur whole, so a hot set sees the same line over and over — the
     request shape ``repro.traces`` replays.
     """
-    from repro.traces import generate
-    from repro.traces.replay import identity_placement
-
     trace = generate(
         "ycsb", num_ops=6_000, key_space=8_192, read_fraction=0.5,
         skew=1.1, seed=0xCA5E,
     )
-    keys = np.asarray(trace.keys)
-    sizes = np.asarray(trace.sizes)
-    bases = identity_placement(trace)[keys]
-    starts = np.cumsum(sizes) - sizes
-    offsets = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(starts, sizes)
-    return _freeze(np.repeat(bases, sizes) + offsets)
+    return _expand_lines(trace.keys, trace.sizes, identity_placement(trace))
+
+
+def _btree_window():
+    """kv_replay's first B-tree read window and its cache's set count."""
+    trace = generate("btree", seed=7, **TRACE_SPECS["btree"]["full"])
+    ops, keys, sizes = next(trace.batches())
+    fetch = ops != OP_APPEND
+    lines = _expand_lines(keys[fetch], sizes[fetch], identity_placement(trace))
+    num_sets = _cache_capacity(platform_for(trace)) // 64
+    sets = lines % num_sets
+    descents = np.count_nonzero(sets[1:] < sets[:-1])
+    assert lines.size / 256 < descents <= lines.size / 64
+    return lines, num_sets
 
 
 def _time(make_cache, batches):
@@ -281,6 +300,14 @@ def test_closed_form_engine_cost_contract():
             "per_line_s": seconds / sum(batch.size for batch in batches),
         }
 
+    window, btree_sets = _btree_window()
+    seconds = _time(lambda: DirectMappedCache(btree_sets * 64), [window])
+    results["direct_mapped/btree_window"] = {
+        "batch_lines": int(window.size),
+        "closed_form_s": seconds,
+        "per_line_s": seconds / window.size,
+    }
+
     results["metadata"] = {
         "models": {
             "direct_mapped": {"num_sets": DM_SETS},
@@ -291,6 +318,7 @@ def test_closed_form_engine_cost_contract():
                 "stride": SMALL_ORDERED_STRIDE,
             },
             "direct_mapped/contiguous": {"num_sets": CNN_SETS},
+            "direct_mapped/btree_window": {"num_sets": btree_sets},
         },
         "repeats": REPEATS,
         "timer": "perf_counter, best-of-N, read pass + write pass",

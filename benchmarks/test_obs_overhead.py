@@ -25,7 +25,8 @@ from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, FlatBackend
 from repro.perf.counters import Pattern
 
-NUM_LINES = 1 << 20  # 64 MiB buffer: enough batches to be representative
+#: A 64 MiB buffer: enough batches to be representative.
+NUM_LINES = 1 << 20  # repro-lint: disable=UNIT001 (a line count, not bytes)
 
 
 def _fig2_kernel_path():

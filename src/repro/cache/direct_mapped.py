@@ -194,7 +194,7 @@ class DirectMappedCache:
         lines = as_lines(lines)
         sets = lines % self.num_sets
         seg = self._segmenter.segment(lines, sets)
-        winners = seg.order[seg.last]  # each set's last occurrence, batch order
+        winners = seg.order[seg.last_pos]  # each set's last occurrence, batch order
         self._tags[sets[winners]] = lines[winners]
         self._dirty[sets[winners]] = dirty
         self._known_resident[sets[winners]] = known_resident

@@ -107,7 +107,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.perf.segments import DuplicateProbe, SegmentedBatch, segment
+from repro.perf.segments import DuplicateProbe, SegmentedBatch, positions, segment
 
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
@@ -219,6 +219,23 @@ class WriteCounts(NamedTuple):
     dirty_misses: int
 
 
+def _differs_from_previous(
+    grouped: np.ndarray, seg: SegmentedBatch, resident: np.ndarray
+) -> np.ndarray:
+    """Per sorted position: whether ``grouped`` differs from the previous
+    occurrence of its key, or, for a segment's first occurrence, from
+    that segment's ``resident`` value.
+
+    One comparison of each element with its predecessor into a fresh
+    mask, then each segment start is set by index: no shifted copy.
+    """
+    differs = np.empty(grouped.size, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=differs[1:])
+    first_pos = seg.first_pos
+    differs[first_pos] = grouped[first_pos] != resident
+    return differs
+
+
 def read_batch(
     lines: np.ndarray,
     seg: SegmentedBatch,
@@ -256,11 +273,9 @@ def read_batch(
 
     grouped_lines = lines[seg.order]
     lead_sets = seg.leaders
-    # Previous occurrence's line; the pre-batch resident tag for firsts.
-    prev = np.empty_like(grouped_lines)
-    prev[1:] = grouped_lines[:-1]
-    prev[seg.first] = tags[lead_sets]
-    miss = grouped_lines != prev
+    # Compared with the previous occurrence's line; firsts with the
+    # pre-batch resident tag.
+    miss = _differs_from_previous(grouped_lines, seg, tags[lead_sets])
     n_miss = int(np.count_nonzero(miss))
     # Reads install clean, so only a segment's first miss can see
     # pre-batch dirty state: the dirty misses are the segments on a
@@ -268,7 +283,7 @@ def read_batch(
     seg_missed = seg.first_true(miss) < n
     n_dirty = int(np.count_nonzero(seg_missed & dirty[lead_sets]))
 
-    tags[lead_sets] = grouped_lines[seg.last]
+    tags[lead_sets] = grouped_lines[seg.last_pos]
     dirty[lead_sets] &= ~seg_missed
     known_resident[lead_sets] = True
     if want_misses:
@@ -356,10 +371,7 @@ def _write_insert(
     n = int(lines.size)
     grouped_lines = lines[seg.order]
     lead_sets = seg.leaders
-    prev = np.empty_like(grouped_lines)
-    prev[1:] = grouped_lines[:-1]
-    prev[seg.first] = tags[lead_sets]
-    mismatch = grouped_lines != prev
+    mismatch = _differs_from_previous(grouped_lines, seg, tags[lead_sets])
     n_miss = int(np.count_nonzero(mismatch))
     first_miss = seg.first_true(mismatch)
     n_ddo = 0
@@ -373,7 +385,7 @@ def _write_insert(
     opens_clean = (first_miss == seg.first_pos) & ~dirty[lead_sets]
     n_dirty = n_miss - int(np.count_nonzero(opens_clean))
 
-    tags[lead_sets] = grouped_lines[seg.last]
+    tags[lead_sets] = grouped_lines[seg.last_pos]
     dirty[lead_sets] = True
     known_resident[lead_sets] &= first_miss == n
     return WriteCounts(n, n_ddo, n - n_miss - n_ddo, n_miss, n_dirty)
@@ -391,7 +403,7 @@ def _write_around(
     n = int(lines.size)
     grouped_lines = lines[seg.order]
     grouped_sets = seg.sorted_keys
-    lead_sets = grouped_sets[seg.first]
+    lead_sets = seg.leaders
     # A write-around miss leaves the set untouched, so every occurrence
     # compares against the pre-batch resident tag.
     match = grouped_lines == tags[grouped_sets]
@@ -464,7 +476,8 @@ def _run_partition(
     Returns ``(run_id, run_starts)``: runs are contiguous in the grouped
     view, one per segment-first or reset position.
     """
-    run_start = seg.first | reset
+    run_start = reset.copy()
+    run_start[seg.first_pos] = True
     run_id = np.cumsum(run_start) - 1
     return run_id, np.flatnonzero(run_start)
 
@@ -502,29 +515,25 @@ def sector_read_batch(
     gs = sectors[g]
     go = offsets[g].astype(np.uint64)
     gw = windows[g]
-    gsets = seg.sorted_keys
-    lead_sets = gsets[seg.first]
+    lead_sets = seg.leaders
 
-    prev = np.empty_like(gs)
-    prev[1:] = gs[:-1]
-    prev[seg.first] = tags[lead_sets]
-    tag_match = gs == prev
-    sector_miss = ~tag_match
+    sector_miss = _differs_from_previous(gs, seg, tags[lead_sets])
+    tag_match = ~sector_miss
 
     run_id, run_starts = _run_partition(seg, sector_miss)
     # A run opened by the segment's first access *matching* the resident
     # sector starts from the pre-batch valid bitmap; every other run
     # starts empty (a sector miss just reset it).
     coverage = np.zeros(run_starts.size, dtype=np.uint64)
-    inherit = np.flatnonzero(seg.first & tag_match)
-    coverage[run_id[inherit]] = valid[gsets[inherit]]
+    inherits = tag_match[seg.first_pos]
+    coverage[run_id[seg.first_pos[inherits]]] = valid[lead_sets[inherits]]
 
     # Monotone fill resolution: a covered demand bit stays covered (runs
     # only accumulate), so covered accesses resolve as hits immediately;
     # the first unresolved access of each run is then a definite fill.
     fill = np.zeros(n, dtype=bool)
     fetched = 0
-    todo = np.arange(n, dtype=np.int64)
+    todo = positions(n)
     while todo.size:
         covered = (coverage[run_id[todo]] >> go[todo]) & _ONE != _ZERO
         todo = todo[~covered]
@@ -552,8 +561,9 @@ def sector_read_batch(
     n_dirty_miss = int(np.count_nonzero(evict_source))
     evicted = int(popcount(evict_source).sum())
 
-    tags[lead_sets] = gs[seg.last]
-    valid[lead_sets] = coverage[run_id[seg.last]]
+    last_pos = seg.last_pos
+    tags[lead_sets] = gs[last_pos]
+    valid[lead_sets] = coverage[run_id[last_pos]]
     dirty[lead_sets] = np.where(seg_missed, _ZERO, dirty[lead_sets])
     return SectorReadCounts(
         n, n_hits, n_line_miss, n_sector_miss, n_dirty_miss, fetched, evicted
@@ -645,37 +655,38 @@ def sector_write_batch(
     g = seg.order
     gs = sectors[g]
     gb = bits[g]
-    gsets = seg.sorted_keys
-    lead_sets = gsets[seg.first]
+    lead_sets = seg.leaders
 
-    prev = np.empty_like(gs)
-    prev[1:] = gs[:-1]
-    prev[seg.first] = tags[lead_sets]
-    tag_match = gs == prev
-    miss = ~tag_match
+    miss = _differs_from_previous(gs, seg, tags[lead_sets])
+    tag_match = ~miss
 
     run_id, run_starts = _run_partition(seg, miss)
     run_or = np.bitwise_or.reduceat(gb, run_starts)
+    # Each segment's first run inherits the pre-batch bitmaps when its
+    # opening write matches the resident sector; every other run starts
+    # empty (a sector miss just reset it).
+    seg_runs = run_id[seg.first_pos]
+    inherits = tag_match[seg.first_pos]
     run_init_valid = np.zeros(run_starts.size, dtype=np.uint64)
     run_init_dirty = np.zeros(run_starts.size, dtype=np.uint64)
-    inherit = np.flatnonzero(seg.first & tag_match)
-    run_init_valid[run_id[inherit]] = valid[gsets[inherit]]
-    run_init_dirty[run_id[inherit]] = dirty[gsets[inherit]]
+    run_init_valid[seg_runs[inherits]] = valid[lead_sets[inherits]]
+    run_init_dirty[seg_runs[inherits]] = dirty[lead_sets[inherits]]
 
     # The bitmap evicted by a miss: pre-batch state for a segment-opening
-    # miss, otherwise the end state of the run the miss terminates.
-    miss_pos = np.flatnonzero(miss)
-    opens_segment = seg.first[miss_pos]
-    evict_source = np.empty(miss_pos.size, dtype=np.uint64)
-    evict_source[opens_segment] = dirty[gsets[miss_pos[opens_segment]]]
-    closers = miss_pos[~opens_segment]
-    prev_run = run_id[closers] - 1
-    evict_source[~opens_segment] = run_init_dirty[prev_run] | run_or[prev_run]
+    # miss; any other miss opens a run of its own and evicts the end
+    # state of the run before it.
+    later_run = np.ones(run_starts.size, dtype=bool)
+    later_run[seg_runs] = False
+    prev_run = np.flatnonzero(later_run) - 1
+    evict_source = np.concatenate(
+        (dirty[lead_sets[~inherits]], run_init_dirty[prev_run] | run_or[prev_run])
+    )
     n_dirty_miss = int((evict_source != _ZERO).sum())
     evicted = int(popcount(evict_source).sum())
 
-    last_run = run_id[seg.last]
-    tags[lead_sets] = gs[seg.last]
+    last_pos = seg.last_pos
+    last_run = run_id[last_pos]
+    tags[lead_sets] = gs[last_pos]
     valid[lead_sets] = run_init_valid[last_run] | run_or[last_run]
     dirty[lead_sets] = run_init_dirty[last_run] | run_or[last_run]
     return SectorWriteCounts(
@@ -698,7 +709,7 @@ def _lru_lookup(
     of the hit way or, on a miss, of the LRU victim."""
     matches = np.take(tags, sub_sets, axis=0) == sub_lines[:, None]
     way = matches.argmax(axis=1)
-    hit = matches[np.arange(way.size), way]
+    hit = matches[positions(way.size), way]
     miss = ~hit
     way[miss] = np.take(stamp, sub_sets[miss], axis=0).argmin(axis=1)
     return hit, sub_sets * tags.shape[1] + way
@@ -859,9 +870,9 @@ def bypass_read_batch(
     gl = lines[g]
     gd = insert_draw[g]
     gsets = seg.sorted_keys
-    lead_sets = gsets[seg.first]
+    lead_sets = seg.leaders
     lengths = seg.lengths
-    pos = np.arange(n, dtype=np.int64)
+    pos = positions(n)
 
     # Inclusive "last draw-selected position so far" via a running max;
     # positions from earlier segments fall below the segment start.
@@ -884,7 +895,7 @@ def bypass_read_batch(
     dirty_tagged = int(np.count_nonzero(miss & (pos <= tagged_until)))
     dirty_evict = int(np.count_nonzero(seg_alloc & lead_dirty))
 
-    final_drawn = last_drawn[seg.last]
+    final_drawn = last_drawn[seg.last_pos]
     # A segment's final tag is its last selected line; the gather is safe
     # because seg_alloc implies at least one selected position (a
     # selected hit re-installs its own value, which is a no-op).
@@ -937,18 +948,14 @@ def prefetch_fill_batch(
         known_resident[inst_sets] = True
         return PrefetchCounts(int(install.sum()), int(dirty_evict.sum()))
 
-    g = seg.order
-    gc = candidates[g]
+    gc = candidates[seg.order]
     lead_sets = seg.leaders
-    prev = np.empty_like(gc)
-    prev[1:] = gc[:-1]
-    prev[seg.first] = tags[lead_sets]
-    install = gc != prev
+    install = _differs_from_previous(gc, seg, tags[lead_sets])
     # Only a segment's first install can evict pre-batch dirty state.
     seg_installed = seg.first_true(install) < n
     dirty_evict = int(np.count_nonzero(seg_installed & dirty[lead_sets]))
 
-    tags[lead_sets] = gc[seg.last]
+    tags[lead_sets] = gc[seg.last_pos]
     dirty[lead_sets] &= ~seg_installed
     known_resident[lead_sets] |= seg_installed
     return PrefetchCounts(int(np.count_nonzero(install)), dirty_evict)
@@ -990,14 +997,15 @@ def sector_prime_batch(
     g = seg.order
     gs = sectors[g]
     gb = bits[g]
-    prev = np.empty_like(gs)
-    prev[1:] = gs[:-1]
-    prev[seg.first] = gs[seg.first]  # priming never inherits resident state
-    run_id, run_starts = _run_partition(seg, gs != prev)
+    # Priming never inherits resident state: a segment's first line
+    # starts a run without counting as a sector change.
+    changed = _differs_from_previous(gs, seg, gs[seg.first_pos])
+    run_id, run_starts = _run_partition(seg, changed)
     run_or = np.bitwise_or.reduceat(gb, run_starts)
-    lead_sets = seg.sorted_keys[seg.first]
-    final = run_or[run_id[seg.last]]
-    tags[lead_sets] = gs[seg.last]
+    lead_sets = seg.leaders
+    last_pos = seg.last_pos
+    final = run_or[run_id[last_pos]]
+    tags[lead_sets] = gs[last_pos]
     valid[lead_sets] = final
     dirty[lead_sets] = final if mark_dirty else _ZERO
 

@@ -8,8 +8,10 @@ grouping sort yields everything the batched cache engines need:
 * ``order`` — batch positions regrouped key-major, original order kept
   within each key (so ``values[order]`` walks each set's accesses in
   program order), and ``sorted_keys``, the keys in that order;
-* ``first`` / ``last`` — occurrence masks over the grouped view, with
-  each segment's start (``first_pos``) and length (``lengths``);
+* each segment's start and end in the grouped view (``first_pos``,
+  ``last_pos``) and its length (``lengths``), so a per-segment value —
+  the segment's key (``leaders``), its last element — is one gather at
+  those positions, with no pass over the batch;
 * first events (:meth:`SegmentedBatch.first_true`): each segment's first
   position where a mask holds — the one scan the closed-form
   duplicate-resolution recurrences in :mod:`repro.cache.engine` need,
@@ -27,7 +29,17 @@ stable argsort orders the keys, and the high and low bits are then
 ``sorted_keys`` and ``order``, with no index indirection and no gather.
 A nearly sorted batch (at most ``n / PRESORTED_DESCENTS`` descents, as
 append-heavy windows are) keeps the stable argsort instead: timsort is
-linear on long ascending runs, which the packed sort is not.
+linear on long ascending runs, which the packed sort is not.  The
+cut-off is n/256: kvtrace's log-append windows (at most 0.0026 n
+descents) fall below it and its B-tree windows (0.0062-0.0079 n) above
+it, and on a B-tree window the packed sort takes about 35 % less time
+than timsort.
+
+Every read-only ``arange(n)`` the grouping and the closed forms need —
+the packed sort's low bits, :meth:`SegmentedBatch.first_true`'s
+positions, the identity grouping's ``order`` — is a view from
+:func:`positions`, one shared array bounded by
+:data:`repro.config.BATCH_LINES`, so no call allocates its own.
 
 The legacy decomposition re-ran ``np.unique`` — itself a stable argsort —
 once *per collision round*, so a batch where every line maps to one set
@@ -63,6 +75,8 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.config import BATCH_LINES
+
 
 class Round(NamedTuple):
     """One round of :meth:`SegmentedBatch.rounds`: a run head per key."""
@@ -77,8 +91,30 @@ class Round(NamedTuple):
 
 #: Presortedness cut-off of the grouping sort: a batch with at most
 #: ``n / PRESORTED_DESCENTS`` descents (``keys[i + 1] < keys[i]``) is
-#: grouped by timsort, which is linear on long ascending runs.
-PRESORTED_DESCENTS = 64
+#: grouped by timsort, which is linear on long ascending runs.  kvtrace's
+#: log-append windows (at most 0.0026 n descents) stay below it; its
+#: B-tree windows (0.0062-0.0079 n) and YCSB windows (0.042 n) sort
+#: packed, which took seed 7's 20 direct-mapped B-tree windows from 76 ms
+#: (timsort) to 49 ms.
+PRESORTED_DESCENTS = 256
+
+_POSITIONS = np.arange(BATCH_LINES, dtype=np.int64)
+_POSITIONS.flags.writeable = False
+
+
+def positions(n: int) -> np.ndarray:
+    """``np.arange(n, dtype=np.int64)``, read-only.
+
+    Up to :data:`repro.config.BATCH_LINES` it is a view of one shared
+    array, so a caller that only reads its positions allocates nothing;
+    a larger request gets a fresh array and leaves the shared one as it
+    is.
+    """
+    if n <= _POSITIONS.size:
+        return _POSITIONS[:n]
+    fresh = np.arange(n, dtype=np.int64)
+    fresh.flags.writeable = False
+    return fresh
 
 
 def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,7 +130,7 @@ def _packed_sort(keys: np.ndarray, shift: int) -> Tuple[np.ndarray, np.ndarray]:
     unique, so any sort leaves them in the stable argsort's order.
     """
     packed = np.left_shift(keys, shift, dtype=np.int64)
-    packed |= np.arange(keys.size, dtype=np.int64)
+    packed |= positions(keys.size)
     packed.sort()
     order = packed & ((1 << shift) - 1)
     packed >>= shift
@@ -125,8 +161,10 @@ class SegmentedBatch:
     key-major grouped view); ``order`` maps sorted positions back to the
     original batch positions.  Segments appear in ascending key order,
     and within a segment sorted positions preserve original batch order.
-    Per-segment arrays (``first_pos``, ``lengths``, ``leaders`` and the
-    result of :meth:`first_true`) are aligned with one another.
+    Per-segment arrays (``first_pos``, ``last_pos``, ``lengths``,
+    ``leaders`` and the result of :meth:`first_true`) are aligned with
+    one another, and a per-segment value is a gather at ``first_pos``
+    or ``last_pos``.
 
     The one exception is :meth:`distinct`, the identity grouping of a
     batch proven collision-free: its segments appear in batch order, and
@@ -145,9 +183,8 @@ class SegmentedBatch:
         "_keys",
         "_sorted_keys",
         "_order",
-        "_first",
-        "_last",
         "_first_pos",
+        "_last_pos",
         "_lengths",
     )
 
@@ -158,16 +195,13 @@ class SegmentedBatch:
         self.index = self._keys = keys
         self._size = n
         self._order, self._sorted_keys = _group(keys, bound)
+        opens = np.empty(n, dtype=bool)
         if n:
-            boundary = self._sorted_keys[1:] != self._sorted_keys[:-1]
-            self._first = np.concatenate(([True], boundary))
-            self._last = np.concatenate((boundary, [True]))
-        else:
-            self._first = np.zeros(0, dtype=bool)
-            self._last = np.zeros(0, dtype=bool)
-        self._first_pos = np.flatnonzero(self._first)
+            opens[0] = True
+            np.not_equal(self._sorted_keys[1:], self._sorted_keys[:-1], out=opens[1:])
+        self._first_pos = np.flatnonzero(opens)
         self.collision_free = bool(self._first_pos.size == n)
-        self._lengths: Optional[np.ndarray] = None
+        self._last_pos = self._lengths = None
 
     @classmethod
     def distinct(cls, keys: Union[np.ndarray, range]) -> "SegmentedBatch":
@@ -177,10 +211,11 @@ class SegmentedBatch:
         the identity permutation is a valid grouping (segments appear in
         batch order rather than ascending key order, which no consumer of
         a collision-free batch depends on).  Allocates nothing: the
-        collision-free closed forms read only ``index``, so ``order``,
-        ``first``, ``last`` and ``first_pos`` are built on first access,
-        and so are ``keys`` and ``sorted_keys`` when ``keys`` is a
-        ``range``, whose ``index`` is the equivalent ``slice``.  Callers
+        collision-free closed forms read only ``index``, so ``order`` and
+        ``first_pos`` (views of :func:`positions`) are taken on first
+        access, and ``keys`` and ``sorted_keys`` are built on first
+        access when ``keys`` is a ``range``, whose ``index`` is the
+        equivalent ``slice``.  Callers
         must have established distinctness, e.g. via
         :class:`DuplicateProbe`; a ``range`` is distinct by construction.
         """
@@ -193,14 +228,9 @@ class SegmentedBatch:
             self.index = self._keys = keys
             self._size = keys.size
         self.collision_free = True
-        self._sorted_keys = self._order = self._first = self._last = None
-        self._first_pos = self._lengths = None
+        self._sorted_keys = self._order = None
+        self._first_pos = self._last_pos = self._lengths = None
         return self
-
-    def _build_identity(self) -> None:
-        n = self._size
-        self._order = self._first_pos = np.arange(n, dtype=np.int64)
-        self._first = self._last = np.ones(n, dtype=bool)
 
     # -- keys (a contiguous range builds them on first use) -----------------
 
@@ -224,29 +254,27 @@ class SegmentedBatch:
     def order(self) -> np.ndarray:
         """Batch position of each sorted position."""
         if self._order is None:
-            self._build_identity()
+            self._order = positions(self._size)  # the identity grouping
         return self._order
-
-    @property
-    def first(self) -> np.ndarray:
-        """Sorted positions that open a segment."""
-        if self._first is None:
-            self._build_identity()
-        return self._first
-
-    @property
-    def last(self) -> np.ndarray:
-        """Sorted positions that close a segment."""
-        if self._last is None:
-            self._build_identity()
-        return self._last
 
     @property
     def first_pos(self) -> np.ndarray:
         """Sorted position of each segment's start."""
         if self._first_pos is None:
-            self._build_identity()
+            self._first_pos = positions(self._size)  # the identity grouping
         return self._first_pos
+
+    @property
+    def last_pos(self) -> np.ndarray:
+        """Sorted position of each segment's end."""
+        if self._last_pos is None:
+            first_pos = self.first_pos
+            last_pos = np.empty_like(first_pos)
+            last_pos[:-1] = first_pos[1:]
+            last_pos[-1:] = self._size
+            last_pos -= 1
+            self._last_pos = last_pos
+        return self._last_pos
 
     # -- derived views (computed on first use) -----------------------------
 
@@ -273,7 +301,7 @@ class SegmentedBatch:
     def leaders(self) -> np.ndarray:
         """Each segment's key: ascending for a sorted grouping, in batch
         order for the identity grouping (:meth:`distinct`)."""
-        return self.sorted_keys[self.first]
+        return self.sorted_keys[self.first_pos]
 
     # -- segmented scan ----------------------------------------------------
 
@@ -288,7 +316,7 @@ class SegmentedBatch:
         n = mask.size
         if not n:
             return np.zeros(0, dtype=np.int64)
-        return np.minimum.reduceat(np.where(mask, np.arange(n), n), self.first_pos)
+        return np.minimum.reduceat(np.where(mask, positions(n), n), self.first_pos)
 
     # -- round decomposition (for models without a closed form) ------------
 
@@ -311,16 +339,17 @@ class SegmentedBatch:
             return
         # Run heads as sorted positions: segment starts and value changes.
         grouped = values[self.order]
-        run_start = self.first.copy()
-        run_start[1:] |= grouped[1:] != grouped[:-1]
+        seg_start = self.first_pos
+        run_start = np.empty(n, dtype=bool)
+        np.not_equal(grouped[1:], grouped[:-1], out=run_start[1:])
+        run_start[seg_start] = True
         heads = np.flatnonzero(run_start)
         ends = np.empty_like(heads)  # one past each run's last sorted position
         ends[:-1] = heads[1:]
         ends[-1] = n
         # Walk every key's runs in step, dropping keys whose runs are spent.
-        run = np.flatnonzero(self.first[heads])  # each key's first run
+        run = np.searchsorted(heads, seg_start)  # each key's first run
         runs_left = np.diff(run, append=heads.size)
-        seg_start = self.first_pos
         while run.size:
             head, end = heads[run], ends[run]
             yield Round(self.order[head], end - 1 - seg_start, end - head)
@@ -401,9 +430,9 @@ class DuplicateProbe:
                     and np.count_nonzero(keys[1:] <= keys[:-1]) == 1
                 )
             scratch = self._scratch = np.empty(self.space, dtype=np.int64)
-        positions = np.arange(n, dtype=np.int64)
-        scratch[keys] = positions
-        return bool(np.array_equal(scratch[keys], positions))
+        batch_positions = positions(n)
+        scratch[keys] = batch_positions
+        return bool(np.array_equal(scratch[keys], batch_positions))
 
 
 def segment(

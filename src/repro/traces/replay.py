@@ -57,6 +57,7 @@ from repro.errors import ConfigurationError
 from repro.memsys.backends import CachedBackend, FlatBackend
 from repro.memsys.topology import AddressMap, Region
 from repro.perf.counters import AccessContext, AccessKind, Pattern
+from repro.perf.segments import positions
 from repro.traces.format import OP_APPEND, OP_GET, Trace
 from repro.units import CACHE_LINE, KiB, to_gb_per_s
 
@@ -191,12 +192,15 @@ def _flat_address_map(trace: Trace, platform: PlatformConfig) -> AddressMap:
 def _expand_lines(
     keys: np.ndarray, sizes: np.ndarray, key_base: np.ndarray
 ) -> np.ndarray:
-    """Per-op (key, size) rows → one frozen line address per cache line."""
-    bases = key_base[keys]
-    total = int(sizes.sum())
+    """Per-op (key, size) rows → one frozen line address per cache line.
+
+    The op starting at window position ``start`` puts line ``base + j``
+    at position ``start + j``, so each line is its op's ``base - start``
+    plus its own position.
+    """
     starts = np.cumsum(sizes) - sizes  # exclusive prefix sum
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-    lines = np.repeat(bases, sizes) + offsets
+    lines = np.repeat(key_base[keys] - starts, sizes)
+    lines += positions(lines.size)
     lines.flags.writeable = False
     return lines
 

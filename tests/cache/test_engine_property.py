@@ -478,8 +478,8 @@ def test_collision_free_batches_take_no_grouping_sort(grouping_sorts, make_cache
 def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_batch):
     """The collision-free closed forms read only the batch and its set
     indices, so the identity grouping's per-line arrays (``order``,
-    ``first``, ``last``, ``first_pos``) are never built on the read and
-    write paths."""
+    ``first_pos``, ``last_pos``) are never built on the read and write
+    paths."""
     cache = make_cache()
     batch = make_batch(cache)
     batch.flags.writeable = False  # the segmenter keeps its grouping
@@ -487,9 +487,7 @@ def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_b
     cache.llc_write(batch)
     seg = cache._segmenter._last[1]
     assert seg.collision_free
-    assert all(
-        built is None for built in (seg._order, seg._first, seg._last, seg._first_pos)
-    )
+    assert all(built is None for built in (seg._order, seg._first_pos, seg._last_pos))
 
 
 # ---------------------------------------------------------------------------

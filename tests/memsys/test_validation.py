@@ -1,6 +1,5 @@
 """Tests for counter validation against expected data movement."""
 
-import numpy as np
 import pytest
 
 from repro.cache import DirectMappedCache
@@ -13,6 +12,7 @@ from repro.memsys.validation import (
     validate_traffic,
     validate_wall_clock,
 )
+from repro.units import gb_per_s
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +76,16 @@ class TestWallClock:
     def test_consistent_run_passes(self, platform):
         traffic = Traffic(dram_reads=1000, demand_reads=1000)
         generous_time = traffic.total_bytes / 1e6
-        assert validate_wall_clock(traffic, generous_time, 1e9) is None
+        assert validate_wall_clock(traffic, generous_time, gb_per_s(1.0)) is None
 
     def test_impossible_bandwidth_flagged(self):
-        traffic = Traffic(dram_reads=10**9, demand_reads=10**9)
-        error = validate_wall_clock(traffic, 1e-6, 1e9)
+        traffic = Traffic(dram_reads=10**9, demand_reads=10**9)  # repro-lint: disable=UNIT001 (line counts, not bytes)
+        error = validate_wall_clock(traffic, 1e-6, gb_per_s(1.0))
         assert error is not None
         assert "exceeds" in error
 
     def test_zero_time_zero_traffic_ok(self):
-        assert validate_wall_clock(Traffic(), 0.0, 1e9) is None
+        assert validate_wall_clock(Traffic(), 0.0, gb_per_s(1.0)) is None
 
     def test_zero_time_with_traffic_flagged(self):
-        assert validate_wall_clock(Traffic(dram_reads=1), 0.0, 1e9) is not None
+        assert validate_wall_clock(Traffic(dram_reads=1), 0.0, gb_per_s(1.0)) is not None

@@ -2,14 +2,16 @@
 
 Every derived view of :class:`~repro.perf.segments.SegmentedBatch` is
 checked against a brute-force per-key computation, the grouping (packed
-sort or timsort, as the input picks) against ``np.argsort(kind=
-"stable")``, the round decomposition against the legacy per-round
-``np.unique`` loop it replaced, and the value-run folding of
-``rounds(values)`` against brute-force per-key runs.  The duplicate
-probe's three proofs (order, rotation, and scatter/gather) are
-property-tested with Hypothesis over key spaces on both sides of its
-scratch allowance, and a contiguous ``range`` of keys is checked to
-group by slice without a probe call or a per-line key array.
+sort or timsort, as the input picks, with the presortedness cut-off
+pinned by value) against ``np.argsort(kind="stable")``, the shared
+read-only positions against ``np.arange``, the round decomposition
+against the legacy per-round ``np.unique`` loop it replaced, and the
+value-run folding of ``rounds(values)`` against brute-force per-key
+runs.  The duplicate probe's three proofs (order, rotation, and
+scatter/gather) are property-tested with Hypothesis over key spaces on
+both sides of its scratch allowance, and a contiguous ``range`` of keys
+is checked to group by slice without a probe call or a per-line key
+array.
 """
 
 import numpy as np
@@ -17,8 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import BATCH_LINES
 from repro.perf import segments as segments_module
-from repro.perf.segments import DuplicateProbe, SegmentedBatch, segment
+from repro.perf.segments import (
+    PRESORTED_DESCENTS,
+    DuplicateProbe,
+    SegmentedBatch,
+    positions,
+    segment,
+)
 
 
 def legacy_rounds(keys):
@@ -68,11 +77,12 @@ def test_grouping_invariants(keys):
     for key in np.unique(keys).tolist():
         positions = seg.order[seg.sorted_keys == key]
         np.testing.assert_array_equal(positions, np.flatnonzero(keys == key))
-    # first/last flag exactly the segment boundaries.
+    # first_pos/last_pos are exactly each segment's ends.
     assert seg.num_segments == np.unique(keys).size
     np.testing.assert_array_equal(seg.leaders, np.unique(keys))
-    assert int(seg.first.sum()) == seg.num_segments
-    assert int(seg.last.sum()) == seg.num_segments
+    segments = [np.flatnonzero(seg.sorted_keys == key) for key in np.unique(keys).tolist()]
+    assert seg.first_pos.tolist() == [int(s[0]) for s in segments]
+    assert seg.last_pos.tolist() == [int(s[-1]) for s in segments]
     assert seg.collision_free == (np.unique(keys).size == n)
 
 
@@ -87,33 +97,47 @@ def groupings(keys):
         yield SegmentedBatch.distinct(keys)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_segmented_scans_match_brute_force(seed):
-    """``first_true`` and ``lengths`` against per-segment brute force,
-    over colliding and collision-free batches and random, all-False and
-    all-True masks."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 80))
-    colliding = rng.integers(0, 6, size=n).astype(np.int64)
-    distinct = rng.permutation(n).astype(np.int64)
-    masks = [
+def scan_masks(rng, n):
+    """Random, sparse, all-False and all-True sorted-order masks."""
+    return [
         rng.random(n) < 0.4,
         rng.random(n) < 0.05,
         np.zeros(n, dtype=bool),
         np.ones(n, dtype=bool),
     ]
-    for keys in (colliding, distinct):
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_segmented_scans_match_brute_force(seed):
+    """``first_true``, ``lengths`` and ``last_pos`` against per-segment
+    brute force, over colliding and collision-free batches and random,
+    all-False and all-True masks, and over a colliding batch longer than
+    the shared positions array (:func:`positions`)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    colliding = rng.integers(0, 6, size=n).astype(np.int64)
+    distinct = rng.permutation(n).astype(np.int64)
+    small_masks = scan_masks(rng, n)
+    large = rng.integers(0, 6, size=BATCH_LINES + 1 + seed).astype(np.int64)
+    cases = [
+        (colliding, small_masks),
+        (distinct, small_masks),
+        (large, scan_masks(rng, large.size)),
+    ]
+    for keys, masks in cases:
+        size = keys.size
         for seg in groupings(keys):
             grouped = keys[seg.order]
             segments = [np.flatnonzero(grouped == key) for key in seg.leaders.tolist()]
             assert seg.lengths.tolist() == [s.size for s in segments]
+            assert seg.last_pos.tolist() == [int(s[-1]) for s in segments]
             assert seg.max_multiplicity == max(s.size for s in segments)
             for mask in masks:
                 first = seg.first_true(mask)
                 assert first.shape == (seg.num_segments,)
-                for got, positions in zip(first.tolist(), segments):
-                    hits = positions[mask[positions]]
-                    assert got == (int(hits[0]) if hits.size else n)
+                for got, where in zip(first.tolist(), segments):
+                    hits = where[mask[where]]
+                    assert got == (int(hits[0]) if hits.size else size)
 
 
 def test_first_true_on_the_empty_batch():
@@ -121,6 +145,19 @@ def test_first_true_on_the_empty_batch():
     for seg in (segment(empty), SegmentedBatch(empty, bound=8), SegmentedBatch.distinct(empty)):
         assert seg.first_true(np.zeros(0, dtype=bool)).size == 0
         assert seg.lengths.size == 0 and seg.max_multiplicity == 0
+
+
+def with_descents(rng, n, descents, bound):
+    """``n`` keys in ``[0, bound)`` with exactly ``descents`` descents:
+    ``descents + 1`` non-decreasing runs, each from 0 up to ``bound - 1``."""
+    runs = []
+    for size in np.diff(np.linspace(0, n, descents + 2).astype(np.int64)):
+        run = np.sort(rng.integers(0, bound, size=size))
+        run[0], run[-1] = 0, bound - 1
+        runs.append(run)
+    keys = np.concatenate(runs)
+    assert np.count_nonzero(keys[1:] < keys[:-1]) == descents
+    return keys
 
 
 def packed_cases():
@@ -144,6 +181,14 @@ def packed_cases():
     top = limit - rng.integers(1, 100, size=3000)
     yield "at_overflow_bound", top, limit, True
     yield "past_overflow_bound", top + 1, limit + 1, False
+    # The presortedness cut-off by value: n // PRESORTED_DESCENTS descents
+    # keep timsort, one more takes the packed sort.
+    cut = 3000 // PRESORTED_DESCENTS
+    yield "at_presorted_cutoff", with_descents(rng, 3000, cut, 512), 512, False
+    yield "past_presorted_cutoff", with_descents(rng, 3000, cut + 1, 512), 512, True
+    # A B-tree window's shape: ascending runs of about 160 keys, so n/160
+    # descents, above n/256 and below n/64.
+    yield "btree_shaped", with_descents(rng, 1 << 15, (1 << 15) // 160, 4096), 4096, True
 
 
 PACKED_CASES = [pytest.param(*case[1:], id=case[0]) for case in packed_cases()]
@@ -172,6 +217,25 @@ def test_packed_sort_equals_the_stable_argsort_on_every_shape(keys, bound, packe
     stable = np.argsort(keys, kind="stable")
     np.testing.assert_array_equal(order, stable)
     np.testing.assert_array_equal(sorted_keys, keys[stable])
+
+
+def test_positions_are_a_shared_read_only_arange():
+    """Up to ``BATCH_LINES``, ``positions`` is a view of one shared
+    array; a larger request gets a fresh array and leaves the shared
+    one as it was."""
+    shared = segments_module._POSITIONS
+    assert shared.size == BATCH_LINES and not shared.flags.writeable
+    for n in (0, 1, 7, BATCH_LINES):
+        got = positions(n)
+        np.testing.assert_array_equal(got, np.arange(n))
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert n == 0 or np.shares_memory(got, shared)
+    big = positions(BATCH_LINES + 5)
+    np.testing.assert_array_equal(big, np.arange(BATCH_LINES + 5))
+    assert big.dtype == np.int64 and not big.flags.writeable
+    assert not np.shares_memory(big, shared)
+    assert segments_module._POSITIONS is shared and shared.size == BATCH_LINES
+    np.testing.assert_array_equal(shared, np.arange(BATCH_LINES))
 
 
 @pytest.mark.parametrize("keys", list(batches()), ids=lambda k: f"n{k.size}")
@@ -326,9 +390,8 @@ def test_proven_batches_group_as_the_identity(case, ascending):
     seg = segment(keys, DuplicateProbe(space))
     assert seg.collision_free
     np.testing.assert_array_equal(seg.order, np.arange(n))
-    np.testing.assert_array_equal(seg.first, np.ones(n, dtype=bool))
-    np.testing.assert_array_equal(seg.last, np.ones(n, dtype=bool))
     np.testing.assert_array_equal(seg.first_pos, np.arange(n))
+    np.testing.assert_array_equal(seg.last_pos, np.arange(n))
     np.testing.assert_array_equal(seg.lengths, np.ones(n, dtype=np.int64))
     np.testing.assert_array_equal(seg.leaders, keys)
     assert seg.num_segments == n and seg.max_multiplicity == 1
@@ -351,9 +414,9 @@ def test_distinct_grouping_is_built_on_first_access():
     keys = np.array([4, 0, 7], dtype=np.int64)
     seg = SegmentedBatch.distinct(keys)
     assert seg.num_segments == 3 and seg.max_multiplicity == 1
-    assert all(built is None for built in (seg._order, seg._first, seg._last, seg._first_pos))
+    assert all(built is None for built in (seg._order, seg._first_pos, seg._last_pos))
     np.testing.assert_array_equal(seg.first_pos, np.arange(3))
-    np.testing.assert_array_equal(seg.first & seg.last, np.ones(3, dtype=bool))
+    np.testing.assert_array_equal(seg.last_pos, np.arange(3))
     np.testing.assert_array_equal(seg.leaders, keys)  # batch order, not ascending
 
 

@@ -13,7 +13,7 @@ from repro.nn.planner import FirstFitArena, _align
 from repro.units import TB
 
 
-traffic_counts = st.integers(min_value=0, max_value=10**9)
+traffic_counts = st.integers(min_value=0, max_value=10**9)  # repro-lint: disable=UNIT001 (line counts, not bytes)
 
 
 @st.composite

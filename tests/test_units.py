@@ -29,7 +29,7 @@ def test_bandwidth_round_trip():
 
 
 def test_gb_per_s_is_decimal():
-    assert gb_per_s(1.0) == 1e9
+    assert gb_per_s(1.0) == 1e9  # repro-lint: disable=UNIT001 (pins the definition)
 
 
 @pytest.mark.parametrize(

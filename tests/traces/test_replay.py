@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.config import BATCH_LINES
 from repro.errors import ConfigurationError
 from repro.memsys.backends import CachedBackend, FlatBackend
 from repro.traces import ALL_MODELS, SOFTWARE_MODEL, generate, replay_all, replay_trace
 from repro.traces.replay import (
     HARDWARE_MODELS,
+    _expand_lines,
     identity_placement,
     make_backend,
     platform_for,
@@ -112,3 +114,37 @@ class TestReplay:
         import json
 
         assert json.loads(json.dumps(row)) == row
+
+
+class TestExpandLines:
+    """A window's (key, size) rows expand to one read-only line address
+    per cache line, in op order: exactly what a per-op loop produces."""
+
+    @staticmethod
+    def check(keys, sizes, key_base):
+        by_loop = [
+            int(key_base[key]) + offset
+            for key, size in zip(keys.tolist(), sizes.tolist())
+            for offset in range(size)
+        ]
+        lines = _expand_lines(keys, sizes, key_base)
+        np.testing.assert_array_equal(lines, np.array(by_loop, dtype=np.int64))
+        assert lines.dtype == np.int64 and not lines.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_per_op_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        key_base = rng.permutation(256).astype(np.int64) * 8
+        keys = rng.integers(0, 256, size=300)
+        sizes = rng.integers(1, 9, size=300)
+        sizes[rng.random(300) < 0.3] = 1  # single-line ops
+        self.check(keys, sizes, key_base)
+
+    def test_an_op_larger_than_the_window(self):
+        """More lines than the shared positions array holds."""
+        key_base = np.arange(4, dtype=np.int64) * (2 * BATCH_LINES)
+        self.check(np.array([2, 0, 3]), np.array([1, BATCH_LINES + 3, 2]), key_base)
+
+    def test_an_empty_window(self):
+        empty = np.zeros(0, dtype=np.int64)
+        self.check(empty, empty, np.arange(4, dtype=np.int64))
