@@ -7,11 +7,17 @@ capacity constraint per schedule checkpoint.  Solved with
 option that shapes the returned plan passed explicitly: at a nonzero
 gap the plan is whichever solution HiGHS's search path reaches first,
 so a changed library default must not be able to move it.
+
+A solve is two steps: :func:`ilp_solution` runs HiGHS and returns its
+outputs as plain data, and :func:`decode` reads a plan out of them.
+Between the two, the outputs can cross a process boundary, which a plan
+cannot; :func:`release_threads` makes a process safe to fork for that.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +30,13 @@ from repro.autotm.model import (
     PlacementPlan,
     PlacementProblem,
 )
-from repro.errors import SolverError
+from repro.errors import InvariantError, SolverError
 from repro.nn.ir import Tensor
+
+try:  # scipy >= 1.15 binds HiGHS through highspy
+    from scipy.optimize._highspy._core import _Highs
+except ImportError:  # older scipy: no handle on HiGHS's threads
+    _Highs = None
 
 #: Wall-clock cap on one solve, in seconds.
 TIME_LIMIT_S = 120.0
@@ -33,6 +44,24 @@ TIME_LIMIT_S = 120.0
 MIP_REL_GAP = 1e-4
 #: Run HiGHS's presolve.
 PRESOLVE = True
+
+
+def release_threads() -> bool:
+    """Stop HiGHS's worker threads, so that this process may fork a solve.
+
+    HiGHS keeps its task scheduler between solves, and on a host with
+    more than two hardware threads the scheduler has worker threads
+    (HiGHS uses half of the hardware threads).  A forked child inherits
+    the scheduler but not its workers, so the child's first parallel
+    task waits forever on a worker that does not exist.  After this call
+    the next solve, here or in a child, starts a scheduler of its own.
+    Returns False where scipy offers no way to do this; then no solve
+    may be forked.
+    """
+    if _Highs is None:
+        return False
+    _Highs.resetGlobalScheduler(True)  # blocking: returns once the workers have exited
+    return True
 
 
 def _variables(problem: PlacementProblem) -> List[Tuple[CandidateTensor, PlacementMode]]:
@@ -45,14 +74,37 @@ def _variables(problem: PlacementProblem) -> List[Tuple[CandidateTensor, Placeme
     return variables
 
 
-def solve_ilp(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> PlacementPlan:
-    """Solve the placement ILP; raises :class:`SolverError` on failure."""
+@dataclass(frozen=True)
+class IlpSolution:
+    """HiGHS's outputs for one placement ILP, and nothing else.
+
+    A :class:`PlacementPlan` keys its placements by :class:`Tensor`,
+    which hashes by identity, so a plan cannot leave the process whose
+    graph it names.  This record holds only numbers and a message: a
+    solve can run in another process, and :func:`decode` turns its
+    record into a plan against this process's problem, built the same
+    way.
+    """
+
+    success: bool
+    message: str
+    #: One value per variable, in :func:`_variables` order (``None``
+    #: when HiGHS found no solution).
+    x: Optional[np.ndarray]
+    fun: Optional[float]
+    mip_gap: Optional[float]
+    mip_dual_bound: Optional[float]
+    mip_node_count: Optional[int]
+
+
+def ilp_solution(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> IlpSolution:
+    """Build the placement ILP and run HiGHS on it."""
     variables = _variables(problem)
     n = len(variables)
     if not n:
-        return PlacementPlan(
-            placements={}, objective_seconds=0.0, budget_bytes=problem.budget_bytes,
-            solver="ilp",
+        return IlpSolution(
+            success=True, message="no candidates", x=np.zeros(0), fun=0.0,
+            mip_gap=None, mip_dual_bound=None, mip_node_count=None,
         )
 
     cost = np.zeros(n)
@@ -100,12 +152,35 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> Pl
             "presolve": PRESOLVE,
         },
     )
-    if not result.success or result.x is None:
-        raise SolverError(f"HiGHS failed to solve the placement ILP: {result.message}")
+    return IlpSolution(
+        success=bool(result.success),
+        message=str(result.message),
+        x=result.x,
+        fun=result.fun,
+        mip_gap=result.get("mip_gap"),
+        mip_dual_bound=result.get("mip_dual_bound"),
+        mip_node_count=result.get("mip_node_count"),
+    )
+
+
+def decode(problem: PlacementProblem, solution: IlpSolution) -> PlacementPlan:
+    """The plan ``solution`` encodes for ``problem``.
+
+    Raises :class:`SolverError` when HiGHS found no solution or a
+    tensor received no placement.
+    """
+    if not solution.success or solution.x is None:
+        raise SolverError(f"HiGHS failed to solve the placement ILP: {solution.message}")
+    variables = _variables(problem)
+    if len(solution.x) != len(variables):
+        raise InvariantError(
+            f"a solution over {len(solution.x)} variables decoded against "
+            f"a problem with {len(variables)}"
+        )
 
     placements: Dict[Tensor, object] = {}
     for j, (candidate, mode) in enumerate(variables):
-        if result.x[j] > 0.5:
+        if solution.x[j] > 0.5:
             placements[candidate.tensor] = problem.placement_for(candidate, mode)
     missing = [c for c in problem.candidates if c.tensor not in placements]
     if missing:
@@ -113,10 +188,15 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> Pl
 
     return PlacementPlan(
         placements=placements,  # type: ignore[arg-type]
-        objective_seconds=float(result.fun),
+        objective_seconds=float(solution.fun),
         budget_bytes=problem.budget_bytes,
         solver="ilp",
-        mip_gap=result.mip_gap,
-        mip_dual_bound=result.mip_dual_bound,
-        mip_node_count=result.mip_node_count,
+        mip_gap=solution.mip_gap,
+        mip_dual_bound=solution.mip_dual_bound,
+        mip_node_count=solution.mip_node_count,
     )
+
+
+def solve_ilp(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> PlacementPlan:
+    """Solve the placement ILP; raises :class:`SolverError` on failure."""
+    return decode(problem, ilp_solution(problem, time_limit))

@@ -5,6 +5,8 @@ The experiment layer declares each figure's grid as a
 points across worker processes (or runs them serially for ``jobs=1``)
 and returns results in deterministic grid order.  See
 :mod:`repro.exec.sweep` for the design constraints.
+:func:`repro.exec.forkcall.start` runs one call in a forked child
+beside the caller's own work.
 """
 
 from repro.exec.sweep import (

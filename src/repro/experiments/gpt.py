@@ -17,11 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from repro.autotm import PlacementProblem, solve_greedy, solve_ilp
-from repro.autotm.executor import execute_autotm
 from repro.cache import DirectMappedCache
-from repro.errors import ConfigurationError, InvariantError, SolverError
+from repro.errors import InvariantError
 from repro.exec import SweepSpec, run_sweep
+from repro.experiments.autotm_common import run_ladder
 from repro.experiments.base import ExperimentResult
 from repro.experiments.platform import CNN_STRIDE, PlatformConfig, cnn_platform_for
 from repro.memsys import CachedBackend
@@ -34,6 +33,9 @@ from repro.perf.report import render_table
 from repro.units import CACHE_LINE, GB, format_bytes
 
 MODES = ("2lm", "autotm")
+#: AutoTM's DRAM budgets, as fractions of the socket's DRAM, in the
+#: order :func:`~repro.experiments.autotm_common.run_ladder` tries them.
+AUTOTM_FRACTIONS = (0.8, 0.65, 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -66,25 +68,7 @@ def mode_point(mode: str, quick: bool) -> Dict[str, float]:
             "clean_misses": cached.tags.clean_misses,
         }
     elif mode == "autotm":
-        autotm = None
-        for fraction in (0.8, 0.65, 0.5):
-            budget = int(platform.socket.dram_capacity * fraction)
-            problem = PlacementProblem.build(
-                training, platform, budget, capacity_stride=4
-            )
-            try:
-                placement = solve_ilp(problem, time_limit=30.0 if quick else 120.0)
-            except SolverError:
-                placement = solve_greedy(problem)
-            try:
-                autotm = execute_autotm(
-                    training, placement, platform, sample_stride=CNN_STRIDE
-                )
-                break
-            except ConfigurationError:
-                continue
-        if autotm is None:
-            raise ConfigurationError("AutoTM could not place the transformer")
+        autotm = run_ladder("gpt", training, platform, AUTOTM_FRACTIONS, quick)
         traffic, seconds = autotm.traffic, autotm.seconds
         extra = {}
     else:

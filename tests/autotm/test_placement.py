@@ -1,5 +1,8 @@
 """Tests for the AutoTM placement problem, ILP, and greedy solvers."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -13,7 +16,7 @@ from repro.autotm import (
 from repro.autotm import ilp as ilp_module
 from repro.autotm.model import MODE_INDEX
 from repro.config import default_platform
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError, InvariantError, SolverError
 from repro.experiments.autotm_common import AUTOTM_BUDGET_FRACTION
 from repro.experiments.platform import cnn_platform_for, training_setup
 from repro.nn import build_training_graph
@@ -123,6 +126,39 @@ class TestSolvers:
         assert isinstance(plan.mip_node_count, int)
         greedy = solve_greedy(problem)
         assert greedy.mip_gap is greedy.mip_dual_bound is greedy.mip_node_count is None
+
+    def test_solution_record_is_plain_data_that_decodes_to_the_plan(self, platform):
+        problem = build_problem(platform, 0.0004, capacity_stride=1)
+        solution = ilp_module.ilp_solution(problem)
+        # A rebuilt problem names other Tensor objects: the record still
+        # decodes to the same placement per tensor name.
+        rebuilt = build_problem(platform, 0.0004, capacity_stride=1)
+        plan = ilp_module.decode(rebuilt, pickle.loads(pickle.dumps(solution)))
+        direct = solve_ilp(problem)
+        assert {t.name: p.mode for t, p in plan.placements.items()} == {
+            t.name: p.mode for t, p in direct.placements.items()
+        }
+        assert (plan.objective_seconds, plan.mip_gap, plan.mip_node_count) == (
+            direct.objective_seconds, direct.mip_gap, direct.mip_node_count
+        )
+
+    def test_decode_raises_on_an_unsuccessful_solution(self, platform):
+        problem = build_problem(platform, 0.0004, capacity_stride=1)
+        # At its time limit HiGHS can return an incumbent it did not prove.
+        timed_out = dataclasses.replace(
+            ilp_module.ilp_solution(problem), success=False, message="Time limit reached"
+        )
+        with pytest.raises(SolverError, match="Time limit reached"):
+            ilp_module.decode(problem, timed_out)
+        no_solution = dataclasses.replace(timed_out, x=None, fun=None)
+        with pytest.raises(SolverError, match="Time limit reached"):
+            ilp_module.decode(problem, no_solution)
+
+    def test_decode_refuses_a_solution_for_another_problem(self, platform):
+        solution = ilp_module.ilp_solution(build_problem(platform, 0.0004, capacity_stride=1))
+        other = build_problem(platform, 0.0004, min_candidate_bytes=1)
+        with pytest.raises(InvariantError, match="variables"):
+            ilp_module.decode(other, solution)
 
     def test_stash_placement_records_boundaries(self, platform):
         problem = build_problem(platform, 0.0004, capacity_stride=1)

@@ -1,5 +1,6 @@
 """Fixtures shared across the test packages."""
 
+import os
 from collections import Counter
 
 import pytest
@@ -21,3 +22,10 @@ def grouping_sorts(monkeypatch):
 
         monkeypatch.setattr(segments, name, spy)
     return calls
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Make :func:`repro.exec.forkcall.start` see two usable CPUs, so that
+    it forks on any host that has ``os.fork``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

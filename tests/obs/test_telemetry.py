@@ -31,8 +31,10 @@ class TestDisabledNoOp:
 
     def test_null_span_is_shared_and_inert(self):
         tele = obs.NULL_TELEMETRY
-        first = tele.span("a", cat="x", whatever=1)
-        second = tele.span("b")
+        # Opened without ``with`` on purpose: the test compares the span
+        # objects themselves before entering one.
+        first = tele.span("a", cat="x", whatever=1)  # repro-lint: disable=TEL001
+        second = tele.span("b")  # repro-lint: disable=TEL001
         assert first is second  # no allocation per span
         with first as span:
             span.set(key="value")  # absorbed

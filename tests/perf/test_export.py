@@ -70,9 +70,10 @@ class TestToJsonable:
         import time
 
         array = np.arange(100_000, dtype=np.float64)
-        start = time.perf_counter()
+        # A wall-clock bound is this test's subject.
+        start = time.perf_counter()  # repro-lint: disable=DET001
         json.dumps(to_jsonable(array))
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 1.0  # repro-lint: disable=DET001
 
 
 class TestExportResult:

@@ -77,8 +77,9 @@ def served(tmp_path):
 
 
 def poll_until_done(base, job_id):
-    deadline = time.monotonic() + POLL_DEADLINE
-    while time.monotonic() < deadline:
+    # Job latency is host time: this smoke test measures the service.
+    deadline = time.monotonic() + POLL_DEADLINE  # repro-lint: disable=DET001
+    while time.monotonic() < deadline:  # repro-lint: disable=DET001
         status, payload = http("GET", f"{base}/jobs/{job_id}")
         assert status == 200
         if payload["state"] in ("succeeded", "failed", "cancelled"):
@@ -97,23 +98,24 @@ class TestServeSmoke:
         assert health["accepting"] is True
 
         # First submission computes: accepted, then polled to success.
-        first_started = time.monotonic()
+        # Latencies are host time, the subject of this smoke test.
+        first_started = time.monotonic()  # repro-lint: disable=DET001
         status, accepted = http(
             "POST", f"{base}/jobs", {"experiment": "sleepy", "quick": True}
         )
         assert status == 202
         assert accepted["status"] == "accepted"
         job = poll_until_done(base, accepted["job"]["id"])
-        first_latency = time.monotonic() - first_started
+        first_latency = time.monotonic() - first_started  # repro-lint: disable=DET001
         assert job["state"] == "succeeded"
         assert first_latency >= SIMULATED_SECONDS
 
         # Resubmitting the identical request is served from the store.
-        cached_started = time.monotonic()
+        cached_started = time.monotonic()  # repro-lint: disable=DET001
         status, cached = http(
             "POST", f"{base}/jobs", {"experiment": "sleepy", "quick": True}
         )
-        cached_latency = time.monotonic() - cached_started
+        cached_latency = time.monotonic() - cached_started  # repro-lint: disable=DET001
         assert status == 200
         assert cached["status"] == "cached"
         assert cached["key"] == accepted["key"]
