@@ -6,9 +6,11 @@ with numpy in a single pass per batch: the segmented engine
 (:mod:`repro.cache.engine`) groups each batch by set with at most one
 sort (none at all when the duplicate probe proves the batch
 collision-free, or when it is a run of consecutive lines, whose state
-is then read and written by slice), resolves duplicate occurrences
-with closed-form recurrences, and applies every state update with
-array operations — no Python loop over collision rounds, so
+is then read and written by slice; one over only the repeated sets when
+at least half of the batch's lines map to a set no other line in it
+does), resolves duplicate occurrences with closed-form recurrences,
+and applies every state update with array operations — no Python loop
+over collision rounds, so
 adversarial all-same-set batches cost the same as collision-free ones.  The result is bit-for-bit
 equivalent to processing the batch one access at a time (property-tested
 against :class:`~repro.cache.flow.ReferenceCache`).
@@ -35,7 +37,6 @@ from repro.cache import engine as _engine_ops
 from repro.cache.base import as_lines, record_cache_metrics
 from repro.errors import ConfigurationError
 from repro.perf.counters import TagStats, Traffic
-from repro.perf.segments import SegmentedBatch
 from repro.units import CACHE_LINE
 
 _INVALID = np.int64(-1)
@@ -92,7 +93,7 @@ class DirectMappedCache:
         self._dirty.fill(False)
         self._known_resident.fill(False)
 
-    def _segment(self, lines: np.ndarray) -> SegmentedBatch:
+    def _segment(self, lines: np.ndarray) -> _engine_ops.Grouping:
         """Set-grouped view of the batch; one sort at most, shared
         with the other pass when the line vector is reused."""
         return self._segmenter.segment(lines)
@@ -111,7 +112,7 @@ class DirectMappedCache:
     def _apply_read(
         self,
         lines: np.ndarray,
-        seg: SegmentedBatch,
+        seg: _engine_ops.Grouping,
         traffic: Traffic,
         tags: TagStats,
     ) -> None:
@@ -152,7 +153,7 @@ class DirectMappedCache:
     def _apply_write(
         self,
         lines: np.ndarray,
-        seg: SegmentedBatch,
+        seg: _engine_ops.Grouping,
         traffic: Traffic,
         tags: TagStats,
     ) -> None:
@@ -185,19 +186,14 @@ class DirectMappedCache:
 
         Experiment setup helper: the paper primes the cache by running
         warm-up iterations; ``prime`` produces the same state instantly.
-        Later occupants of a set win, as they would under real accesses —
-        enforced explicitly by keeping only each set's last occurrence,
-        rather than leaning on numpy fancy-assignment happening to apply
-        duplicate indices left-to-right (an undocumented implementation
-        detail).
+        Later occupants of a set win, as they would under real accesses
+        (:func:`~repro.cache.engine.prime_batch`).
         """
         lines = as_lines(lines)
-        sets = lines % self.num_sets
-        seg = self._segmenter.segment(lines, sets)
-        winners = seg.order[seg.last_pos]  # each set's last occurrence, batch order
-        self._tags[sets[winners]] = lines[winners]
-        self._dirty[sets[winners]] = dirty
-        self._known_resident[sets[winners]] = known_resident
+        _engine_ops.prime_batch(
+            lines, self._segment(lines), self._tags, self._dirty, self._known_resident,
+            mark_dirty=dirty, mark_known_resident=known_resident,
+        )
 
     def contains(self, lines: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``lines`` are currently cached."""

@@ -82,8 +82,9 @@ via the duplicate probe.
 
 Each closed form is a handful of vectorized segment operations — at
 most one grouping sort per batch (zero for probe-proven collision-free
-batches, shared across the read and write pass when the line vector is
-reused) — and is property-tested bit-for-bit against scalar references
+batches, one over only the repeated sets of a split batch, and shared
+across the read and write pass when the line vector is reused) — and
+is property-tested bit-for-bit against scalar references
 (``tests/cache/test_engine_property.py``).  A collision-free batch is
 one independent round over the batch as given: one gather per state
 array, whole-batch scatters, and no index copies.
@@ -98,16 +99,45 @@ batch each gather is a contiguous view and each scatter a slice
 assignment, from the same statements.  A view aliases the state array,
 so those forms read every state array before their first write to it.
 The other forms read ``seg.keys``, which the grouping then builds.
+
+**Split batches.**  A batch with a few repeated sets among many that
+occur once — kvtrace's log-append windows are 97 % singletons on their
+direct-mapped geometry — would otherwise sort every position and run
+every general form over about ``n`` segments.  When at least half of a
+batch's positions hold a set that occurs nowhere else in it, the
+segmenter returns a :class:`~repro.perf.segments.SplitBatch` instead:
+the singletons as the identity grouping and only the repeats sorted.
+The two parts touch disjoint sets, so a closed form is exact on each
+part as a batch of its own.  Every form therefore opens with one branch
+into the one dispatcher, :func:`_by_part`, which runs the form on each
+part with its per-request arrays taken at the part's positions, adds
+the counts, scatters per-request outputs (the miss mask) back to batch
+order, and, for LRU, keeps the clock's larger advance: both parts stamp
+from the same clock, and the colliding part's largest multiplicity is
+the batch's.  The research variants' coins are drawn once per batch in
+request order, as before, and each part takes its own requests' coins;
+the prefetcher's demand pass covers the whole batch before its
+candidates are grouped, and split, in turn.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.perf.segments import DuplicateProbe, SegmentedBatch, positions, segment
+from repro.perf.segments import (
+    DuplicateProbe,
+    SegmentedBatch,
+    SplitBatch,
+    positions,
+    segment,
+)
+
+#: What the segmenter hands a closed form: one grouping, or a split batch.
+Grouping = Union[SegmentedBatch, SplitBatch]
 
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
@@ -125,6 +155,20 @@ else:  # pragma: no cover - numpy < 2.0 fallback
         return bits.sum(axis=1, dtype=np.int64)
 
 
+def set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """``lines % num_sets``, as ``lines + lines // num_sets * -num_sets``.
+
+    The two are equal for every int64 by numpy's definition of ``%``
+    (floor modulo), but numpy 2.4 divides an int64 array by a scalar
+    through libdivide in ``//`` and not in ``%``: on a 262,144-line
+    window this takes about half the time of ``%``.
+    """
+    index = lines // num_sets
+    index *= -num_sets
+    index += lines
+    return index
+
+
 class BatchSegmenter:
     """Per-model segmentation cache: at most one sort per line batch.
 
@@ -132,8 +176,11 @@ class BatchSegmenter:
     :class:`~repro.perf.segments.DuplicateProbe`, so probe-proven
     collision-free batches skip the sort entirely, and a contiguous
     batch (consecutive lines whose sets do not wrap) skips both the
-    set-index pass and the probe.  It also remembers the
-    most recent batch's :class:`SegmentedBatch` keyed on array identity.
+    set-index pass and the probe.  A batch whose sets mostly occur once
+    comes back as a :class:`~repro.perf.segments.SplitBatch`, which sorts
+    only the positions whose set repeats, provided at least half of the
+    positions are singletons.  It also remembers the most recent batch's
+    grouping keyed on array identity.
     A workload that feeds the same line vector to ``llc_read`` and then
     ``llc_write`` — the read-modify-write shape of the paper's
     microbenchmarks, and an output tensor's RFO and write-back —
@@ -156,7 +203,7 @@ class BatchSegmenter:
 
     def segment(
         self, lines: np.ndarray, keys: Optional[np.ndarray] = None
-    ) -> SegmentedBatch:
+    ) -> Grouping:
         """Grouped view of ``lines`` by set index.
 
         ``keys`` are the per-line set indices, ``lines % num_sets`` by
@@ -174,14 +221,14 @@ class BatchSegmenter:
         return seg
 
     def _set_index(self, lines: np.ndarray) -> Union[np.ndarray, range]:
-        """``lines % num_sets``, or the range of sets a contiguous batch
-        covers.
+        """``lines % num_sets`` (by :func:`set_index`), or the range of
+        sets a contiguous batch covers.
 
         A batch whose ends are ``n - 1`` lines apart, whose first set
         leaves room for ``n`` sets before the last, and whose lines
         strictly increase is ``first + arange(n)``, so its sets are
         ``range(first % num_sets, first % num_sets + n)``.  Any other
-        batch pays only the two end reads before the modulo pass.
+        batch pays only the two end reads before the set-index pass.
         """
         n = lines.size
         if n:
@@ -193,7 +240,60 @@ class BatchSegmenter:
                 and (lines[1:] > lines[:-1]).all()
             ):
                 return range(start, start + n)
-        return lines % self.num_sets
+        return set_index(lines, self.num_sets)
+
+
+def _by_part(
+    form: Callable[..., Any],
+    seg: SplitBatch,
+    per_request: Tuple[np.ndarray, ...],
+    *rest: Any,
+    **options: Any,
+) -> Any:
+    """``form(*per_request, seg, *rest, **options)`` over a split batch,
+    one part at a time.
+
+    Every closed form takes its per-request arrays (lines, sector
+    offsets, pre-drawn coins) first, then the grouping, then the state
+    it updates, and opens with one branch: handed a
+    :class:`~repro.perf.segments.SplitBatch`, it returns this dispatcher
+    applied to itself, and any other grouping runs its own body, so a
+    batch that is not split pays one type check.  The parts of a split
+    batch touch disjoint sets, so the form runs on each in turn, its
+    collision-free body on the singletons and its general body on the
+    rest, with every per-request array taken at that part's positions,
+    and the results merge (:func:`_merge`).
+    """
+    (at_singles, singles), (at_repeats, repeats) = seg.parts
+    return _merge(
+        seg,
+        form(*(values[at_singles] for values in per_request), singles, *rest, **options),
+        form(*(values[at_repeats] for values in per_request), repeats, *rest, **options),
+    )
+
+
+def _merge(seg: SplitBatch, first: Any, second: Any) -> Any:
+    """One result from the two parts' results of a closed form.
+
+    Counts add up field by field; a per-request array (the miss mask),
+    in each part's order, is scattered back to batch order; a plain
+    tuple of results merges element by element; ``None`` stays ``None``;
+    and the LRU clock, which both parts advanced from the same start,
+    takes the larger advance.
+    """
+    if first is None:
+        return None
+    if isinstance(first, np.ndarray):
+        (at_first, _), (at_second, _) = seg.parts
+        merged = np.empty(seg.size, dtype=first.dtype)
+        merged[at_first] = first
+        merged[at_second] = second
+        return merged
+    if type(first) is tuple:
+        return tuple(_merge(seg, a, b) for a, b in zip(first, second))
+    if isinstance(first, tuple):
+        return type(first)(*map(operator.add, first, second))
+    return max(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +338,7 @@ def _differs_from_previous(
 
 def read_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -256,6 +356,10 @@ def read_batch(
     that is a slice, a gather is a view of the state array, so every
     read of a state array comes before the first write to it.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            read_batch, seg, (lines,), tags, dirty, known_resident, want_misses=want_misses
+        )
     n = int(lines.size)
     if seg.collision_free:
         # No set is touched twice: the whole batch is one independent
@@ -295,7 +399,7 @@ def read_batch(
 
 def write_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -309,6 +413,11 @@ def write_batch(
     counts; the caller owns traffic accounting (which differs between
     the insert-on-miss and write-around policies).
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            write_batch, seg, (lines,), tags, dirty, known_resident,
+            ddo_enabled=ddo_enabled, insert_on_write_miss=insert_on_write_miss,
+        )
     if seg.collision_free:
         return _write_distinct(
             lines, seg.index, tags, dirty, known_resident,
@@ -485,7 +594,7 @@ def _run_partition(
 def sector_read_batch(
     sectors: np.ndarray,
     offsets: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     valid: np.ndarray,
     dirty: np.ndarray,
@@ -502,6 +611,11 @@ def sector_read_batch(
     run, and a run can hold at most ``sector_lines`` fills because every
     fill covers its own previously-uncovered bit).
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            sector_read_batch, seg, (sectors, offsets), tags, valid, dirty,
+            footprint=footprint, sector_lines=sector_lines,
+        )
     n = int(sectors.size)
     if not n:
         return SectorReadCounts(0, 0, 0, 0, 0, 0, 0)
@@ -616,7 +730,7 @@ def _sector_read_distinct(
 def sector_write_batch(
     sectors: np.ndarray,
     offsets: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     valid: np.ndarray,
     dirty: np.ndarray,
@@ -629,6 +743,8 @@ def sector_write_batch(
     ``bitwise_or.reduceat`` and the bitmap a sector miss evicts is
     exactly the preceding run's end state.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(sector_write_batch, seg, (sectors, offsets), tags, valid, dirty)
     n = int(sectors.size)
     if not n:
         return SectorWriteCounts(0, 0, 0, 0, 0)
@@ -734,7 +850,7 @@ def _lru_rounds(
 
 def setassoc_read_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -751,8 +867,14 @@ def setassoc_read_batch(
     round-by-round: as many rounds as the largest run count of one set
     (see the module docstring).  The ``(num_sets, ways)`` state arrays
     must be C-contiguous; they are updated through flat views.
-    Returns the updated LRU clock alongside the counts.
+    Returns the updated LRU clock alongside the counts: both parts of a
+    split batch stamp from the same clock, which then advances by the
+    colliding part's largest multiplicity.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            setassoc_read_batch, seg, (lines,), tags, dirty, known_resident, stamp, clock
+        )
     n = int(lines.size)
     n_miss = n_dirty = 0
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
@@ -773,7 +895,7 @@ def setassoc_read_batch(
 
 def setassoc_write_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -784,11 +906,16 @@ def setassoc_write_batch(
 ) -> Tuple[WriteCounts, np.int64]:
     """Apply a batch of LLC write-backs to set-associative LRU state.
 
-    Same run folding as :func:`setassoc_read_batch`.  A folded repeat
-    takes its head's outcome: a DDO write if the head was one (the way
-    stays known-resident), otherwise a tag-checked hit (a miss or
-    checked hit leaves the way not known-resident).
+    Same run folding, and the same clock, as :func:`setassoc_read_batch`.
+    A folded repeat takes its head's outcome: a DDO write if the head
+    was one (the way stays known-resident), otherwise a tag-checked hit
+    (a miss or checked hit leaves the way not known-resident).
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            setassoc_write_batch, seg, (lines,), tags, dirty, known_resident, stamp, clock,
+            ddo_enabled=ddo_enabled,
+        )
     n = int(lines.size)
     n_ddo = n_miss = n_dirty = 0
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
@@ -829,22 +956,28 @@ class BypassReadCounts(NamedTuple):
 
 def bypass_read_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    insert_draw: np.ndarray,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
-    insert_draw: np.ndarray,
 ) -> BypassReadCounts:
     """Apply a batch of BEAR-style probabilistic-insertion reads.
 
     ``insert_draw`` (batch order) is the pre-drawn allocate coin per
-    request.  The closed form rests on one observation: the resident tag
-    after occurrence ``k`` equals the line of the *last draw-selected
-    occurrence* so far, regardless of hit/miss — a selected hit leaves
-    the tag equal to its own line, a selected miss installs it, and an
-    unselected access never changes it.  That makes the tag a segmented
+    request; each part of a split batch takes the coins at its own
+    positions, so every coin stays with its request.  The closed form
+    rests on one observation: the resident tag after occurrence ``k``
+    equals the line of the *last draw-selected occurrence* so far,
+    regardless of hit/miss — a selected hit leaves the tag equal to its
+    own line, a selected miss installs it, and an unselected access
+    never changes it.  That makes the tag a segmented
     last-where-selected gather, with no round-by-round dependence.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            bypass_read_batch, seg, (lines, insert_draw), tags, dirty, known_resident
+        )
     n = int(lines.size)
     sets = seg.keys
     if seg.collision_free:
@@ -923,7 +1056,7 @@ class PrefetchCounts(NamedTuple):
 
 def prefetch_fill_batch(
     candidates: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -935,6 +1068,8 @@ def prefetch_fill_batch(
     but without hit accounting, and a set untouched by any install keeps
     its ``known_resident`` bit unchanged.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(prefetch_fill_batch, seg, (candidates,), tags, dirty, known_resident)
     n = int(candidates.size)
     if not n:
         return PrefetchCounts(0, 0)
@@ -966,10 +1101,42 @@ def prefetch_fill_batch(
 # ---------------------------------------------------------------------------
 
 
+def prime_batch(
+    lines: np.ndarray,
+    seg: Grouping,
+    tags: np.ndarray,
+    dirty: np.ndarray,
+    known_resident: np.ndarray,
+    *,
+    mark_dirty: bool,
+    mark_known_resident: bool,
+) -> None:
+    """Install lines directly into direct-mapped state, later wins.
+
+    Each set takes its last occurrence's line, with the caller-chosen
+    dirty and known-resident marks and no traffic.  The last occurrence
+    comes from the grouping, rather than from numpy fancy assignment
+    applying duplicate indices left to right (an undocumented
+    implementation detail).
+    """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            prime_batch, seg, (lines,), tags, dirty, known_resident,
+            mark_dirty=mark_dirty, mark_known_resident=mark_known_resident,
+        )
+    if seg.collision_free:
+        sets, winners = seg.index, lines
+    else:
+        sets, winners = seg.leaders, lines[seg.order[seg.last_pos]]
+    tags[sets] = winners
+    dirty[sets] = mark_dirty
+    known_resident[sets] = mark_known_resident
+
+
 def sector_prime_batch(
     sectors: np.ndarray,
     offsets: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     valid: np.ndarray,
     dirty: np.ndarray,
@@ -984,6 +1151,11 @@ def sector_prime_batch(
     the bits of the trailing same-sector run, all closed-form via one
     ``bitwise_or.reduceat`` over the run partition.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            sector_prime_batch, seg, (sectors, offsets), tags, valid, dirty,
+            mark_dirty=mark_dirty,
+        )
     n = int(sectors.size)
     if not n:
         return
@@ -1012,7 +1184,7 @@ def sector_prime_batch(
 
 def setassoc_prime_batch(
     lines: np.ndarray,
-    seg: SegmentedBatch,
+    seg: Grouping,
     tags: np.ndarray,
     dirty: np.ndarray,
     known_resident: np.ndarray,
@@ -1027,8 +1199,14 @@ def setassoc_prime_batch(
     Each line lands in its hit way (refreshing recency) or the LRU
     victim way, exactly as a demand access would place it, but with the
     caller-chosen dirty/known-resident marks and no traffic.  Repeats
-    fold into their run's head as in :func:`setassoc_read_batch`.
+    fold into their run's head, and the clock advances, as in
+    :func:`setassoc_read_batch`.
     """
+    if type(seg) is SplitBatch:
+        return _by_part(
+            setassoc_prime_batch, seg, (lines,), tags, dirty, known_resident, stamp, clock,
+            mark_dirty=mark_dirty, mark_known_resident=mark_known_resident,
+        )
     tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
     known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
     for sub_lines, sub_sets, last_rank, _ in _lru_rounds(lines, seg):

@@ -29,7 +29,10 @@ engine's per-request miss mask, the bypass policy has its own segmented
 closed form (:func:`repro.cache.engine.bypass_read_batch`), and the
 prefetcher runs the demand pass then installs its candidates with
 :func:`repro.cache.engine.prefetch_fill_batch`.  Random draws (predictor
-correctness, insertion coins) are made once per batch in request order.
+correctness, insertion coins) are made once per batch in request order;
+on a batch the segmenter splits (:class:`~repro.perf.segments.SplitBatch`),
+the miss mask comes back in batch order and each part takes its own
+requests' coins, so every stream is the one an unsplit batch draws.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.cache import engine as _engine_ops
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.errors import ConfigurationError
 from repro.perf.counters import TagStats, Traffic
-from repro.perf.segments import SegmentedBatch
 from repro.units import CACHE_LINE
 
 
@@ -73,7 +75,7 @@ class MissPredictorCache(DirectMappedCache):
     def _apply_read(
         self,
         lines: np.ndarray,
-        seg: SegmentedBatch,
+        seg: _engine_ops.Grouping,
         traffic: Traffic,
         tags: TagStats,
     ) -> None:
@@ -131,13 +133,13 @@ class BypassCache(DirectMappedCache):
     def _apply_read(
         self,
         lines: np.ndarray,
-        seg: SegmentedBatch,
+        seg: _engine_ops.Grouping,
         traffic: Traffic,
         tags: TagStats,
     ) -> None:
         draw = self._rng.random(lines.size) < self.insert_probability
         counts = _engine_ops.bypass_read_batch(
-            lines, seg, self._tags, self._dirty, self._known_resident, draw
+            lines, draw, seg, self._tags, self._dirty, self._known_resident
         )
         traffic.dram_reads += counts.requests  # every request still tag-checks
         traffic.nvram_reads += counts.misses  # demand fetch, allocated or not
@@ -162,7 +164,7 @@ class NextLinePrefetchCache(DirectMappedCache):
     def _apply_read(
         self,
         lines: np.ndarray,
-        seg: SegmentedBatch,
+        seg: _engine_ops.Grouping,
         traffic: Traffic,
         tags: TagStats,
     ) -> None:

@@ -36,7 +36,6 @@ from repro.cache import engine as _engine_ops
 from repro.cache.base import as_lines, record_cache_metrics
 from repro.errors import ConfigurationError
 from repro.perf.counters import TagStats, Traffic
-from repro.perf.segments import SegmentedBatch
 from repro.units import CACHE_LINE
 
 _INVALID = np.int64(-1)
@@ -89,7 +88,7 @@ class SectorCache:
     def _decompose(self, lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         sector = lines // self.sector_lines
         offset = lines - sector * self.sector_lines
-        index = sector % self.num_sets
+        index = _engine_ops.set_index(sector, self.num_sets)
         return sector, offset, index
 
     # -- LLC interface ---------------------------------------------------------

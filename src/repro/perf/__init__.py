@@ -8,7 +8,7 @@ tables and textual figures for the experiment CLI.
 """
 
 from repro.perf.sampler import CounterSampler
-from repro.perf.segments import DuplicateProbe, SegmentedBatch, segment
+from repro.perf.segments import DuplicateProbe, SegmentedBatch, SplitBatch, segment
 from repro.perf.trace import Trace, TracePoint
 from repro.perf.report import render_table, render_series, render_bars
 
@@ -16,6 +16,7 @@ __all__ = [
     "CounterSampler",
     "DuplicateProbe",
     "SegmentedBatch",
+    "SplitBatch",
     "Trace",
     "TracePoint",
     "render_bars",

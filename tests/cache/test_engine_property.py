@@ -13,7 +13,10 @@ recurrences in :mod:`repro.cache.engine` are bit-for-bit equivalent to
 serial processing.  Runs of consecutive lines, which the engine indexes
 by slice instead of by a set-index array, get their own Hypothesis
 sweep against the same oracles, with full state compared after every
-batch.
+batch.  Log-append-shaped batches, whose sets mostly occur once and
+which the engine splits into a sort-free singleton part and a sorted
+remainder, get a seeded sweep of their own through all eight production
+models, also with full state compared after every batch.
 """
 
 from dataclasses import astuple
@@ -40,7 +43,17 @@ from repro.cache.flow import (
     ScalarNextLinePrefetch,
     ScalarSectorCache,
 )
-from repro.perf.segments import DuplicateProbe
+from repro.experiments.kvtrace import TRACE_SEED, TRACE_SPECS
+from repro.perf import segments
+from repro.perf.segments import DuplicateProbe, SplitBatch
+from repro.traces import generate
+from repro.traces.format import OP_GET
+from repro.traces.replay import (
+    _cache_capacity,
+    _expand_lines,
+    identity_placement,
+    platform_for,
+)
 from repro.units import MiB
 
 NUM_SETS = 8
@@ -646,3 +659,194 @@ def test_contiguous_batches_match_the_oracle(make_cache, make_oracle, steps):
         if step[0] == "rmw":
             seg = cache._segmenter._last[1]
             assert isinstance(seg.index, slice) == (start % CONTIGUOUS_SETS + n <= CONTIGUOUS_SETS)
+
+
+# ---------------------------------------------------------------------------
+# Nearly distinct batches: singletons and repeats grouped apart
+# ---------------------------------------------------------------------------
+
+
+NEARLY_SETS = 256
+NEARLY_ALIASES = 4
+NEARLY_SECTOR_LINES = 4
+
+
+def nearly_distinct_units(rng):
+    """A log-append-shaped batch of set-granular units: a few ascending
+    runs of consecutive units over many sets, so most sets occur once,
+    plus a few echoes inserted at random places.  An echo re-touches a
+    short stretch of a run, either the same units (a repeated line) or
+    the same sets at another alias (different lines of the same set)."""
+    runs = [
+        int(rng.integers(0, NEARLY_SETS * NEARLY_ALIASES)) + np.arange(int(rng.integers(6, 24)))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    units = np.concatenate(runs)
+    for _ in range(int(rng.integers(1, 4))):
+        start = int(rng.integers(0, units.size))
+        echo = units[start : start + int(rng.integers(1, 4))]
+        if rng.random() < 0.5:
+            echo = echo + NEARLY_SETS * int(rng.integers(1, NEARLY_ALIASES))
+        at = int(rng.integers(0, units.size + 1))
+        units = np.concatenate((units[:at], echo, units[at:]))
+    return units % (NEARLY_SETS * NEARLY_ALIASES)
+
+
+def sector_state(cache):
+    return list(zip(cache._tags.tolist(), cache._valid.tolist(), cache._dirty.tolist()))
+
+
+def sector_oracle_state(oracle):
+    def bits(offsets):
+        return sum(1 << offset for offset in offsets)
+
+    return [
+        (entry.tag, bits(entry.valid), bits(entry.dirty)) if entry else (-1, 0, 0)
+        for entry in (oracle._sets.get(index) for index in range(oracle.num_sets))
+    ]
+
+
+def rng_state(model):
+    """The model's coin stream position, for the designs that draw."""
+    rng = getattr(model, "_rng", None)
+    return None if rng is None else rng.bit_generator.state
+
+
+NEARLY_MODELS = [
+    pytest.param(
+        lambda: DirectMappedCache(NEARLY_SETS * 64),
+        lambda: ReferenceCache(NEARLY_SETS),
+        id="direct_mapped",
+    ),
+    pytest.param(
+        lambda: DirectMappedCache(NEARLY_SETS * 64, ddo_enabled=False),
+        lambda: ReferenceCache(NEARLY_SETS, ddo_enabled=False),
+        id="no_ddo",
+    ),
+    pytest.param(
+        lambda: DirectMappedCache(NEARLY_SETS * 64, insert_on_write_miss=False),
+        lambda: ReferenceCache(NEARLY_SETS, insert_on_write_miss=False),
+        id="write_around",
+    ),
+    pytest.param(
+        lambda: SetAssociativeCache(NEARLY_SETS * 4 * 64, ways=4),
+        lambda: ScalarLRUCache(NEARLY_SETS, 4),
+        id="setassoc_lru",
+    ),
+    pytest.param(
+        lambda: SectorCache(
+            NEARLY_SETS * NEARLY_SECTOR_LINES * 64, sector_lines=NEARLY_SECTOR_LINES, footprint=2
+        ),
+        lambda: ScalarSectorCache(NEARLY_SETS, NEARLY_SECTOR_LINES, 2),
+        id="sector",
+    ),
+    pytest.param(
+        lambda: MissPredictorCache(NEARLY_SETS * 64, accuracy=0.5, seed=3),
+        lambda: ScalarMissPredictor(NEARLY_SETS, accuracy=0.5, seed=3),
+        id="miss_predictor",
+    ),
+    pytest.param(
+        lambda: BypassCache(NEARLY_SETS * 64, insert_probability=0.5, seed=3),
+        lambda: ScalarBypass(NEARLY_SETS, insert_probability=0.5, seed=3),
+        id="bypass",
+    ),
+    pytest.param(
+        lambda: NextLinePrefetchCache(NEARLY_SETS * 64),
+        lambda: ScalarNextLinePrefetch(NEARLY_SETS),
+        id="prefetch",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_cache,make_oracle", NEARLY_MODELS)
+def test_nearly_distinct_batches_match_the_oracle(monkeypatch, make_cache, make_oracle):
+    """Log-append-shaped batches, whose sets mostly occur once, reach the
+    split grouping on every production model, and each model matches its
+    oracle in traffic, tag stats and full state after every batch: the
+    per-set (tag, dirty, known-resident) or LRU stack, the sector
+    bitmaps, and the predictor's and bypass's coin streams.  Some batches
+    are frozen and sent as a read then a write, so the write pass reuses
+    the read pass's split."""
+    splits = []
+    real_segment = engine.segment
+
+    def spy_segment(keys, probe=None):
+        seg = real_segment(keys, probe)
+        splits.append(isinstance(seg, SplitBatch))
+        return seg
+
+    monkeypatch.setattr(engine, "segment", spy_segment)
+    cache, oracle = make_cache(), make_oracle()
+    sector = isinstance(cache, SectorCache)
+    state = sector_state if sector else full_state
+    want_state = sector_oracle_state if sector else oracle_state
+    rng = np.random.default_rng(0x1A)
+    for step in range(120):
+        units = nearly_distinct_units(rng)
+        if sector:  # one line per unit's sector, at a random offset
+            units = units * NEARLY_SECTOR_LINES + rng.integers(0, NEARLY_SECTOR_LINES, units.size)
+        lines = units.astype(np.int64)
+        if step % 3 == 0:
+            lines.flags.writeable = False
+            passes = ["read", "write"]
+        else:
+            passes = ["read" if rng.random() < 0.6 else "write"]
+        for kind in passes:
+            got = getattr(cache, f"llc_{kind}")(lines)
+            want = getattr(oracle, f"llc_{kind}")(lines)
+            context = f"step {step} {kind} {lines.tolist()}"
+            assert got == want, f"counters diverged ({context}): {got} vs {want}"
+            assert state(cache) == want_state(oracle), f"state diverged ({context})"
+            assert rng_state(cache) == rng_state(oracle), f"coins diverged ({context})"
+    assert sum(splits) >= 80, f"{sum(splits)} of {len(splits)} groupings split"
+
+
+def test_prime_keeps_each_sets_last_line_on_a_split_batch(monkeypatch):
+    """``prime`` on a nearly distinct batch splits it, and each set ends
+    holding its last line, with the requested marks."""
+    splits = []
+    real_segment = engine.segment
+
+    def spy_segment(keys, probe=None):
+        seg = real_segment(keys, probe)
+        splits.append(isinstance(seg, SplitBatch))
+        return seg
+
+    monkeypatch.setattr(engine, "segment", spy_segment)
+    rng = np.random.default_rng(0x9)
+    cache = DirectMappedCache(NEARLY_SETS * 64)
+    for _ in range(40):
+        lines = nearly_distinct_units(rng).astype(np.int64)
+        cache.prime(lines, dirty=True, known_resident=True)
+        last = {int(line) % NEARLY_SETS: int(line) for line in lines}
+        for index, line in last.items():
+            assert cache._tags[index] == line
+            assert cache._dirty[index] and cache._known_resident[index]
+    assert sum(splits) >= 20, f"{sum(splits)} of {len(splits)} groupings split"
+
+
+def test_first_logappend_write_window_sorts_only_its_colliding_positions(monkeypatch):
+    """kv_replay's first seed-7 log-append write window, on its
+    524,256-set direct-mapped cache: about 97 % of its positions hold a
+    set that occurs once, so the write pass sorts only the positions
+    whose set repeats, in one sort."""
+    sorted_sizes = []
+    for name in ("_packed_sort", "_stable_sort"):
+        real = getattr(segments, name)
+
+        def spy(keys, *args, _real=real):
+            sorted_sizes.append(keys.size)
+            return _real(keys, *args)
+
+        monkeypatch.setattr(segments, name, spy)
+    trace = generate("logappend", seed=TRACE_SEED, **TRACE_SPECS["logappend"]["full"])
+    ops, keys, sizes = next(trace.batches())
+    writes = ops != OP_GET
+    lines = _expand_lines(keys[writes], sizes[writes], identity_placement(trace))
+    num_sets = _cache_capacity(platform_for(trace)) // 64
+    assert num_sets == 524_256
+    per_set = np.bincount(lines % num_sets, minlength=num_sets)
+    colliding = int(np.count_nonzero(per_set[lines % num_sets] > 1))
+    assert 0 < colliding <= 0.05 * lines.size
+    DirectMappedCache(num_sets * 64).llc_write(lines)
+    assert sorted_sizes == [colliding]

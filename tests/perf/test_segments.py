@@ -9,9 +9,10 @@ against the legacy per-round ``np.unique`` loop it replaced, and the
 value-run folding of ``rounds(values)`` against brute-force per-key
 runs.  The duplicate probe's three proofs (order, rotation, and
 scatter/gather) are property-tested with Hypothesis over key spaces on
-both sides of its scratch allowance, and a contiguous ``range`` of keys
-is checked to group by slice without a probe call or a per-line key
-array.
+both sides of its scratch allowance, as are the repeats it locates and
+the split of a batch whose keys mostly occur once, and a contiguous
+``range`` of keys is checked to group by slice without a probe call or
+a per-line key array.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.perf.segments import (
     PRESORTED_DESCENTS,
     DuplicateProbe,
     SegmentedBatch,
+    SplitBatch,
     positions,
     segment,
 )
@@ -489,3 +491,95 @@ def test_contiguous_range_groups_by_slice(grouping_sorts, start, n):
     np.testing.assert_array_equal(seg.lengths, np.ones(n, dtype=np.int64))
     state = np.arange(2 * (start + n))
     np.testing.assert_array_equal(state[seg.index], state[expected])
+
+
+# ---------------------------------------------------------------------------
+# Split batches: singleton keys apart from repeated keys
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def split_cases(draw):
+    """``(keys, space)``: distinct keys plus repeats of some of them, over
+    a key space the probe's scratch affords, shuffled or ascending (a
+    log-append window's runs)."""
+    distinct = draw(st.integers(2, 48))
+    repeats = draw(st.integers(1, 24))
+    space = draw(st.integers(distinct + repeats, (distinct + repeats) * SLOTS))
+    once = draw(st.lists(st.integers(0, space - 1), min_size=distinct, max_size=distinct, unique=True))
+    keys = once + draw(st.lists(st.sampled_from(once), min_size=repeats, max_size=repeats))
+    keys = sorted(keys) if draw(st.booleans()) else draw(st.permutations(keys))
+    return np.array(keys, dtype=np.int64), space
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_probe_marks_exactly_the_repeated_keys(case):
+    """After refusing a batch by scatter/gather, the probe marks every
+    occurrence of every repeated key and no singleton, or declines to
+    when repeated keys hold more than half of the positions; it answers
+    once per refusal."""
+    keys, space = case
+    probe = DuplicateProbe(space)
+    assert not probe.collision_free(keys)
+    repeated = np.bincount(keys)[keys] > 1
+    colliding = probe.colliding(keys)
+    if 2 * np.count_nonzero(repeated) > keys.size:
+        assert colliding is None
+    else:
+        np.testing.assert_array_equal(colliding, repeated)
+    assert probe.colliding(keys) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_partitions_the_batch(case):
+    """A batch whose singleton keys hold at least half of its positions
+    splits: the singleton part selects exactly the positions whose key
+    occurs once, in batch order, as an identity grouping of pairwise
+    distinct keys; the colliding part selects every other position and
+    is grouped exactly as the stable argsort of its keys; no key is in
+    both.  Any other batch is grouped whole."""
+    keys, space = case
+    n = keys.size
+    counts = np.bincount(keys)
+    single = counts[keys] == 1
+    seg = segment(keys, DuplicateProbe(space))
+    if 2 * np.count_nonzero(~single) > n:
+        assert isinstance(seg, SegmentedBatch) and not seg.collision_free
+        return
+    assert isinstance(seg, SplitBatch) and not seg.collision_free
+    (at_singles, singles), (at_repeats, grouped) = seg.parts
+    batch = np.arange(n)
+    np.testing.assert_array_equal(batch[at_singles], np.flatnonzero(single))
+    np.testing.assert_array_equal(batch[at_repeats], np.flatnonzero(~single))
+    single_keys, repeat_keys = keys[at_singles], keys[at_repeats]
+    assert singles.collision_free
+    np.testing.assert_array_equal(singles.keys, single_keys)
+    assert np.unique(single_keys).size == single_keys.size
+    assert not np.isin(single_keys, repeat_keys).any()
+    stable = np.argsort(repeat_keys, kind="stable")
+    np.testing.assert_array_equal(grouped.order, stable)
+    np.testing.assert_array_equal(grouped.sorted_keys, repeat_keys[stable])
+    assert seg.size == n
+    assert singles.num_segments + grouped.num_segments == np.unique(keys).size
+    assert grouped.max_multiplicity == counts.max()
+
+
+def test_only_a_scattered_batch_splits(grouping_sorts):
+    """A batch the probe declined or refused by pigeonhole was never
+    scattered, so it has no split and sorts whole; and a later scatter
+    replaces the record of an earlier refusal."""
+    declined = np.array([9, 3, 9, 1, 7, 5], dtype=np.int64)  # unordered, no scratch
+    probe = DuplicateProbe(declined.size * SLOTS + 1)
+    assert not probe.collision_free(declined) and probe.colliding(declined) is None
+    crowded = np.array([0, 1, 2, 3, 0], dtype=np.int64)  # five keys in four slots
+    probe = DuplicateProbe(4)
+    assert not probe.collision_free(crowded) and probe.colliding(crowded) is None
+    seg = segment(crowded, probe)
+    assert isinstance(seg, SegmentedBatch) and sum(grouping_sorts.values()) == 1
+    probe = DuplicateProbe(16)
+    first = np.array([4, 1, 2, 4, 6, 8, 9], dtype=np.int64)
+    assert not probe.collision_free(first)
+    assert probe.collision_free(np.array([3, 1, 2], dtype=np.int64))
+    assert probe.colliding(first) is None
