@@ -14,13 +14,6 @@ modes turn it into something worse:
   Handlers must translate job errors into responses (or re-raise), not
   drop them.
 
-The dashboard surfaces (``/catalog``, ``/reports``) add two more ways
-to block a handler thread: opening a raw ``sqlite3.connect`` (the
-:class:`~repro.service.catalog.Catalog` owns per-thread connections —
-a handler-opened one bypasses them and the render metrics) and calling
-a ``*.rebuild()`` (a full catalog rebuild is O(store); handlers go
-through the service facade, which refreshes incrementally).
-
 The blocking rules apply inside any class derived from a
 ``*RequestHandler`` base; the swallow rule applies to every module.
 """
@@ -82,8 +75,8 @@ def _swallowed_exception(module: ModuleInfo, node: ast.ExceptHandler) -> Optiona
 class ServiceChecker(Checker):
     rule = "SVC001"
     description = (
-        "HTTP handlers must not sleep, simulate, or touch the catalog "
-        "raw, and nobody may silently swallow JobError"
+        "HTTP handlers must not sleep or simulate, and nobody may "
+        "silently swallow JobError"
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
@@ -116,20 +109,4 @@ class ServiceChecker(Checker):
                     node,
                     f"handler class {cls.name!r} calls {resolved}() which "
                     f"{reason}; submit to the job queue instead",
-                )
-            elif resolved == "sqlite3.connect":
-                yield self.finding(
-                    module,
-                    node,
-                    f"handler class {cls.name!r} opens a raw sqlite3 "
-                    "connection; the Catalog owns per-thread connections — "
-                    "go through the service facade",
-                )
-            elif resolved.endswith(".rebuild"):
-                yield self.finding(
-                    module,
-                    node,
-                    f"handler class {cls.name!r} calls {resolved}(), a full "
-                    "catalog rebuild that is O(store); the service facade "
-                    "refreshes incrementally",
                 )

@@ -1,10 +1,11 @@
 """Generated experiment reports: HTML pages with stdlib-built SVG.
 
-The catalog (:mod:`repro.service.catalog`) makes experiment history
-*queryable*; this package makes it *visible* without adding a plotting
-dependency.  Every chart is a small hand-assembled SVG string —
-bandwidth bars, paper-vs-repro delta tables, perf-trajectory
-sparklines — inlined into per-experiment HTML pages plus an index.
+The catalog (:mod:`repro.service.catalog`, a view over the result
+store's index) makes experiment history *queryable*; this package makes
+it *visible* without adding a plotting dependency.  Every chart is a
+small hand-assembled SVG string — bandwidth bars, paper-vs-repro delta
+tables, perf-trajectory sparklines — inlined into per-experiment HTML
+pages plus an index.
 
 Rendering is a pure function of the store contents: the same store
 renders byte-identical pages, so reports can be diffed across commits

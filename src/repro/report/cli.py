@@ -4,20 +4,20 @@ Usage::
 
     repro-report --store ./results
     repro-report --store ./results --out ./report --bench BENCH_*.json
-    repro-report --store ./results --experiment fig4 --rebuild
+    repro-report --store ./results --experiment fig4
 
 Renders ``index.html`` plus one ``<experiment>.html`` page per
 experiment present in the store, with every chart inlined as SVG so the
 output directory is a self-contained static bundle.  Rendering is a
 pure function of the store: running the command twice over an unchanged
 store produces byte-identical files (CI gates on exactly that), so a
-report diff is a *result* diff.
+report diff is a *result* diff.  The store's ``index.jsonl`` is derived
+from its payloads: after hand-editing a store, delete it and the next
+render re-derives every entry.
 
 ``--bench`` accepts any number of ``BENCH_*.json`` snapshots (the
 ``repro-experiment --bench`` output and the benchmark suite's exports);
-they become perf-trajectory sparklines.  ``--rebuild`` drops the sqlite
-catalog and re-indexes every payload instead of refreshing
-incrementally — use it after hand-editing a store.
+they become perf-trajectory sparklines.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="render only this experiment's page (plus the index)",
     )
     parser.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="drop the sqlite catalog and re-index the whole store",
-    )
-    parser.add_argument(
         "--log-level",
         metavar="LEVEL",
         help="enable structured logging at LEVEL (debug, info, warning, ...)",
@@ -90,8 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     store = ResultStore(store_root)
     catalog = Catalog(store)
-    changed = catalog.rebuild() if args.rebuild else catalog.refresh()
-    print(f"[catalog: {len(catalog)} rows ({changed} changed) -> {catalog.path}]")
+    print(f"[catalog: {len(catalog)} rows <- {store.index_path}]")
 
     bench = load_bench_history(args.bench) if args.bench else None
     if bench is not None:

@@ -8,6 +8,8 @@ work software can skip) applied to the harness itself:
 * :mod:`repro.service.store` — content-addressed result store: a
   request ``(experiment, params, quick, code-version salt)`` hashes to
   a stable key; identical requests are O(1) file reads, not re-runs.
+  Its ``index.jsonl`` holds one line per run, headline metrics
+  included, and is re-derived from the payloads when lost or torn.
 * :mod:`repro.service.queue` — bounded priority queue with explicit
   backpressure, in-flight deduplication, and backoff-aware claiming.
 * :mod:`repro.service.scheduler` — retry policy and the
@@ -19,10 +21,10 @@ work software can skip) applied to the harness itself:
   (``POST /jobs``, ``GET /jobs/<id>``, ``GET /results/<key>``,
   ``GET /catalog``, ``GET /reports/``, ``GET /healthz``,
   ``GET /metrics``).
-* :mod:`repro.service.catalog` — sqlite3 index over the store
-  (experiment / params / git SHA / salt / headline metrics) with
-  trajectory and param-diff queries; backs the ``/catalog`` endpoint
-  and the :mod:`repro.report` renderer.
+* :mod:`repro.service.catalog` — read-only view over the store's
+  index entries (experiment / params / git SHA / salt / headline
+  metrics) with trajectory and param-diff queries; backs the
+  ``/catalog`` endpoint and the :mod:`repro.report` renderer.
 * :mod:`repro.service.versioning` — the code-version salt and git SHA
   that keep stored results honest across code changes.
 

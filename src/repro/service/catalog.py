@@ -4,59 +4,24 @@ The :class:`~repro.service.store.ResultStore` answers exactly one
 question fast: "has *this* request been computed?".  Design-space work
 asks different questions — "how did fig4's paper delta move across the
 last five commits?", "which parameter settings of the designspace sweep
-have we already explored?" — and answering them from a flat
-``index.jsonl`` means re-reading every payload every time.
+have we already explored?" — and the catalog answers them.
 
-The catalog is a sqlite3 index (stdlib, zero new dependencies) kept
-*next to* the store (``<root>/catalog.sqlite3``) and rebuilt
-incrementally from :meth:`ResultStore.entries`: one row per stored key
-carrying ``(experiment, params hash + JSON, git SHA, code-version
-salt, quick, timestamp, headline metrics)``.  Headline metrics are
-extracted once, at refresh time, through the per-experiment hooks in
-:mod:`repro.experiments.headline` — queries never open payload files.
-
-The sqlite file is a disposable cache of the store: deleting it (or
-bumping :data:`SCHEMA_VERSION`) just triggers a rebuild.  Connections
-are per-thread, so the threaded HTTP front end can refresh and query
-concurrently.
+It is a read-only view over :meth:`ResultStore.entries`: each index
+entry already carries ``(experiment, params, git SHA, code-version
+salt, quick, timestamp, headline metrics)``, the headline computed once
+by :meth:`ResultStore.put` through the per-experiment hooks in
+:mod:`repro.experiments.headline`.  So queries never open payload
+files, and there is no second copy of the index to keep coherent: every
+query sees the store's entries as they are, unflushed results included.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sqlite3
-import threading
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro import obs
-from repro.experiments.headline import headline_metrics
-from repro.service.store import ResultStore, canonical_json
-
-#: Bump to invalidate existing catalog files (schema or extraction
-#: changes); a mismatched catalog is dropped and rebuilt, never read.
-SCHEMA_VERSION = 1
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS catalog_meta (
-    field TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS results (
-    key TEXT PRIMARY KEY,
-    experiment TEXT NOT NULL,
-    params_hash TEXT NOT NULL,
-    params_json TEXT NOT NULL,
-    quick INTEGER NOT NULL,
-    git_sha TEXT,
-    salt TEXT NOT NULL,
-    created_unix REAL NOT NULL,
-    headline_json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_results_experiment
-    ON results (experiment, created_unix);
-"""
+from repro.service.store import IndexEntry, ResultStore, canonical_json
 
 
 def params_hash(params: Dict[str, Any]) -> str:
@@ -64,157 +29,53 @@ def params_hash(params: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(params).encode()).hexdigest()[:12]
 
 
+def _row(entry: IndexEntry) -> Dict[str, Any]:
+    return {
+        "key": entry.key,
+        "experiment": entry.experiment,
+        "params_hash": params_hash(entry.params),
+        "params": dict(entry.params),
+        "quick": entry.quick,
+        "git_sha": entry.git_sha,
+        "salt": entry.salt,
+        "created_unix": entry.created_unix,
+        "headline": dict(entry.headline),
+    }
+
+
 class Catalog:
-    """Sqlite-backed, incrementally refreshed index of a result store."""
+    """Read-only queries over a result store's index entries."""
 
-    def __init__(self, store: ResultStore, path: "str | Path | None" = None) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self.store = store
-        self.path = Path(path) if path is not None else store.root / "catalog.sqlite3"
-        self._local = threading.local()
-        self._log = obs.get_logger("service.catalog")
-        self._ensure_schema()
-
-    # -- connection management ---------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
-        if conn is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path)
-            conn.row_factory = sqlite3.Row
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
-
-    def _ensure_schema(self) -> None:
-        conn = self._connect()
-        with conn:
-            conn.executescript(_SCHEMA)
-            row = conn.execute(
-                "SELECT value FROM catalog_meta WHERE field = 'schema_version'"
-            ).fetchone()
-            if row is not None and int(row["value"]) != SCHEMA_VERSION:
-                self._log.info(
-                    "catalog schema %s != %d; dropping for rebuild",
-                    row["value"], SCHEMA_VERSION,
-                )
-                conn.execute("DELETE FROM results")
-                conn.execute("DELETE FROM catalog_meta")
-                row = None
-            if row is None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO catalog_meta (field, value) "
-                    "VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-
-    # -- building ----------------------------------------------------
-
-    def refresh(self) -> int:
-        """Fold new store entries in; returns rows added + removed.
-
-        Incremental: only keys absent from the catalog get their payload
-        opened for params/headline extraction, and rows whose key left
-        the store (a compaction dropped it) are deleted.  Safe to call
-        per HTTP request — a no-op refresh is two cheap set scans.
-        """
-        conn = self._connect()
-        entries = {entry.key: entry for entry in self.store.entries()}
-        known = {
-            row["key"] for row in conn.execute("SELECT key FROM results").fetchall()
-        }
-        stale = known - entries.keys()
-        fresh = [entries[key] for key in entries if key not in known]
-        changed = 0
-        with conn:
-            if stale:
-                conn.executemany(
-                    "DELETE FROM results WHERE key = ?",
-                    [(key,) for key in sorted(stale)],
-                )
-                changed += len(stale)
-            for entry in fresh:
-                stored = self.store.get(entry.key)
-                if stored is None:  # racing a concurrent compaction
-                    continue
-                params = stored.request.get("params") or {}
-                headline = headline_metrics(entry.experiment, stored.result.data)
-                conn.execute(
-                    "INSERT OR REPLACE INTO results (key, experiment, "
-                    "params_hash, params_json, quick, git_sha, salt, "
-                    "created_unix, headline_json) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        entry.key,
-                        entry.experiment,
-                        params_hash(params),
-                        canonical_json(params),
-                        int(entry.quick),
-                        entry.git_sha,
-                        entry.salt,
-                        entry.created_unix,
-                        canonical_json(headline),
-                    ),
-                )
-                changed += 1
-        if changed:
-            self._log.info("catalog refresh: %d rows changed", changed)
-        return changed
-
-    def rebuild(self) -> int:
-        """Drop every row and re-index the whole store (O(store))."""
-        conn = self._connect()
-        with conn:
-            conn.execute("DELETE FROM results")
-        return self.refresh()
-
-    # -- queries -----------------------------------------------------
-
-    @staticmethod
-    def _row_to_dict(row: sqlite3.Row) -> Dict[str, Any]:
-        return {
-            "key": row["key"],
-            "experiment": row["experiment"],
-            "params_hash": row["params_hash"],
-            "params": json.loads(row["params_json"]),
-            "quick": bool(row["quick"]),
-            "git_sha": row["git_sha"],
-            "salt": row["salt"],
-            "created_unix": row["created_unix"],
-            "headline": json.loads(row["headline_json"]),
-        }
 
     def experiments(self) -> List[Dict[str, Any]]:
         """Per-experiment summary: run counts and the freshest run."""
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT experiment, COUNT(*) AS runs, "
-            "COUNT(DISTINCT salt) AS code_versions, "
-            "MIN(created_unix) AS first_unix, MAX(created_unix) AS last_unix "
-            "FROM results GROUP BY experiment ORDER BY experiment"
-        ).fetchall()
-        return [dict(row) for row in rows]
+        runs: Dict[str, List[IndexEntry]] = {}
+        for entry in self.store.entries():
+            runs.setdefault(entry.experiment, []).append(entry)
+        return [
+            {
+                "experiment": name,
+                "runs": len(group),
+                "code_versions": len({entry.salt for entry in group}),
+                "first_unix": min(entry.created_unix for entry in group),
+                "last_unix": max(entry.created_unix for entry in group),
+            }
+            for name, group in sorted(runs.items())
+        ]
 
     def rows(
         self, experiment: Optional[str] = None, limit: Optional[int] = None
     ) -> List[Dict[str, Any]]:
         """Catalog rows, newest first (then by key for determinism)."""
-        conn = self._connect()
-        sql = "SELECT * FROM results"
-        args: List[Any] = []
-        if experiment is not None:
-            sql += " WHERE experiment = ?"
-            args.append(experiment)
-        sql += " ORDER BY created_unix DESC, key"
-        if limit is not None:
-            sql += " LIMIT ?"
-            args.append(int(limit))
-        return [self._row_to_dict(row) for row in conn.execute(sql, args).fetchall()]
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        newest = sorted(
+            self.store.entries(experiment),
+            key=lambda entry: (-entry.created_unix, entry.key),
+        )
+        return [_row(entry) for entry in newest[:limit]]
 
     def trajectory(
         self, experiment: str, metric: Optional[str] = None
@@ -228,29 +89,26 @@ class Catalog:
         dict collapses to that single value (runs missing it are
         skipped).  Unknown experiments yield an empty list.
         """
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT * FROM results WHERE experiment = ? "
-            "ORDER BY created_unix, key",
-            (experiment,),
-        ).fetchall()
+        oldest = sorted(
+            self.store.entries(experiment),
+            key=lambda entry: (entry.created_unix, entry.key),
+        )
         points = []
-        for row in rows:
-            headline = json.loads(row["headline_json"])
-            if metric is not None:
-                if metric not in headline:
-                    continue
-                value: Any = headline[metric]
+        for entry in oldest:
+            if metric is None:
+                value: Any = dict(entry.headline)
+            elif metric in entry.headline:
+                value = entry.headline[metric]
             else:
-                value = headline
+                continue
             points.append(
                 {
-                    "key": row["key"],
-                    "created_unix": row["created_unix"],
-                    "git_sha": row["git_sha"],
-                    "salt": row["salt"],
-                    "quick": bool(row["quick"]),
-                    "params_hash": row["params_hash"],
+                    "key": entry.key,
+                    "created_unix": entry.created_unix,
+                    "git_sha": entry.git_sha,
+                    "salt": entry.salt,
+                    "quick": entry.quick,
+                    "params_hash": params_hash(entry.params),
                     "value": value,
                 }
             )
@@ -263,14 +121,7 @@ class Catalog:
         (absence counts as a value) to the sorted list of observed
         values — the "what have we already explored" query for sweeps.
         """
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT params_json FROM results WHERE experiment = ?",
-            (experiment,),
-        ).fetchall()
-        assignments = [json.loads(row["params_json"]) for row in rows]
-        if not assignments:
-            return {}
+        assignments = [entry.params for entry in self.store.entries(experiment)]
         names = sorted({name for params in assignments for name in params})
         diff: Dict[str, List[Any]] = {}
         for name in names:
@@ -284,16 +135,9 @@ class Catalog:
 
     def metrics_for(self, experiment: str) -> List[str]:
         """Every headline metric name seen for ``experiment``, sorted."""
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT headline_json FROM results WHERE experiment = ?",
-            (experiment,),
-        ).fetchall()
-        names = set()
-        for row in rows:
-            names.update(json.loads(row["headline_json"]))
-        return sorted(names)
+        return sorted(
+            {name for entry in self.store.entries(experiment) for name in entry.headline}
+        )
 
     def __len__(self) -> int:
-        row = self._connect().execute("SELECT COUNT(*) AS n FROM results").fetchone()
-        return int(row["n"])
+        return len(self.store.entries())

@@ -20,9 +20,9 @@ Endpoints::
     GET  /healthz         liveness + queue depth + code version
     GET  /metrics         Prometheus text exposition of the registry
 
-``/catalog`` and ``/reports`` re-render from the live store on every
-request (the catalog refresh is incremental), which is what turns the
-job API into a self-updating results dashboard.
+``/catalog`` and ``/reports`` re-render from the store's in-memory
+index on every request, which is what turns the job API into a
+self-updating results dashboard.
 """
 
 from __future__ import annotations
@@ -173,8 +173,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             limit_raw = query.get("limit", [None])[0]
             limit = int(limit_raw) if limit_raw is not None else None
+            if limit is not None and limit < 0:
+                raise ValueError(f"negative limit {limit}")
         except ValueError:
-            self._send_json(400, {"error": "limit must be an integer"})
+            self._send_json(400, {"error": "limit must be a non-negative integer"})
             return
         rows = self.service.catalog_rows(experiment=experiment, limit=limit)
         self._send_json(

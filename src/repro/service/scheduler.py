@@ -104,8 +104,7 @@ class SimulationService:
         self._metrics_lock = threading.Lock()
         self._clock = clock
         self._log = obs.get_logger("service")
-        self._catalog: Optional[Catalog] = None
-        self._catalog_lock = threading.Lock()
+        self.catalog = Catalog(store)
         from repro.service.workers import WorkerPool
 
         self.workers = WorkerPool(self, threads=workers)
@@ -157,6 +156,13 @@ class SimulationService:
                 f"registered: {', '.join(sorted(self.experiments))}"
             )
         params = dict(params or {})
+        if "jobs" in params:
+            # Workers run jobs in daemonic children, which cannot start
+            # a sweep's process pool.
+            raise JobRejectedError(
+                "parameter 'jobs' is not accepted: the worker pool runs "
+                "jobs side by side, and parallelism changes wall-clock only"
+            )
         signature = inspect.signature(fn)
         for name, value in params.items():
             if name not in signature.parameters:
@@ -285,29 +291,17 @@ class SimulationService:
 
     # -- catalog + reports (the self-updating dashboard) -------------
 
-    @property
-    def catalog(self) -> Catalog:
-        """The sqlite catalog over this service's store, opened lazily."""
-        with self._catalog_lock:
-            if self._catalog is None:
-                self._catalog = Catalog(self.store)
-            return self._catalog
-
     def catalog_rows(
         self, experiment: Optional[str] = None, limit: Optional[int] = None
     ) -> list:
-        """Refresh the catalog from the live store and query it.
+        """Query the catalog over the live store's index entries.
 
-        The refresh is incremental (only keys the catalog has not seen
-        get their payload opened), so serving this per request is what
-        makes the dashboard self-updating rather than a stale snapshot.
+        The catalog reads the store's in-memory entries, results not yet
+        flushed included, so the dashboard is current on every request.
         """
         self._count("catalog_requests")
-        catalog = self.catalog
         started = self._clock()
-        with self._catalog_lock:
-            catalog.refresh()
-            rows = catalog.rows(experiment=experiment, limit=limit)
+        rows = self.catalog.rows(experiment=experiment, limit=limit)
         self._observe_render(self._clock() - started)
         return rows
 
@@ -320,14 +314,11 @@ class SimulationService:
         from repro.report.render import render_experiment, render_index
 
         self._count("report_requests")
-        catalog = self.catalog
         started = self._clock()
-        with self._catalog_lock:
-            catalog.refresh()
-            if experiment is None:
-                html = render_index(catalog)
-            else:
-                html = render_experiment(catalog, experiment)
+        if experiment is None:
+            html = render_index(self.catalog)
+        else:
+            html = render_experiment(self.catalog, experiment)
         self._observe_render(self._clock() - started)
         return html
 

@@ -19,16 +19,24 @@ the current code would not reproduce.
 Layout on disk::
 
     <root>/ab/<key>.json     one result payload per request key
-    <root>/index.jsonl       append-only log of stored keys (flushed)
+    <root>/index.jsonl       append-only log of stored runs (flushed)
+
+Each index line carries what the catalog (:mod:`repro.service.catalog`)
+queries: the request, its provenance, and the run's request ``params``
+and ``headline`` metrics.  The headline is computed once, in
+:meth:`ResultStore.put`, from the data as the payload stores it, so
+queries never open payload files.
 
 Writes are atomic (temp file + rename) so a concurrently-serving HTTP
-thread never observes a half-written payload.  The index is *advisory*:
+thread never observes a half-written payload.  The index is *derived*:
 payload files are the source of truth, and opening a store compacts the
 index against them — duplicate keys collapse to the latest append,
-truncated lines from a crash mid-append are dropped, and payloads whose
-index line never made it to disk are recovered from their own metadata.
-Consumers read the compacted view through :meth:`ResultStore.entries`
-instead of re-parsing ``index.jsonl`` themselves.
+truncated or malformed lines (a crash mid-append, an older line format)
+are dropped, and payloads without a valid index line are re-derived
+from the payload itself.  Deleting ``index.jsonl`` therefore re-derives
+every entry with the current headline hooks.  Consumers read the
+compacted view through :meth:`ResultStore.entries` instead of
+re-parsing ``index.jsonl`` themselves.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.experiments.base import ExperimentResult
+from repro.experiments.headline import headline_metrics
 from repro.perf.export import to_jsonable
 from repro.service.versioning import code_version_salt, git_sha
 
@@ -117,8 +126,10 @@ class IndexEntry:
     """One compacted line of ``index.jsonl``.
 
     ``salt`` and ``git_sha`` are provenance: they let the catalog group
-    results by the code version (and commit) that produced them without
-    opening every payload file.
+    results by the code version (and commit) that produced them.
+    ``params`` and ``headline`` are the run's request parameters and
+    headline metrics, derived from the payload as stored, so the
+    catalog answers every query without opening a payload file.
     """
 
     key: str
@@ -127,6 +138,8 @@ class IndexEntry:
     created_unix: float
     salt: str = ""
     git_sha: Optional[str] = None
+    params: Dict[str, Any] = field(default_factory=dict)
+    headline: Dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -136,20 +149,32 @@ class IndexEntry:
             "created_unix": self.created_unix,
             "salt": self.salt,
             "git_sha": self.git_sha,
+            "params": self.params,
+            "headline": self.headline,
         }
 
     @classmethod
     def from_json(cls, obj: Any) -> Optional["IndexEntry"]:
-        """Parse one index line; ``None`` for malformed records."""
+        """Parse one index line; ``None`` for malformed records.
+
+        A line without well-formed ``params`` and ``headline`` fields
+        (torn, hand-edited, or in an older format) is malformed: opening
+        the store re-derives its entry from the payload.
+        """
         if not isinstance(obj, dict):
             return None
         key = obj.get("key")
         experiment = obj.get("experiment")
         created = obj.get("created_unix")
+        params = obj.get("params")
+        headline = obj.get("headline")
         if (
             not isinstance(key, str)
             or not isinstance(experiment, str)
             or not isinstance(created, (int, float))
+            or not isinstance(params, dict)
+            or not isinstance(headline, dict)
+            or not all(isinstance(v, (int, float)) for v in headline.values())
         ):
             return None
         sha = obj.get("git_sha")
@@ -160,7 +185,20 @@ class IndexEntry:
             created_unix=float(created),
             salt=str(obj.get("salt", "") or ""),
             git_sha=sha if isinstance(sha, str) and sha else None,
+            params=params,
+            headline=headline,
         )
+
+
+def _headline(experiment: str, data: Any) -> Dict[str, float]:
+    """The headline metrics of stored ``data``, as an index line holds them.
+
+    They take the canonical-JSON round trip an index line takes, so an
+    entry read back from ``index.jsonl`` equals the one ``put`` built.
+    """
+    if not isinstance(data, Mapping):
+        return {}
+    return json.loads(canonical_json(headline_metrics(experiment, data)))
 
 
 class ResultStore:
@@ -245,10 +283,14 @@ class ResultStore:
             },
             "meta": {"created_unix": round(self._clock(), 3), **meta},
         }
+        text = json.dumps(payload, sort_keys=True, indent=1)
+        # Index the payload as it is read back: the JSON round trip turns
+        # arrays into lists and tuple keys into strings.
+        stored = json.loads(text)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        tmp.write_text(text)
         os.replace(tmp, path)
         self._pending_index.append(
             IndexEntry(
@@ -258,6 +300,8 @@ class ResultStore:
                 created_unix=payload["meta"]["created_unix"],
                 salt=spec.salt,
                 git_sha=payload["meta"].get("git_sha"),
+                params=stored["request"]["params"],
+                headline=_headline(spec.experiment, stored["result"]["data"]),
             )
         )
         return key
@@ -299,11 +343,11 @@ class ResultStore:
     def _load_index(self) -> Dict[str, IndexEntry]:
         """Read + compact ``index.jsonl`` against the payload files.
 
-        Drops corrupt/truncated lines (crash mid-append), collapses
-        duplicate keys to the latest append (overwritten results), drops
-        entries whose payload vanished, and recovers payloads that never
-        got an index line.  Rewrites the file only when something
-        actually changed.
+        Drops corrupt/truncated lines (crash mid-append, an older line
+        format), collapses duplicate keys to the latest append
+        (overwritten results), drops entries whose payload vanished, and
+        re-derives every payload left without a valid line.  Rewrites
+        the file only when something actually changed.
         """
         entries: Dict[str, IndexEntry] = {}
         dirty = False
@@ -338,23 +382,28 @@ class ResultStore:
         return entries
 
     def _entry_from_payload(self, key: str) -> Optional[IndexEntry]:
-        """Rebuild one index entry from its payload file (crash recovery)."""
+        """Re-derive one index entry from its payload file (recovery)."""
         try:
             payload = json.loads(self.path_for(key).read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        request = payload.get("request")
-        meta = payload.get("meta")
-        if not isinstance(request, dict) or not isinstance(meta, dict):
+        parts = [payload.get(part) for part in ("request", "meta", "result")]
+        if not all(isinstance(part, dict) for part in parts):
+            return None
+        request, meta, result = parts
+        experiment = request.get("experiment")
+        if not isinstance(experiment, str):
             return None
         return IndexEntry.from_json(
             {
                 "key": key,
-                "experiment": request.get("experiment"),
+                "experiment": experiment,
                 "quick": request.get("quick", False),
                 "created_unix": meta.get("created_unix", 0.0),
                 "salt": request.get("salt", ""),
                 "git_sha": meta.get("git_sha"),
+                "params": request.get("params") or {},
+                "headline": _headline(experiment, result.get("data")),
             }
         )
 

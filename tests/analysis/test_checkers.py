@@ -427,50 +427,6 @@ class TestService:
         ]
         assert "swallows" in findings[0].message
 
-    def test_flags_raw_catalog_access_in_handler(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "http.py",
-            """\
-            import sqlite3
-            from http.server import BaseHTTPRequestHandler
-
-
-            class Handler(BaseHTTPRequestHandler):
-                def do_GET(self):
-                    conn = sqlite3.connect("catalog.sqlite3")
-                    self.service.catalog.rebuild()
-                    self.respond(conn)
-            """,
-            ServiceChecker(),
-        )
-        assert [(f.rule, f.line) for f in findings] == [
-            ("SVC001", 7),
-            ("SVC001", 8),
-        ]
-        assert "sqlite3" in findings[0].message
-        assert "rebuild" in findings[1].message
-        assert "incrementally" in findings[1].message
-
-    def test_catalog_access_outside_handlers_passes(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "catalog.py",
-            """\
-            import sqlite3
-
-
-            class Catalog:
-                def _connect(self, path):
-                    return sqlite3.connect(path)
-
-                def refresh(self):
-                    return self.rebuild()
-            """,
-            ServiceChecker(),
-        )
-        assert findings == []
-
     def test_translated_job_error_passes(self, tmp_path):
         findings = lint(
             tmp_path,

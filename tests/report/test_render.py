@@ -30,9 +30,7 @@ def catalog(tmp_path):
         clock=200.0, params={"tune": 1},
     )
     put_run(store, "custom", {"speed": 4.0}, clock=150.0)
-    catalog = Catalog(store)
-    catalog.refresh()
-    return catalog
+    return Catalog(store)
 
 
 class TestRenderExperiment:
@@ -66,10 +64,10 @@ class TestRenderExperiment:
         first = render_experiment(catalog, "fig2")
         second = render_experiment(catalog, "fig2")
         assert first == second
-        # A fresh Catalog over the same store renders identical bytes.
-        rebuilt = Catalog(catalog.store, path=catalog.path)
-        rebuilt.refresh()
-        assert render_experiment(rebuilt, "fig2") == first
+        # A fresh Catalog over the reopened store renders identical bytes.
+        catalog.store.flush()
+        reopened = Catalog(ResultStore(catalog.store.root))
+        assert render_experiment(reopened, "fig2") == first
 
 
 class TestRenderIndex:
@@ -81,9 +79,7 @@ class TestRenderIndex:
 
     def test_empty_catalog_renders_a_friendly_index(self, tmp_path):
         store = ResultStore(tmp_path / "empty", clock=lambda: 0.0)
-        catalog = Catalog(store)
-        catalog.refresh()
-        html = render_index(catalog)
+        html = render_index(Catalog(store))
         assert "store is empty" in html
 
     def test_byte_stable(self, catalog):

@@ -37,7 +37,7 @@ class TestReportCli:
         assert b"<svg" in bundle["fig2.html"]
         assert b'href="fig2.html"' in bundle["index.html"]
         stdout = capsys.readouterr().out
-        assert "[catalog: 2 rows (2 changed)" in stdout
+        assert "[catalog: 2 rows <- " in stdout
         assert "[report ->" in stdout
 
     def test_second_render_is_byte_identical(self, tmp_path):
@@ -77,15 +77,17 @@ class TestReportCli:
             main(["--store", str(tmp_path / "missing")])
         assert excinfo.value.code == 2
 
-    def test_rebuild_reindexes_everything(self, tmp_path, capsys):
-        build_store(tmp_path / "store")
-        out = tmp_path / "report"
-        main(["--store", str(tmp_path / "store"), "--out", str(out)])
+    def test_deleted_index_renders_the_same_bundle(self, tmp_path, capsys):
+        """The payloads alone reproduce the report (CI runs this too)."""
+        store = build_store(tmp_path / "store")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        main(["--store", str(tmp_path / "store"), "--out", str(out1)])
+        store.index_path.unlink()
         capsys.readouterr()
-        main(
-            ["--store", str(tmp_path / "store"), "--out", str(out), "--rebuild"]
-        )
-        assert "[catalog: 2 rows (2 changed)" in capsys.readouterr().out
+        main(["--store", str(tmp_path / "store"), "--out", str(out2)])
+        assert "[catalog: 2 rows <- " in capsys.readouterr().out
+        assert read_bundle(out2) == read_bundle(out1)
+        assert store.index_path.is_file()
 
     def test_bench_files_feed_the_bundle(self, tmp_path):
         build_store(tmp_path / "store")

@@ -1,6 +1,5 @@
-"""Catalog queries: trajectories across commits, param diffs, refresh."""
-
-import sqlite3
+"""Catalog queries: trajectories across commits, param diffs, and the
+view staying current with the store it reads."""
 
 import pytest
 
@@ -37,7 +36,6 @@ def store(tmp_path):
 class TestEmptyAndUnknown:
     def test_empty_store_yields_empty_everything(self, store):
         catalog = Catalog(store)
-        assert catalog.refresh() == 0
         assert len(catalog) == 0
         assert catalog.experiments() == []
         assert catalog.rows() == []
@@ -48,7 +46,6 @@ class TestEmptyAndUnknown:
     def test_unknown_experiment_yields_empty_not_error(self, store):
         put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=100.0)
         catalog = Catalog(store)
-        catalog.refresh()
         assert catalog.trajectory("nope") == []
         assert catalog.trajectory("nope", metric="metric") == []
         assert catalog.param_diff("nope") == {}
@@ -61,7 +58,7 @@ class TestTrajectory:
         put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=100.0)
         put_run(store, "stub", 2.5, salt=SALT_B, sha=SHA_B, clock=200.0)
         catalog = Catalog(store)
-        assert catalog.refresh() == 2
+        assert len(catalog) == 2
 
         points = catalog.trajectory("stub", metric="metric")
         assert [p["value"] for p in points] == [1.0, 2.5]  # oldest first
@@ -72,7 +69,6 @@ class TestTrajectory:
     def test_trajectory_without_metric_returns_full_headline(self, store):
         put_run(store, "stub", 3.0, salt=SALT_A, sha=SHA_A, clock=10.0)
         catalog = Catalog(store)
-        catalog.refresh()
         (point,) = catalog.trajectory("stub")
         assert point["value"] == {"metric": 3.0}
 
@@ -85,7 +81,6 @@ class TestTrajectory:
         other.data = {"other": 9.0}
         store.put(spec, other, meta={"git_sha": SHA_B})
         catalog = Catalog(store)
-        catalog.refresh()
         assert [p["value"] for p in catalog.trajectory("stub", "metric")] == [1.0]
         assert [p["value"] for p in catalog.trajectory("stub", "other")] == [9.0]
         assert catalog.metrics_for("stub") == ["metric", "other"]
@@ -100,13 +95,29 @@ class TestRowsAndParams:
                 params={"clock": clock},
             )
         catalog = Catalog(store)
-        catalog.refresh()
         rows = catalog.rows(experiment="stub")
         assert [r["created_unix"] for r in rows] == [300.0, 200.0, 100.0]
         assert [r["headline"]["metric"] for r in rows] == [3.0, 2.0, 1.0]
         assert len(catalog.rows(experiment="stub", limit=2)) == 2
+        assert catalog.rows(experiment="stub", limit=0) == []
         assert rows[0]["params"] == {"clock": 300.0}
         assert rows[0]["params_hash"] == params_hash({"clock": 300.0})
+
+    def test_negative_limit_is_an_error_not_every_row(self, store):
+        put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0)
+        catalog = Catalog(store)
+        with pytest.raises(ValueError, match="limit"):
+            catalog.rows(limit=-1)
+
+    def test_equal_timestamps_are_ordered_by_key(self, store):
+        keys = [
+            put_run(store, "stub", float(v), salt=SALT_A, sha=SHA_A, clock=5.0,
+                    params={"v": v})
+            for v in range(4)
+        ]
+        catalog = Catalog(store)
+        assert [r["key"] for r in catalog.rows()] == sorted(keys)
+        assert [p["key"] for p in catalog.trajectory("stub")] == sorted(keys)
 
     def test_param_diff_reports_varying_parameters_only(self, store):
         put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0,
@@ -116,7 +127,6 @@ class TestRowsAndParams:
         put_run(store, "stub", 3.0, salt=SALT_A, sha=SHA_A, clock=3.0,
                 params={"fixed": "x"})
         catalog = Catalog(store)
-        catalog.refresh()
         diff = catalog.param_diff("stub")
         # 'fixed' never varies; 'alpha' takes 1, 2, and absent (None).
         assert set(diff) == {"alpha"}
@@ -124,57 +134,43 @@ class TestRowsAndParams:
 
 
 class TestRefresh:
-    def test_refresh_is_incremental(self, store):
+    """The view needs no refresh: every query reads the store's entries."""
+
+    def test_refresh_is_incremental(self, store, monkeypatch):
         put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0)
         catalog = Catalog(store)
-        assert catalog.refresh() == 1
-        assert catalog.refresh() == 0  # no-op on an unchanged store
+        assert len(catalog) == 1
+        # Queries never open a payload: a new put shows up on its own.
+        def no_payload_reads(key):
+            raise AssertionError(f"catalog opened payload {key}")
+
+        monkeypatch.setattr(store, "get", no_payload_reads)
         put_run(store, "stub", 2.0, salt=SALT_A, sha=SHA_A, clock=2.0,
                 params={"v": 2})
-        assert catalog.refresh() == 1
         assert len(catalog) == 2
+        assert [r["headline"]["metric"] for r in catalog.rows()] == [2.0, 1.0]
 
     def test_refresh_drops_rows_for_vanished_payloads(self, tmp_path):
         store = ResultStore(tmp_path / "store", clock=lambda: 0.0)
         keep = put_run(store, "keep", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0)
         gone = put_run(store, "gone", 2.0, salt=SALT_A, sha=SHA_A, clock=2.0)
         store.flush()
-        catalog = Catalog(store)
-        assert catalog.refresh() == 2
+        assert len(Catalog(store)) == 2
 
         store.path_for(gone).unlink()
         reopened = ResultStore(tmp_path / "store")  # compacts the index
-        stale_catalog = Catalog(reopened, path=catalog.path)
-        assert stale_catalog.refresh() == 1  # one stale row deleted
-        assert [r["key"] for r in stale_catalog.rows()] == [keep]
-
-    def test_schema_version_mismatch_triggers_rebuild(self, store):
-        put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0)
-        catalog = Catalog(store)
-        catalog.refresh()
-        assert len(catalog) == 1
-        catalog.close()
-
-        with sqlite3.connect(catalog.path) as conn:
-            conn.execute(
-                "UPDATE catalog_meta SET value = '999' "
-                "WHERE field = 'schema_version'"
-            )
-
-        fresh = Catalog(store, path=catalog.path)
-        assert len(fresh) == 0  # stale rows dropped, never served
-        assert fresh.refresh() == 1  # and the store re-indexes cleanly
-        assert len(fresh) == 1
+        assert [r["key"] for r in Catalog(reopened).rows()] == [keep]
 
     def test_catalog_file_is_disposable(self, store):
-        put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0)
-        catalog = Catalog(store)
-        catalog.refresh()
-        catalog.close()
-        catalog.path.unlink()
-        rebuilt = Catalog(store)
-        assert rebuilt.refresh() == 1
-        assert len(rebuilt) == 1
+        """The catalog's one file is ``index.jsonl``: lose it, lose nothing."""
+        put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=1.0,
+                params={"alpha": 1})
+        store.flush()
+        rows = Catalog(store).rows()
+        store.index_path.unlink()
+        rebuilt = Catalog(ResultStore(store.root))
+        assert rebuilt.rows() == rows
+        assert store.index_path.is_file()  # re-derived from the payloads
 
 
 class TestExperimentsSummary:
@@ -184,7 +180,6 @@ class TestExperimentsSummary:
                 params={"v": 2})
         put_run(store, "other", 5.0, salt=SALT_A, sha=SHA_A, clock=15.0)
         catalog = Catalog(store)
-        catalog.refresh()
         summaries = {s["experiment"]: s for s in catalog.experiments()}
         assert set(summaries) == {"other", "stub"}
         assert summaries["stub"]["runs"] == 2

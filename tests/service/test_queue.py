@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QueueFullError
+from repro.errors import JobRejectedError, QueueFullError
 from repro.experiments.base import ExperimentResult
 from repro.service.queue import JobQueue, JobRequest, JobState
 from repro.service.scheduler import RetryPolicy, SimulationService
@@ -126,7 +126,8 @@ class TestRetryPolicy:
             RetryPolicy().delay(0)
 
 
-def _stub_experiment(quick=False):
+def _stub_experiment(quick=False, jobs=1):
+    """Takes ``jobs`` like the registry's sweep experiments."""
     result = ExperimentResult(name="stub", title="stub")
     result.data = {"quick": quick}
     return result
@@ -195,6 +196,14 @@ class TestSchedulerLifecycle:
         snapshot = dict(service.telemetry.metrics.snapshot().counters)
         assert snapshot["repro_service_cache_hits_total"] == 1.0
         assert snapshot["repro_service_cache_misses_total"] == 1.0
+
+    def test_jobs_parameter_is_rejected_not_queued(self, tmp_path):
+        """A worker's daemonic child cannot start a sweep's process pool,
+        and parallelism changes wall-clock only: ``jobs`` is refused."""
+        service = self.make_service(tmp_path, FakeClock())
+        with pytest.raises(JobRejectedError, match="'jobs'"):
+            service.submit("stub", params={"jobs": 2}, quick=True)
+        assert service.queue.depth == 0
 
     def test_timed_out_attempts_are_counted(self, tmp_path):
         clock = FakeClock()

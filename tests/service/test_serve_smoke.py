@@ -1,5 +1,6 @@
 """End-to-end service smoke test over real HTTP on an ephemeral port."""
 
+import contextlib
 import json
 import threading
 import time
@@ -19,7 +20,8 @@ SIMULATED_SECONDS = 0.3
 POLL_DEADLINE = 30.0
 
 
-def sleepy_experiment(quick=False):
+def sleepy_experiment(quick=False, jobs=1):
+    """Takes ``jobs`` like the registry's sweep experiments."""
     time.sleep(SIMULATED_SECONDS)
     result = ExperimentResult(name="sleepy", title="a slow stub")
     result.add("slept, then rendered")
@@ -51,29 +53,41 @@ def get_with_headers(url):
         return error.code, dict(error.headers), error.read().decode()
 
 
-@pytest.fixture
-def served(tmp_path):
-    store = ResultStore(tmp_path / "store")
-    service = SimulationService(
-        store,
+def make_service(store_root):
+    return SimulationService(
+        ResultStore(store_root),
         JobQueue(capacity=8),
         experiments={"sleepy": sleepy_experiment},
         workers=1,
         salt="s" * 16,
     )
-    server = make_server(service, port=0)  # ephemeral port
+
+
+@contextlib.contextmanager
+def serving(service):
+    """Serve ``service`` over HTTP on an ephemeral port; yields the URL."""
+    server = make_server(service, port=0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    service.start()
     try:
-        yield service, f"http://{host}:{port}", tmp_path / "store"
+        yield f"http://{host}:{port}"
     finally:
         server.shutdown()
         server.server_close()
-        if not service.queue.closed:
-            service.shutdown(drain=False, timeout=10.0)
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def served(tmp_path):
+    service = make_service(tmp_path / "store")
+    with serving(service) as base:
+        service.start()
+        try:
+            yield service, base, tmp_path / "store"
+        finally:
+            if not service.queue.closed:
+                service.shutdown(drain=False, timeout=10.0)
 
 
 def poll_until_done(base, job_id):
@@ -204,6 +218,37 @@ class TestServeSmoke:
         assert "repro_service_report_requests_total 4" in metrics
         assert "repro_service_render_seconds_bucket" in metrics
 
+    @pytest.mark.parametrize(
+        "lose_index",
+        [
+            lambda index: index.unlink(),
+            lambda index: index.write_text(index.read_text()[:40]),
+        ],
+        ids=["deleted", "truncated"],
+    )
+    def test_catalog_survives_losing_the_index(self, served, lose_index):
+        service, base, store_root = served
+        status, accepted = http(
+            "POST", f"{base}/jobs", {"experiment": "sleepy", "quick": True}
+        )
+        assert status == 202
+        poll_until_done(base, accepted["job"]["id"])
+        service.store.flush()
+        status, before = http("GET", f"{base}/catalog")
+        assert (status, before["count"]) == (200, 1)
+
+        # The live service serves from its in-memory index entries.
+        lose_index(store_root / "index.jsonl")
+        assert http("GET", f"{base}/catalog") == (200, before)
+        status, _, body = get_with_headers(f"{base}/reports/")
+        assert status == 200
+        assert "sleepy" in body
+        service.shutdown(drain=True, timeout=30.0)
+
+        # A service restarted on the same store re-derives the index.
+        with serving(make_service(store_root)) as restarted:
+            assert http("GET", f"{restarted}/catalog") == (200, before)
+
     def test_duplicate_inflight_submissions_share_one_job(self, served):
         _, base, _ = served
         status, first = http(
@@ -231,6 +276,18 @@ class TestServeSmoke:
         )
         assert status == 400
         assert "bogus" in payload["error"]
+
+        # Parallelism changes wall-clock only; the worker pool owns it.
+        status, payload = http(
+            "POST", f"{base}/jobs", {"experiment": "sleepy", "params": {"jobs": 2}}
+        )
+        assert status == 400
+        assert "'jobs'" in payload["error"]
+
+        for limit in ("-1", "x"):
+            status, payload = http("GET", f"{base}/catalog?limit={limit}")
+            assert status == 400
+            assert "non-negative" in payload["error"]
 
         status, _ = http("GET", f"{base}/jobs/job-999999")
         assert status == 404

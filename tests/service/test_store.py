@@ -2,10 +2,18 @@
 
 import hashlib
 import json
+import os
+
+import numpy as np
+import pytest
 
 from repro.experiments.base import ExperimentResult
+from repro.service.catalog import Catalog
 from repro.service.store import RequestSpec, ResultStore, canonical_json
 from repro.service.versioning import code_version_salt
+
+#: The fields an index line held before it carried params and headline.
+PARENT_LINE_FIELDS = ("created_unix", "experiment", "git_sha", "key", "quick", "salt")
 
 
 def make_result(name="stub", value=1.5):
@@ -13,6 +21,10 @@ def make_result(name="stub", value=1.5):
     result.add("one rendered section")
     result.data = {"metric": value, "nested": {"ok": True}}
     return result
+
+
+def by_key(entries):
+    return sorted(entries, key=lambda entry: entry.key)
 
 
 class TestCanonicalJson:
@@ -105,6 +117,18 @@ class TestResultStore:
             RequestSpec.build(name, salt="b" * 16).key for name in ("one", "two")
         )
 
+    def test_headline_is_computed_from_the_data_as_stored(self, tmp_path):
+        """Numpy scalars only become numbers the hooks read once stored."""
+        store = ResultStore(tmp_path / "store", clock=lambda: 1.0)
+        result = ExperimentResult(name="fig2", title="fig2 stub")
+        result.data = {"peak_read": np.int64(30), "peak_write": np.float32(10.5)}
+        store.put(RequestSpec.build("fig2", salt="a" * 16), result)
+        (entry,) = store.entries()
+        assert entry.headline == {"peak_read": 30.0, "peak_write": 10.5}
+        store.flush()
+        store.index_path.unlink()
+        assert ResultStore(tmp_path / "store").entries() == [entry]
+
     def test_overwrite_is_atomic_and_idempotent(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = RequestSpec.build("stub", salt="c" * 16)
@@ -158,8 +182,8 @@ class TestIndexCompaction:
         lines = text.splitlines()
         store.index_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
         # Crash scenario 2: a payload landed but its index line never did.
-        orphan_spec = RequestSpec.build("three", salt="f" * 16)
-        store.put(orphan_spec, make_result("three"))
+        orphan_spec = RequestSpec.build("three", {"alpha": 3}, salt="f" * 16)
+        store.put(orphan_spec, make_result("three", value=3.0))
         # (no flush — the process "died" here)
 
         reopened = ResultStore(tmp_path / "store")
@@ -167,8 +191,12 @@ class TestIndexCompaction:
         # The recovered entries carry full provenance from the payloads.
         by_name = {e.experiment: e for e in reopened.entries()}
         assert by_name["two"].key == specs["two"].key
+        assert by_name["two"].params == {}
+        assert by_name["two"].headline == {"metric": 1.5}
         assert by_name["three"].salt == "f" * 16
         assert by_name["three"].created_unix == 2.0
+        assert by_name["three"].params == {"alpha": 3}
+        assert by_name["three"].headline == {"metric": 3.0}
         # The rewritten index is valid JSONL with one line per payload.
         rewritten = [
             json.loads(line)
@@ -192,10 +220,75 @@ class TestIndexCompaction:
 
     def test_clean_index_is_not_rewritten_on_reopen(self, tmp_path):
         store = ResultStore(tmp_path / "store", clock=lambda: 4.0)
-        store.put(RequestSpec.build("one", salt="b" * 16), make_result("one"))
+        store.put(RequestSpec.build("one", {"a": 1}, salt="b" * 16), make_result("one"))
         store.flush()
+        (line,) = store.index_path.read_text().splitlines()
+        assert json.loads(line)["params"] == {"a": 1}
+        assert json.loads(line)["headline"] == {"metric": 1.5}
         before = store.index_path.stat().st_mtime_ns
 
         reopened = ResultStore(tmp_path / "store")
-        assert len(reopened.entries()) == 1
+        assert reopened.entries() == store.entries()
         assert reopened.index_path.stat().st_mtime_ns == before
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda line: {k: line[k] for k in PARENT_LINE_FIELDS},
+            lambda line: {**line, "params": [1]},
+            lambda line: {**line, "headline": {"metric": "fast"}},
+        ],
+        ids=["parent-format", "params-not-a-dict", "headline-not-numeric"],
+    )
+    def test_malformed_line_is_rederived_once(self, tmp_path, mangle):
+        """An index line without valid params and headline is re-derived
+        from its payload on open, and the rewritten index then stays put."""
+        store = ResultStore(tmp_path / "store", clock=lambda: 6.0)
+        store.put(RequestSpec.build("one", {"a": 1}, salt="c" * 16), make_result("one"))
+        store.put(RequestSpec.build("two", salt="c" * 16), make_result("two", 2.0))
+        store.flush()
+        current = store.index_path.read_text()
+        lines = [json.loads(line) for line in current.splitlines()]
+        store.index_path.write_text(
+            "".join(json.dumps(mangle(line), sort_keys=True) + "\n" for line in lines)
+        )
+
+        reopened = ResultStore(tmp_path / "store")
+        assert by_key(reopened.entries()) == by_key(store.entries())
+        assert sorted(reopened.index_path.read_text().splitlines()) == sorted(
+            current.splitlines()
+        )
+        rewritten = reopened.index_path.stat().st_mtime_ns
+
+        again = ResultStore(tmp_path / "store")
+        assert by_key(again.entries()) == by_key(store.entries())
+        assert again.index_path.stat().st_mtime_ns == rewritten
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_crash_between_payload_write_and_index_append(self, tmp_path):
+        """A process killed after ``put`` and before ``flush`` loses nothing."""
+        spec = RequestSpec.build("stub", {"alpha": 2}, quick=True, salt="d" * 16)
+        meta = {"git_sha": "e" * 40}
+        pid = os.fork()
+        if pid == 0:  # child: write the payload, then die before the flush
+            code = 1
+            try:
+                crashed = ResultStore(tmp_path / "crashed", clock=lambda: 8.0)
+                crashed.put(spec, make_result(value=2.5), meta=meta)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert not (tmp_path / "crashed" / "index.jsonl").exists()
+
+        clean = ResultStore(tmp_path / "clean", clock=lambda: 8.0)
+        clean.put(spec, make_result(value=2.5), meta=meta)
+        clean.flush()
+
+        recovered = ResultStore(tmp_path / "crashed")
+        (entry,) = recovered.entries()
+        assert entry == ResultStore(tmp_path / "clean").entries()[0]
+        assert entry.params == {"alpha": 2}
+        assert entry.headline == {"metric": 2.5}
+        assert Catalog(recovered).rows() == Catalog(clean).rows()
