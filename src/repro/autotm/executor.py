@@ -15,6 +15,7 @@ bytes rather than the cache's amplified write-backs.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro import obs
 from repro.autotm.model import PlacementMode, PlacementPlan
-from repro.config import BATCH_LINES, PlatformConfig
+from repro.config import PlatformConfig
 from repro.errors import ConfigurationError, InvariantError
 from repro.memsys.backends import FlatBackend
 from repro.perf.counters import (
@@ -33,13 +34,11 @@ from repro.perf.counters import (
 )
 from repro.memsys.topology import AddressMap
 from repro.nn.autodiff import TrainingGraph
-from repro.nn.executor import KernelRecord, compute_time
+from repro.nn.executor import KernelRecord, execute_op
 from repro.nn.ir import Op, OpKind, Tensor
 from repro.nn.liveness import analyze_liveness
 from repro.nn.planner import FirstFitArena
 from repro.perf.sampler import CounterSampler
-
-_BATCH_LINES = BATCH_LINES
 
 
 @dataclass
@@ -184,10 +183,6 @@ def execute_autotm(
 
     result = AutoTMResult(plan=plan)
 
-    def stream(lines: np.ndarray, kind: AccessKind, context: AccessContext) -> None:
-        for begin in range(0, lines.size, _BATCH_LINES):
-            backend.access(lines[begin : begin + _BATCH_LINES], kind, context, weight=weight)
-
     def move(src: np.ndarray, dst: np.ndarray, op: Op, label: str) -> None:
         tele = obs.get()
         start = backend.counters.time
@@ -206,9 +201,9 @@ def execute_autotm(
                 else None
             )
             with backend.epoch(move_ctx) as epoch:
-                stream(src, AccessKind.LLC_READ, move_ctx)
+                backend.access(src, AccessKind.LLC_READ, move_ctx, weight=weight)
                 # Nontemporal stores: no ownership read, straight write.
-                stream(dst, AccessKind.LLC_WRITE, move_ctx)
+                backend.access(dst, AccessKind.LLC_WRITE, move_ctx, weight=weight)
             backend.counters.retire(
                 int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
             )
@@ -242,7 +237,6 @@ def execute_autotm(
             )
 
         tele = obs.get()
-        start = backend.counters.time
         with contextlib.ExitStack() as stack:
             if tele.enabled:
                 stack.enter_context(
@@ -256,34 +250,9 @@ def execute_autotm(
                         restores=len(restore_at.get(index, ())),
                     )
                 )
-            with backend.epoch(ctx) as epoch:
-                if op.kind is not OpKind.PARAMETER:
-                    for tensor in op.inputs:
-                        stream(addresser.lines(tensor, index), AccessKind.LLC_READ, ctx)
-                    if op.kind is OpKind.SGD_UPDATE:
-                        stream(
-                            addresser.lines(op.inputs[0], index), AccessKind.LLC_WRITE, ctx
-                        )
-                    for tensor in op.outputs:
-                        lines = addresser.lines(tensor, index)
-                        stream(lines, AccessKind.LLC_READ, ctx)  # RFO
-                        stream(lines, AccessKind.LLC_WRITE, ctx)
-                epoch.add_compute(compute_time(op, cpu.peak_flops))
-        backend.counters.retire(
-            int(op.flops * cpu.instructions_per_flop)
-            + int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
-        )
-        result.records.append(
-            KernelRecord(
-                op=op,
-                start=start,
-                end=backend.counters.time,
-                traffic=epoch.traffic,
-                tags=epoch.tags,
-                compute_seconds=epoch.compute_seconds,
-                memory_seconds=epoch.memory_seconds,
-            )
-        )
+            lines_of = functools.partial(addresser.lines, op_index=index)
+            record = execute_op(op, lines_of, backend, ctx, cpu, weight)
+        result.records.append(record)
         sampler.sample(label=op.name)
 
         for tensor in stash_at.get(index, ()):  # write out to NVRAM

@@ -194,10 +194,12 @@ class PlatformConfig:
         return replace(self, socket=socket, scale_factor=self.scale_factor * factor)
 
 
-#: Lines per backend call for the workload executors that stream request
-#: batches (nn, graphs, autotm, recsys, kernels).  A pure implementation
-#: granularity: it bounds numpy temporaries and sets how finely the
-#: kernel runner's LLC write-back queue interleaves with demand reads.
+#: Lines per host batch: a memory backend (:mod:`repro.memsys.backends`)
+#: cuts any longer request vector into batches of this size.  It is also
+#: the default of the kernel runner's request-interleaving block and of
+#: kvtrace's replay window.  A pure implementation granularity: it
+#: bounds numpy temporaries and sets how finely the kernel runner's LLC
+#: write-back queue interleaves with demand reads.
 #: Re-tuned from ``1 << 16`` after the segmented cache engine made
 #: high-collision batches O(n log n): larger batches now amortize more
 #: per-call overhead with no collision-regime penalty, and at the

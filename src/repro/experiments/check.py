@@ -155,6 +155,14 @@ CLAIMS: List[Claim] = [
               "Table II: similar DRAM traffic")
         for network in PAPER_TABLE2
     ),
+    Claim("dma", "async_over_sync", ">", 1,
+          "Sec. VII-B: asynchronous DMA movement beats synchronous copies"),
+    Claim("dma", "async_over_2lm", ">", 1.5,
+          "Sec. VII-B: DMA-overlapped AutoTM beats 2LM by more"),
+    Claim("dma", "move_traffic_nvram", ">", 0,
+          "Sec. VII-B: the DMA engine's copies are accounted as NVRAM traffic"),
+    Claim("dma", "stall_seconds", "<=", "dma.dma_busy_seconds",
+          "Sec. VII-B: kernels wait on a restore only while the engine is busy"),
     Claim("ablation", "lru8_nvram_read_gb", "<=", "ablation.baseline_nvram_read_gb",
           "Sec. VII: associativity cuts NVRAM reads"),
     Claim("ablation", "baseline_ddo_writes", ">", 0, "Sec. IV: the DDO elides tag checks"),

@@ -10,9 +10,11 @@ Every registered experiment has an entry in :data:`HEADLINES` (REG001
 enforces coverage): a hook that digs its headline numbers out of the
 experiment's ``data`` dict.  Hooks are defensive — a metric that is
 missing (quick-mode grids can differ) is silently dropped rather than
-crashing a catalog refresh over an old payload.  Hooks read both live
-``data`` and payloads reloaded from the result store, where numpy
-arrays come back as lists and tuple keys as ``"a/b/c"`` strings.
+crashing the result store, which computes each run's headline once when
+it stores the run and again when it re-derives an index line from an
+old payload.  Hooks read both live ``data`` and payloads reloaded from
+the result store, where numpy arrays come back as lists and tuple keys
+as ``"a/b/c"`` strings.
 
 Besides the numbers worth charting, hooks expose the derived ratios
 and extremes that the paper-claim table (:data:`repro.experiments.check.CLAIMS`)
@@ -296,7 +298,10 @@ def _ablation(data: Mapping[str, Any]) -> Dict[str, float]:
 
 
 def _dma(data: Mapping[str, Any]) -> Dict[str, float]:
-    return _pick(data, "async_over_sync", "async_over_2lm", "2lm_seconds")
+    return _pick(
+        data, "async_over_sync", "async_over_2lm", "2lm_seconds",
+        "move_traffic_nvram", "stall_seconds", "dma_busy_seconds",
+    )
 
 
 def _mix(data: Mapping[str, Any]) -> Dict[str, float]:

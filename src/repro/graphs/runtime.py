@@ -30,14 +30,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.config import BATCH_LINES
 from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph
 from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import AccessContext, AccessKind, Pattern
 from repro.perf.sampler import CounterSampler
-
-_BATCH_LINES = BATCH_LINES
 
 
 @dataclass(frozen=True)
@@ -161,12 +158,6 @@ class GraphRuntime:
 
     # -- traffic ---------------------------------------------------------------
 
-    def _issue(self, lines: np.ndarray, kind: AccessKind, weight: int) -> None:
-        for begin in range(0, lines.size, _BATCH_LINES):
-            self.backend.access(
-                lines[begin : begin + _BATCH_LINES], kind, self.ctx, weight=weight
-            )
-
     def sequential_read(self, name: str, idx: Optional[np.ndarray] = None) -> None:
         """Stream an array (or the lines covering ``idx``) in order."""
         if idx is None:
@@ -176,25 +167,25 @@ class GraphRuntime:
         else:
             lines, weight = self._sampled_lines(name, idx, dedupe=True)
             lines.sort()
-        self._issue(lines, AccessKind.LLC_READ, weight)
+        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
 
     def gather(self, name: str, idx: np.ndarray) -> None:
         """Random reads of ``array[idx]``."""
         lines, weight = self._sampled_lines(name, idx, dedupe=True)
-        self._issue(lines, AccessKind.LLC_READ, weight)
+        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
 
     def scatter(self, name: str, idx: np.ndarray) -> None:
         """Random read-modify-writes of ``array[idx]`` (standard stores)."""
         lines, weight = self._sampled_lines(name, idx, dedupe=True)
-        self._issue(lines, AccessKind.LLC_READ, weight)
-        self._issue(lines, AccessKind.LLC_WRITE, weight)
+        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
+        self.backend.access(lines, AccessKind.LLC_WRITE, self.ctx, weight=weight)
 
     def stream_write(self, name: str) -> None:
         """Sequential full-array overwrite (e.g. swapping rank buffers)."""
         start, count = self.layout.array_lines(name)
         lines = start + np.arange(0, count, self.edge_stride, dtype=np.int64)
-        self._issue(lines, AccessKind.LLC_READ, self.edge_stride)  # RFO
-        self._issue(lines, AccessKind.LLC_WRITE, self.edge_stride)
+        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=self.edge_stride)  # RFO
+        self.backend.access(lines, AccessKind.LLC_WRITE, self.ctx, weight=self.edge_stride)
 
     def _sampled_lines(
         self, name: str, idx: np.ndarray, dedupe: bool

@@ -23,11 +23,6 @@ from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import AccessContext, StoreType, TagStats, Traffic
 from repro.units import CACHE_LINE, to_gb_per_s
 
-#: Lines per backend call; large enough to amortize numpy overhead,
-#: small enough that the standard-store write-back delay is resolved.
-#: Shared with every other streaming executor via :mod:`repro.config`.
-DEFAULT_BATCH_LINES = BATCH_LINES
-
 
 @dataclass
 class BenchmarkResult:
@@ -69,12 +64,18 @@ def run_kernel(
     *,
     start_line: int = 0,
     iterations: int = 1,
-    batch_lines: int = DEFAULT_BATCH_LINES,
+    batch_lines: int = BATCH_LINES,
 ) -> BenchmarkResult:
     """Run one kernel over a ``num_lines`` buffer at ``start_line``.
 
     The buffer is iterated ``iterations`` times; each pass touches every
     line exactly once in the order given by the spec's pattern.
+
+    ``batch_lines`` is the runner's own request-interleaving unit, not a
+    host batch: the standard-store write-back queue and the mixed
+    kernel's load/store split advance one such block at a time.  Its
+    default is the backend's host-batch cap, so each block is also one
+    backend batch.
     """
     tele = obs.get()
     if tele.enabled:

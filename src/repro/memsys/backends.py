@@ -1,8 +1,11 @@
 """Memory-system backends: the 1LM (flat) and 2LM (cached) configurations.
 
-A backend is the boundary workloads talk to: it accepts batches of LLC
-requests, produces exact device traffic, charges it to the uncore
-counters, and advances the virtual clock using the timing model.
+A backend is the boundary workloads talk to: it accepts LLC request
+vectors of any length, produces exact device traffic, charges it to the
+uncore counters, and advances the virtual clock using the timing model.
+It is also the one place host batching happens: ``access`` cuts a vector
+longer than :data:`repro.config.BATCH_LINES` into consecutive batches,
+so no workload executor chunks its own streams.
 
 * :class:`FlatBackend` — 1LM / app-direct.  Each line address is backed
   by DRAM or NVRAM according to an :class:`~repro.memsys.topology.AddressMap`
@@ -23,7 +26,7 @@ from typing import Iterator, List, Optional, Protocol
 import numpy as np
 
 from repro import obs
-from repro.config import PlatformConfig
+from repro.config import BATCH_LINES, PlatformConfig
 from repro.perf.counters import (
     AccessContext,
     AccessKind,
@@ -40,9 +43,11 @@ class _CacheLike(Protocol):
     """Structural stand-in for :class:`repro.cache.base.CacheModel`.
 
     The model validates its input: :class:`CachedBackend` passes each
-    batch straight through, and ``llc_read``/``llc_write`` coerce it with
-    :func:`~repro.perf.counters.as_lines`, raising ``ValueError`` on a
-    negative or non-1-D batch.
+    batch of at most :data:`~repro.config.BATCH_LINES` lines straight
+    through (the caller's array itself, so segmentation reuse keyed on
+    its identity still applies), and ``llc_read``/``llc_write`` coerce it
+    with :func:`~repro.perf.counters.as_lines`, raising ``ValueError`` on
+    a negative or non-1-D batch.
     """
 
     def llc_read(self, lines: np.ndarray) -> "tuple[Traffic, TagStats]": ...
@@ -84,7 +89,7 @@ class _CounterHandles:
 
 @dataclass(frozen=True)
 class AccessReport:
-    """Result of one backend access batch."""
+    """Result of one backend access (summed over its host batches)."""
 
     traffic: Traffic
     tags: TagStats
@@ -131,7 +136,7 @@ class MemoryBackend(Protocol):
         advance: bool = True,
         weight: int = 1,
     ) -> AccessReport:
-        """Process a batch of LLC requests and account for them.
+        """Process a vector of LLC requests and account for them.
 
         ``weight`` multiplies the recorded traffic: stride-sampling
         executors simulate every N-th line and weight the result by N.
@@ -227,6 +232,35 @@ class _EpochSupport:
         advance: bool = True,
         weight: int = 1,
     ) -> AccessReport:
+        """Process ``lines`` in host batches of at most ``BATCH_LINES``.
+
+        A vector within the cap is one batch, the array itself.  A longer
+        one is validated whole, then cut into consecutive ``BATCH_LINES``
+        slices, each accounted as its own batch (its own traffic scaling,
+        clock advance, ``memsys.access`` span and batch-size observation);
+        the report is their sum.
+        """
+        if np.size(lines) <= BATCH_LINES:
+            return self._access_batch(lines, kind, ctx, advance, weight)
+        whole = as_lines(lines)
+        reports = [
+            self._access_batch(whole[begin : begin + BATCH_LINES], kind, ctx, advance, weight)
+            for begin in range(0, whole.size, BATCH_LINES)
+        ]
+        return AccessReport(
+            traffic=sum((report.traffic for report in reports), Traffic()),
+            tags=sum((report.tags for report in reports), TagStats()),
+            seconds=sum(report.seconds for report in reports),
+        )
+
+    def _access_batch(
+        self,
+        lines: np.ndarray,
+        kind: AccessKind,
+        ctx: AccessContext,
+        advance: bool,
+        weight: int,
+    ) -> AccessReport:
         tele = obs.get()
         if not tele.enabled:
             return self._access(lines, kind, ctx, advance, weight)
@@ -244,7 +278,7 @@ class _EpochSupport:
         tele.histogram(
             "repro_access_batch_lines",
             obs.SIZE_BUCKETS,
-            "LLC request batch size per backend access",
+            "LLC request lines per host batch",
         ).observe(int(np.size(lines)))
         return report
 

@@ -9,6 +9,11 @@ One training iteration runs the planned schedule op by op.  Each kernel:
   RFO just checked the tag),
 * overlaps a roofline compute time derived from the op's flop count.
 
+:func:`execute_op` is that kernel body, and the AutoTM executors
+(:mod:`repro.autotm.executor`, :mod:`repro.autotm.dma`) run it too, with
+their own addressers.  Each tensor goes to the backend as one line
+vector; the backend cuts it into host batches.
+
 Tensor addresses come from the memory plan, so the DRAM-cache behaviour
 (aliasing, dirty temporaries, fold-back hit bursts — Section V-B) falls
 out of the real address stream rather than being assumed.
@@ -25,12 +30,11 @@ aligned to ``N * line_size`` by the planner).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.config import BATCH_LINES
 from repro.errors import ConfigurationError
 from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import (
@@ -48,8 +52,6 @@ from repro.perf.sampler import CounterSampler
 COMPUTE_EFFICIENCY = 0.6
 #: Fraction of peak flops achieved by memory-bound elementwise kernels.
 ELEMENTWISE_EFFICIENCY = 0.3
-
-_BATCH_LINES = BATCH_LINES
 
 
 @dataclass
@@ -195,25 +197,38 @@ def _run_op(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
             op=op.name,
             kind=op.kind.value,
         ):
-            return _run_op_inner(op, addresser, backend, ctx, cpu, weight)
-    return _run_op_inner(op, addresser, backend, ctx, cpu, weight)
+            return execute_op(op, addresser.lines, backend, ctx, cpu, weight)
+    return execute_op(op, addresser.lines, backend, ctx, cpu, weight)
 
 
-def _run_op_inner(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
+def execute_op(
+    op: Op,
+    lines_of: Callable[[Tensor], np.ndarray],
+    backend: MemoryBackend,
+    ctx: AccessContext,
+    cpu,
+    weight: int,
+) -> KernelRecord:
+    """Run one kernel in its own epoch and record it.
+
+    ``lines_of`` maps a tensor to its (sampled) line addresses, each
+    weighted by ``weight``; ``cpu`` supplies the peak flops and the
+    instructions retired per flop and per demand byte.
+    """
     start = backend.counters.time
     with backend.epoch(ctx) as epoch:
         if op.kind is not OpKind.PARAMETER:
             for tensor in op.inputs:
-                _stream(backend, addresser.lines(tensor), AccessKind.LLC_READ, ctx, weight)
+                backend.access(lines_of(tensor), AccessKind.LLC_READ, ctx, weight=weight)
             if op.kind is OpKind.SGD_UPDATE:
                 # In-place weight update: the read above doubles as the
                 # ownership read; write the weight back.
-                _stream(backend, addresser.lines(op.inputs[0]), AccessKind.LLC_WRITE, ctx, weight)
+                backend.access(lines_of(op.inputs[0]), AccessKind.LLC_WRITE, ctx, weight=weight)
             for tensor in op.outputs:
                 # Standard stores write-allocate: RFO first, write-back after.
-                lines = addresser.lines(tensor)
-                _stream(backend, lines, AccessKind.LLC_READ, ctx, weight)
-                _stream(backend, lines, AccessKind.LLC_WRITE, ctx, weight)
+                lines = lines_of(tensor)
+                backend.access(lines, AccessKind.LLC_READ, ctx, weight=weight)
+                backend.access(lines, AccessKind.LLC_WRITE, ctx, weight=weight)
         epoch.add_compute(compute_time(op, cpu.peak_flops))
     instructions = int(op.flops * cpu.instructions_per_flop) + int(
         epoch.traffic.demand_bytes * cpu.instructions_per_byte
@@ -228,13 +243,3 @@ def _run_op_inner(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
         compute_seconds=epoch.compute_seconds,
         memory_seconds=epoch.memory_seconds,
     )
-
-
-def _stream(backend, lines: np.ndarray, kind: AccessKind, ctx, weight: int) -> None:
-    if lines.size <= _BATCH_LINES:
-        # The array itself, not a slice: passes over one tensor then
-        # share its identity, which segmentation reuse is keyed on.
-        backend.access(lines, kind, ctx, weight=weight)
-        return
-    for begin in range(0, lines.size, _BATCH_LINES):
-        backend.access(lines[begin : begin + _BATCH_LINES], kind, ctx, weight=weight)

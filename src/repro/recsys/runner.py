@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache import DirectMappedCache
-from repro.config import BATCH_LINES, PlatformConfig
+from repro.config import PlatformConfig
 from repro.errors import ConfigurationError
 from repro.memsys.backends import CachedBackend, FlatBackend, MemoryBackend
 from repro.perf.counters import (
@@ -35,8 +35,6 @@ from repro.perf.counters import (
 from repro.memsys.topology import AddressMap
 from repro.recsys.embedding import EmbeddingModel, LookupTrace
 from repro.recsys.placement import HotRowPlacement
-
-_BATCH_LINES = BATCH_LINES
 
 MODES = ("2lm", "bandana", "nvram")
 
@@ -157,10 +155,10 @@ def run_recsys(
         with backend.epoch(ctx) as epoch:
             for t_index, rows in enumerate(batch):
                 lines = layout.row_lines(t_index, rows)
-                _stream(backend, lines, AccessKind.LLC_READ, ctx)
+                backend.access(lines, AccessKind.LLC_READ, ctx)
                 if training:
                     # Gradient update: rewrite the freshly read rows.
-                    _stream(backend, lines, AccessKind.LLC_WRITE, ctx)
+                    backend.access(lines, AccessKind.LLC_WRITE, ctx)
                 total_lookups += rows.size
                 if mode == "bandana":
                     hot = layout.placement.hot_masks[t_index][rows]
@@ -189,8 +187,3 @@ def run_recsys(
         tags=delta.tags,
         dram_hit_fraction=hit_fraction,
     )
-
-
-def _stream(backend, lines: np.ndarray, kind: AccessKind, ctx) -> None:
-    for begin in range(0, lines.size, _BATCH_LINES):
-        backend.access(lines[begin : begin + _BATCH_LINES], kind, ctx)

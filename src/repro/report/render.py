@@ -136,27 +136,24 @@ def _kvtrace_verdict_section(headline: Dict[str, float]) -> List[str]:
 
 
 def _trajectory_section(catalog: Catalog, experiment: str) -> List[str]:
-    metrics = catalog.metrics_for(experiment)
+    # One pass over the runs: each point carries its whole headline, and
+    # a metric's row keeps the runs that report it, oldest first.
+    headlines = [point["value"] for point in catalog.trajectory(experiment)]
+    metrics = sorted({metric for headline in headlines for metric in headline})
     if not metrics:
         return []
     rows = []
     for metric in metrics:
-        points = catalog.trajectory(experiment, metric)
-        values = [point["value"] for point in points]
-        if not values:
-            continue
-        spread = max(values) - min(values)
+        values = [headline[metric] for headline in headlines if metric in headline]
         rows.append(
             [
                 metric,
                 svg.sparkline(values),
                 fmt(values[-1]),
-                fmt(spread),
+                fmt(max(values) - min(values)),
                 str(len(values)),
             ]
         )
-    if not rows:
-        return []
     return [
         "<h2>Trajectory across stored runs</h2>",
         '<p class="muted">One point per stored run, oldest to newest; '

@@ -29,11 +29,11 @@ def params_hash(params: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(params).encode()).hexdigest()[:12]
 
 
-def _row(entry: IndexEntry) -> Dict[str, Any]:
+def _row(entry: IndexEntry, digest: str) -> Dict[str, Any]:
     return {
         "key": entry.key,
         "experiment": entry.experiment,
-        "params_hash": params_hash(entry.params),
+        "params_hash": digest,
         "params": dict(entry.params),
         "quick": entry.quick,
         "git_sha": entry.git_sha,
@@ -48,6 +48,15 @@ class Catalog:
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
+        #: :func:`params_hash` per entry key.  A key fixes its params, so
+        #: each run is hashed once however many queries list it.
+        self._params_hashes: Dict[str, str] = {}
+
+    def _params_hash(self, entry: IndexEntry) -> str:
+        digest = self._params_hashes.get(entry.key)
+        if digest is None:
+            digest = self._params_hashes[entry.key] = params_hash(entry.params)
+        return digest
 
     def experiments(self) -> List[Dict[str, Any]]:
         """Per-experiment summary: run counts and the freshest run."""
@@ -75,7 +84,7 @@ class Catalog:
             self.store.entries(experiment),
             key=lambda entry: (-entry.created_unix, entry.key),
         )
-        return [_row(entry) for entry in newest[:limit]]
+        return [_row(entry, self._params_hash(entry)) for entry in newest[:limit]]
 
     def trajectory(
         self, experiment: str, metric: Optional[str] = None
@@ -108,7 +117,7 @@ class Catalog:
                     "git_sha": entry.git_sha,
                     "salt": entry.salt,
                     "quick": entry.quick,
-                    "params_hash": params_hash(entry.params),
+                    "params_hash": self._params_hash(entry),
                     "value": value,
                 }
             )

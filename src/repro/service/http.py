@@ -208,9 +208,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _get_result(self, key: str) -> None:
-        path = self.service.store.path_for(key) if key else None
-        if path is None or not path.is_file():
+        store = self.service.store
+        if not store.has(key):  # also every string that is not a key
             self._send_json(404, {"error": f"no stored result for key {key!r}"})
             return
         # Serve the stored payload verbatim; it is already JSON.
-        self._send_text(200, path.read_text(), "application/json")
+        self._send_text(200, store.path_for(key).read_text(), "application/json")

@@ -21,6 +21,10 @@ Layout on disk::
     <root>/ab/<key>.json     one result payload per request key
     <root>/index.jsonl       append-only log of stored runs (flushed)
 
+A key is exactly 64 lowercase hex digits; :meth:`ResultStore.path_for`
+refuses anything else, so a key taken from a URL can never name a path
+outside the store (``has`` and ``get`` report such a key as a miss).
+
 Each index line carries what the catalog (:mod:`repro.service.catalog`)
 queries: the request, its provenance, and the run's request ``params``
 and ``headline`` metrics.  The headline is computed once, in
@@ -44,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +62,14 @@ from repro.service.versioning import code_version_salt, git_sha
 #: Bump when the payload schema changes; part of the on-disk payload
 #: (not the key) so old stores remain readable or clearly rejected.
 STORE_FORMAT = 1
+
+#: A request key: a SHA-256 hex digest, as :attr:`RequestSpec.key` spells it.
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def _is_key(key: object) -> bool:
+    """Whether ``key`` is a well-formed request key (64 lowercase hex digits)."""
+    return isinstance(key, str) and _KEY.fullmatch(key) is not None
 
 
 def canonical_json(value: Any) -> str:
@@ -222,6 +235,9 @@ class ResultStore:
     # -- paths -------------------------------------------------------
 
     def path_for(self, key: str) -> Path:
+        """Where ``key``'s payload lives; ``ValueError`` unless it is a key."""
+        if not _is_key(key):
+            raise ValueError(f"not a result key: {key!r}")
         return self.root / key[:2] / f"{key}.json"
 
     @property
@@ -231,16 +247,17 @@ class ResultStore:
     # -- lookup ------------------------------------------------------
 
     def has(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        return _is_key(key) and self.path_for(key).is_file()
 
     def __contains__(self, key: str) -> bool:
         return self.has(key)
 
     def get(self, key: str) -> Optional[StoredResult]:
         """The stored payload for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
+        if not _is_key(key):
+            return None
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(self.path_for(key).read_text())
         except FileNotFoundError:
             return None
         result = ExperimentResult(
@@ -421,7 +438,8 @@ class ResultStore:
     def keys(self) -> Iterator[str]:
         """Every stored key, from the on-disk payload files."""
         for path in sorted(self.root.glob("??/*.json")):
-            yield path.stem
+            if _is_key(path.stem):  # path_for refuses any other name
+                yield path.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())

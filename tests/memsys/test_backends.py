@@ -1,5 +1,7 @@
 """Tests for the 1LM and 2LM memory backends."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from repro.cache import (
 from repro.cache.base import AccessKind
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
-from repro.perf.counters import AccessContext
+from repro.memsys import backends as backends_module
+from repro.memsys.backends import AccessReport
+from repro.perf.counters import AccessContext, TagStats, Traffic
+from repro.traces.replay import MODEL_FACTORIES
 from repro.units import KiB
 
 
@@ -174,3 +179,150 @@ class TestEpochs:
         with cached.epoch(AccessContext()) as epoch:
             with pytest.raises(ValueError):
                 epoch.add_compute(-1.0)
+
+
+# -- host batching: a long vector equals its BATCH_LINES slices --------------
+
+#: A small, odd host-batch cap, so modest vectors take the slicing path.
+CAP = 257
+
+SLICED_BACKENDS = ["flat", *sorted(MODEL_FACTORIES), "no_ddo"]
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    monkeypatch.setattr(backends_module, "BATCH_LINES", CAP)
+
+
+def make_backend(platform, name):
+    if name == "flat":
+        return FlatBackend(platform, AddressMap.numa_preferred(dram_lines=1500, nvram_lines=4000))
+    if name == "no_ddo":
+        return CachedBackend(platform, DirectMappedCache(64 * KiB, ddo_enabled=False))
+    return CachedBackend(platform, MODEL_FACTORIES[name](64 * KiB))
+
+
+def model_state(backend):
+    """The model's whole simulation state: tag, dirty, known-resident and
+    sector arrays, LRU stamps and clock, RNG states.  The segmenter is a
+    host-side memo, not state, and is left out."""
+    cache = getattr(backend, "cache", None)  # a flat backend has no model
+    state = {}
+    for name, value in (vars(cache) if cache is not None else {}).items():
+        if isinstance(value, np.random.Generator):
+            state[name] = value.bit_generator.state
+        elif isinstance(value, np.ndarray):
+            state[name] = value.tolist()
+        elif isinstance(value, (bool, int, float, np.integer)):
+            state[name] = value
+    return state
+
+
+def counter_state(backend):
+    counters = backend.counters
+    return counters.traffic, counters.tags, counters.time
+
+
+def request_stream(order, length):
+    """A read, a write and a re-read, each a vector of ``length`` lines."""
+    kinds = (AccessKind.LLC_READ, AccessKind.LLC_WRITE, AccessKind.LLC_READ)
+    if order == "ascending":
+        starts = (0, 700, 350)
+        return [(np.arange(s, s + length, dtype=np.int64), k) for s, k in zip(starts, kinds)]
+    rng = np.random.default_rng(length)
+    return [(rng.integers(0, 5000, size=length, dtype=np.int64), k) for k in kinds]
+
+
+def replay(backend, stream, mode, weight, sliced):
+    """Feed ``stream`` through ``backend``: each vector whole, or (when
+    ``sliced``) one call per ``CAP``-line slice.  Returns one report per
+    vector, its calls' reports summed, and the epoch if one was open."""
+    ctx = AccessContext(threads=8)
+    reports = []
+    with contextlib.ExitStack() as stack:
+        epoch = stack.enter_context(backend.epoch(ctx)) if mode == "epoch" else None
+        for lines, kind in stream:
+            parts = [lines[b : b + CAP] for b in range(0, lines.size, CAP)] if sliced else [lines]
+            calls = [
+                backend.access(part, kind, ctx, advance=mode != "no_advance", weight=weight)
+                for part in parts
+            ]
+            reports.append(
+                AccessReport(
+                    traffic=sum((call.traffic for call in calls), Traffic()),
+                    tags=sum((call.tags for call in calls), TagStats()),
+                    seconds=sum(call.seconds for call in calls),
+                )
+            )
+    return reports, epoch
+
+
+@pytest.mark.usefixtures("small_cap")
+@pytest.mark.parametrize("name", SLICED_BACKENDS)
+@pytest.mark.parametrize("order", ["random", "ascending"])
+@pytest.mark.parametrize("length", [3 * CAP, 3 * CAP + 101], ids=["k_cap", "k_cap_plus_r"])
+@pytest.mark.parametrize("weight", [1, 16])
+@pytest.mark.parametrize("mode", ["epoch", "advance", "no_advance"])
+def test_long_vector_equals_its_slices(platform, name, order, length, weight, mode):
+    """One ``access`` of a vector longer than the cap leaves the counters
+    and the model exactly as a twin fed its slices one call at a time,
+    and reports the slices' sum."""
+    stream = request_stream(order, length)
+    whole, twin = make_backend(platform, name), make_backend(platform, name)
+    whole_reports, whole_epoch = replay(whole, stream, mode, weight, sliced=False)
+    twin_reports, twin_epoch = replay(twin, stream, mode, weight, sliced=True)
+    assert whole_reports == twin_reports
+    assert counter_state(whole) == counter_state(twin)
+    assert model_state(whole) == model_state(twin)
+    if mode == "epoch":
+        assert (whole_epoch.traffic, whole_epoch.tags, whole_epoch.seconds) == (
+            twin_epoch.traffic,
+            twin_epoch.tags,
+            twin_epoch.seconds,
+        )
+    assert whole.counters.traffic.demand_accesses == 3 * length * weight
+
+
+@pytest.mark.usefixtures("small_cap")
+@pytest.mark.parametrize("kind", [AccessKind.LLC_READ, AccessKind.LLC_WRITE], ids=["read", "write"])
+def test_vector_within_the_cap_reaches_the_model_as_itself(platform, kind, monkeypatch):
+    """Segmentation reuse is keyed on array identity, so a vector of at
+    most ``BATCH_LINES`` lines must reach the model uncopied."""
+    backend = make_backend(platform, "direct_mapped")
+    method = "llc_read" if kind is AccessKind.LLC_READ else "llc_write"
+    real = getattr(backend.cache, method)
+    seen = []
+
+    def spy(lines):
+        seen.append(lines)
+        return real(lines)
+
+    monkeypatch.setattr(backend.cache, method, spy)
+    for size in (0, 1, CAP):
+        lines = np.arange(size, dtype=np.int64)
+        backend.access(lines, kind, AccessContext())
+        assert seen.pop() is lines
+    backend.access(np.arange(2 * CAP + 5, dtype=np.int64), kind, AccessContext())
+    assert [batch.size for batch in seen] == [CAP, CAP, 5]
+
+
+@pytest.mark.usefixtures("small_cap")
+@pytest.mark.parametrize("name", SLICED_BACKENDS)
+@pytest.mark.parametrize(
+    "lines",
+    [
+        np.array([3, -1, 5]),
+        np.append(np.arange(2 * CAP), -1),
+        np.arange(200).reshape(2, 100),
+        np.arange(3 * CAP).reshape(3, CAP),
+    ],
+    ids=["negative_within", "negative_beyond", "2d_within", "2d_beyond"],
+)
+def test_invalid_vectors_raise_on_either_side_of_the_cap(platform, name, lines):
+    """A bad vector is refused before any of it is accounted."""
+    backend = make_backend(platform, name)
+    before = model_state(backend)
+    with pytest.raises(ValueError):
+        backend.access(lines, AccessKind.LLC_READ, AccessContext())
+    assert counter_state(backend) == (Traffic(), TagStats(), 0.0)
+    assert model_state(backend) == before

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.experiments.base import ExperimentResult
+from repro.report import render, svg
 from repro.report.bench import load_bench_history
 from repro.report.render import render_experiment, render_index
+from repro.service import catalog as catalog_module
 from repro.service.catalog import Catalog
 from repro.service.store import RequestSpec, ResultStore
 
@@ -68,6 +70,50 @@ class TestRenderExperiment:
         catalog.store.flush()
         reopened = Catalog(ResultStore(catalog.store.root))
         assert render_experiment(reopened, "fig2") == first
+
+    def test_params_are_hashed_at_most_once_per_run_per_page(self, catalog, monkeypatch):
+        """The trajectory section charts every headline metric from one
+        pass over the runs, not one catalog query per metric."""
+        calls = []
+        real = catalog_module.params_hash
+
+        def spy(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(catalog_module, "params_hash", spy)
+        for experiment, runs in (("fig2", 2), ("custom", 1)):
+            calls.clear()
+            assert render_experiment(Catalog(catalog.store), experiment) is not None
+            assert len(calls) <= runs, experiment
+        calls.clear()
+        render_index(Catalog(catalog.store))
+        assert len(calls) <= len(catalog)
+
+    def test_trajectory_rows_keep_each_metrics_runs_in_order(self, tmp_path):
+        """Runs that report different metrics, two at one timestamp: each
+        metric's row charts exactly the runs ``trajectory`` gives it."""
+        store = ResultStore(tmp_path / "store", clock=lambda: 0.0)
+        put_run(store, "custom", {"a": 1.0}, clock=100.0)
+        put_run(store, "custom", {"a": 3.0, "b": 7.0}, clock=100.0, params={"x": 1})
+        put_run(store, "custom", {"b": 2.0, "c": 5.0}, clock=50.0, params={"x": 2})
+        catalog = Catalog(store)
+        rows = []
+        for metric in catalog.metrics_for("custom"):
+            values = [p["value"] for p in catalog.trajectory("custom", metric)]
+            rows.append(
+                [
+                    metric,
+                    svg.sparkline(values),
+                    svg.fmt(values[-1]),
+                    svg.fmt(max(values) - min(values)),
+                    str(len(values)),
+                ]
+            )
+        section = render._trajectory_section(catalog, "custom")
+        assert section[2] == render.table(
+            ["metric", "trajectory", "latest", "spread", "runs"], rows, numeric=(2, 3, 4)
+        )
 
 
 class TestRenderIndex:

@@ -6,6 +6,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -263,6 +265,23 @@ class TestServeSmoke:
         assert second["job"]["id"] == first["job"]["id"]
         job = poll_until_done(base, first["job"]["id"])
         assert job["state"] == "succeeded"
+
+    def test_result_keys_cannot_name_files_outside_the_store(self, served):
+        """A raw request path is not normalised on the way to the store, so
+        ``./..`` in a key must not reach a ``.json`` beside the store."""
+        _, base, store_root = served
+        secret = b'{"secret": "beside the store"}'
+        (store_root.parent / "secret.json").write_bytes(secret)
+        for path in ("/results/./../secret", "/results/../secret", "/results/%2e%2e/secret"):
+            connection = HTTPConnection(urlsplit(base).netloc, timeout=10)
+            try:
+                connection.request("GET", path)
+                response = connection.getresponse()
+                status, body = response.status, response.read()
+            finally:
+                connection.close()
+            assert status == 404, path
+            assert b"beside the store" not in body, path
 
     def test_bad_requests_are_rejected_not_queued(self, served):
         _, base, _ = served

@@ -104,6 +104,49 @@ class TestResultStore:
         key = "ab" + "0" * 62
         assert store.path_for(key) == tmp_path / "store" / "ab" / f"{key}.json"
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "",
+            "..",
+            "./../secret",
+            "ab/" + "0" * 61,
+            "0" * 63,
+            "0" * 65,
+            "A" * 64,
+            "0" * 63 + "\n",
+            "g" * 64,
+        ],
+        ids=[
+            "empty", "dotdot", "dot-dotdot", "slash", "short", "long", "upper", "newline",
+            "non-hex",
+        ],
+    )
+    def test_non_keys_are_refused_not_joined(self, tmp_path, key):
+        """Only 64 lowercase hex digits name a payload; anything else is a
+        miss, even when a ``.json`` file sits where the join would land."""
+        store = ResultStore(tmp_path / "store")
+        (tmp_path / "secret.json").write_text('{"secret": true}')
+        with pytest.raises(ValueError):
+            store.path_for(key)
+        assert not store.has(key)
+        assert key not in store
+        assert store.get(key) is None
+
+    def test_stray_json_files_are_not_keys(self, tmp_path):
+        """Opening a store scans its payload files; one whose name is not a
+        key is skipped, not handed to ``path_for``."""
+        store = ResultStore(tmp_path / "store")
+        spec = RequestSpec.build("one", salt="b" * 16)
+        store.put(spec, make_result("one"))
+        store.flush()
+        (tmp_path / "store" / "ab").mkdir(exist_ok=True)
+        (tmp_path / "store" / "ab" / "notes.json").write_text("{}")
+        store.index_path.unlink()
+        reopened = ResultStore(tmp_path / "store")
+        assert list(reopened.keys()) == [spec.key]
+        assert [entry.key for entry in reopened.entries()] == [spec.key]
+
     def test_flush_appends_index(self, tmp_path):
         store = ResultStore(tmp_path / "store", clock=lambda: 9.0)
         for name in ("one", "two"):
