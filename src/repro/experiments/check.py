@@ -7,7 +7,8 @@ paper publishes also carry it as ``paper``.  Everything else derives
 from the table:
 
 * ``repro-experiment check`` runs each claimed experiment once and
-  prints one PASS/FAIL row per claim; the CLI exits 1 if one fails;
+  prints one PASS/FAIL row per claim, with its :func:`slack`, so the
+  tightest rows show; the CLI exits 1 if one fails;
 * the report's paper-vs-repro deltas and bar-chart ticks
   (:func:`paper_values`);
 * the claim tests, one parametrized case per row.
@@ -189,6 +190,27 @@ class Verdict:
     claim: Claim
     value: Optional[float]
     ok: bool
+    slack: Optional[float] = None  # see :func:`slack`; None for ``==`` or a missing metric
+
+
+def slack(
+    relation: str, value: float, bound: Union[float, Tuple[float, float]]
+) -> Optional[float]:
+    """How far ``value`` sits inside its bound, relative to the bound.
+
+    ``(v - b) / |b|`` for ``>`` and ``>=``, ``(b - v) / |b|`` for ``<`` and
+    ``<=``, and the plain difference when ``b`` is 0; for an interval, the
+    distance to the nearer edge over the interval's width.  It is negative
+    exactly when the value lies outside the bound, and a strict relation
+    also fails at 0.  ``==`` has none.
+    """
+    if relation == "==":
+        return None
+    if relation in ("in[]", "in()"):
+        low, high = bound
+        return min(value - low, high - value) / (high - low)
+    margin = value - bound if relation in (">", ">=") else bound - value
+    return margin / abs(bound) if bound else margin
 
 
 def evaluate(claims: Sequence[Claim], lookup: Lookup) -> List[Verdict]:
@@ -200,8 +222,11 @@ def evaluate(claims: Sequence[Claim], lookup: Lookup) -> List[Verdict]:
         if isinstance(bound, str):
             experiment, metric = bound.split(".")
             bound = lookup(experiment).get(metric)
-        ok = value is not None and bound is not None and RELATIONS[claim.relation](value, bound)
-        verdicts.append(Verdict(claim, value, bool(ok)))
+        if value is None or bound is None:
+            verdicts.append(Verdict(claim, value, False))
+            continue
+        ok = bool(RELATIONS[claim.relation](value, bound))
+        verdicts.append(Verdict(claim, value, ok, slack(claim.relation, value, bound)))
     return verdicts
 
 
@@ -242,11 +267,14 @@ def _check(lookup: Lookup) -> ExperimentResult:
     passed = sum(v.ok for v in verdicts)
     rows = [
         [v.claim.experiment, str(v.claim), "-" if v.value is None else f"{v.value:.4g}",
-         v.claim.citation, "PASS" if v.ok else "FAIL"]
+         "-" if v.slack is None else f"{v.slack:+.3g}", v.claim.citation,
+         "PASS" if v.ok else "FAIL"]
         for v in verdicts
     ]
     result = ExperimentResult(name="check", title="Executable paper-claim verification")
-    result.add(render_table(["experiment", "claim", "value", "citation", "verdict"], rows))
+    result.add(
+        render_table(["experiment", "claim", "value", "slack", "citation", "verdict"], rows)
+    )
     result.add(f"{passed}/{len(verdicts)} claims hold")
     result.data = {"passed": passed, "total": len(verdicts), "all_pass": passed == len(verdicts)}
     return result

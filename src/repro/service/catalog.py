@@ -86,42 +86,31 @@ class Catalog:
         )
         return [_row(entry, self._params_hash(entry)) for entry in newest[:limit]]
 
-    def trajectory(
-        self, experiment: str, metric: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
+    def trajectory(self, experiment: str) -> List[Dict[str, Any]]:
         """Headline metrics across code versions, oldest first.
 
         One point per stored run of ``experiment``, ordered by
         ``created_unix`` (ties broken by key), each labelled with the
-        ``(git_sha, salt)`` that produced it — the "how did this number
-        move across commits" query.  With ``metric`` set, the headline
-        dict collapses to that single value (runs missing it are
-        skipped).  Unknown experiments yield an empty list.
+        ``(git_sha, salt)`` that produced it and carrying the run's whole
+        headline dict as ``value`` — the "how did this number move across
+        commits" query.  Unknown experiments yield an empty list.
         """
         oldest = sorted(
             self.store.entries(experiment),
             key=lambda entry: (entry.created_unix, entry.key),
         )
-        points = []
-        for entry in oldest:
-            if metric is None:
-                value: Any = dict(entry.headline)
-            elif metric in entry.headline:
-                value = entry.headline[metric]
-            else:
-                continue
-            points.append(
-                {
-                    "key": entry.key,
-                    "created_unix": entry.created_unix,
-                    "git_sha": entry.git_sha,
-                    "salt": entry.salt,
-                    "quick": entry.quick,
-                    "params_hash": self._params_hash(entry),
-                    "value": value,
-                }
-            )
-        return points
+        return [
+            {
+                "key": entry.key,
+                "created_unix": entry.created_unix,
+                "git_sha": entry.git_sha,
+                "salt": entry.salt,
+                "quick": entry.quick,
+                "params_hash": self._params_hash(entry),
+                "value": dict(entry.headline),
+            }
+            for entry in oldest
+        ]
 
     def param_diff(self, experiment: str) -> Dict[str, List[Any]]:
         """Which parameters vary across an experiment's stored runs.
@@ -141,12 +130,6 @@ class Catalog:
                     key=lambda v: (str(type(v).__name__), str(v)),
                 )
         return diff
-
-    def metrics_for(self, experiment: str) -> List[str]:
-        """Every headline metric name seen for ``experiment``, sorted."""
-        return sorted(
-            {name for entry in self.store.entries(experiment) for name in entry.headline}
-        )
 
     def __len__(self) -> int:
         return len(self.store.entries())

@@ -144,6 +144,17 @@ def test_empty_and_singleton_batches():
     assert tags.clean_misses == 1
 
 
+@pytest.mark.parametrize("num_sets", [2047, 65504, 786432])
+def test_set_index_is_floor_modulo_on_both_sides_of_its_cut_off(num_sets):
+    cut = engine.SET_INDEX_DIVIDE_LINES
+    rng = np.random.default_rng(num_sets)
+    for n in (0, 1, cut - 1, cut, cut + 1, 1 << 18):
+        lines = rng.integers(0, 1 << 36, n, dtype=np.int64)
+        index = engine.set_index(lines, num_sets)
+        assert index.dtype == np.int64
+        np.testing.assert_array_equal(index, lines % num_sets)
+
+
 @pytest.mark.parametrize(
     "scenario,sort", [("uniform", "_packed_sort"), ("all_same_set", "_stable_sort")]
 )

@@ -98,9 +98,11 @@ class TestRenderExperiment:
         put_run(store, "custom", {"a": 3.0, "b": 7.0}, clock=100.0, params={"x": 1})
         put_run(store, "custom", {"b": 2.0, "c": 5.0}, clock=50.0, params={"x": 2})
         catalog = Catalog(store)
+        headlines = [p["value"] for p in catalog.trajectory("custom")]
+        assert headlines[0] == {"b": 2.0, "c": 5.0}  # the clock-50 run is oldest
         rows = []
-        for metric in catalog.metrics_for("custom"):
-            values = [p["value"] for p in catalog.trajectory("custom", metric)]
+        for metric in ("a", "b", "c"):
+            values = [h[metric] for h in headlines if metric in h]
             rows.append(
                 [
                     metric,

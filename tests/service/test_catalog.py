@@ -41,13 +41,11 @@ class TestEmptyAndUnknown:
         assert catalog.rows() == []
         assert catalog.trajectory("fig2") == []
         assert catalog.param_diff("fig2") == {}
-        assert catalog.metrics_for("fig2") == []
 
     def test_unknown_experiment_yields_empty_not_error(self, store):
         put_run(store, "stub", 1.0, salt=SALT_A, sha=SHA_A, clock=100.0)
         catalog = Catalog(store)
         assert catalog.trajectory("nope") == []
-        assert catalog.trajectory("nope", metric="metric") == []
         assert catalog.param_diff("nope") == {}
         assert catalog.rows(experiment="nope") == []
 
@@ -60,8 +58,8 @@ class TestTrajectory:
         catalog = Catalog(store)
         assert len(catalog) == 2
 
-        points = catalog.trajectory("stub", metric="metric")
-        assert [p["value"] for p in points] == [1.0, 2.5]  # oldest first
+        points = catalog.trajectory("stub")
+        assert [p["value"]["metric"] for p in points] == [1.0, 2.5]  # oldest first
         assert [p["git_sha"] for p in points] == [SHA_A, SHA_B]
         assert [p["salt"] for p in points] == [SALT_A, SALT_B]
         assert [p["created_unix"] for p in points] == [100.0, 200.0]
@@ -80,10 +78,10 @@ class TestTrajectory:
         other = ExperimentResult(name="stub", title="stub")
         other.data = {"other": 9.0}
         store.put(spec, other, meta={"git_sha": SHA_B})
-        catalog = Catalog(store)
-        assert [p["value"] for p in catalog.trajectory("stub", "metric")] == [1.0]
-        assert [p["value"] for p in catalog.trajectory("stub", "other")] == [9.0]
-        assert catalog.metrics_for("stub") == ["metric", "other"]
+        points = Catalog(store).trajectory("stub")
+        assert [p["value"] for p in points] == [{"metric": 1.0}, {"other": 9.0}]
+        assert [p["value"]["metric"] for p in points if "metric" in p["value"]] == [1.0]
+        assert [p["value"]["other"] for p in points if "other" in p["value"]] == [9.0]
 
 
 class TestRowsAndParams:
