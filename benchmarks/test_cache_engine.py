@@ -9,10 +9,9 @@ gathers) the paper's argument lives in, and an engine that loops once
 per collision round degrades toward serial cost there.
 
 Each cache model's closed form is timed on a shared workload family and
-the timings are exported as ``BENCH_cache.json`` (CI renders them as
-perf-trajectory sparklines via ``repro-report --bench``).  Every row
-records its per-line seconds over the same model's ``uniform`` row's,
-timed in the same run, as ``per_line_vs_uniform``: wall seconds follow
+the timings are exported as ``BENCH_cache.json``.  Every row records
+its per-line seconds over the same model's ``uniform`` row's, timed in
+the same run, as ``per_line_vs_uniform``: wall seconds follow
 the host's speed, and unchanged code read 1.5-2x apart between runs
 minutes apart, so that ratio is the trajectory worth drawing.  The
 gates bound the same ratio, so they need neither absolute seconds nor

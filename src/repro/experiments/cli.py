@@ -4,7 +4,7 @@ Usage::
 
     repro-experiment list
     repro-experiment fig2 [--quick] [--jobs 4]
-    repro-experiment all [--quick] [--jobs 4] [--bench BENCH_experiments.json]
+    repro-experiment all [--quick] [--jobs 4]
     repro-experiment all --quick --store ./results     # reuse cached results
     repro-experiment serve --store ./results --port 8023 --workers 4
     repro-experiment fig4 --quick --trace out.trace.json --metrics out.prom
@@ -12,9 +12,9 @@ Usage::
 ``--jobs N`` fans work across N worker processes: a single sweep-based
 experiment parallelizes its grid; ``all`` dispatches whole experiments
 in parallel.  Results are identical to a serial run — only wall-clock
-changes.  ``--bench`` writes a perf-trajectory JSON mapping each
-experiment to its wall-clock seconds (plus jobs/quick/code-version/git
-metadata) so successive commits can be compared.
+changes.  Each run prints its wall-clock seconds, and ``--store`` keeps
+them in the stored payload's ``meta.seconds``; host-time comparisons
+across commits belong to ``perfbench/``.
 
 ``--store DIR`` points batch runs at a content-addressed result store
 (:mod:`repro.service.store`): experiments whose request key is already
@@ -37,7 +37,6 @@ routes the ``repro.*`` logger hierarchy to stderr at the given level.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -56,14 +55,8 @@ def _run_named(name: str, quick: bool) -> Tuple[ExperimentResult, float]:
     return result, time.time() - start
 
 
-def _emit(
-    result: ExperimentResult,
-    seconds: float,
-    args,
-    bench: Dict[str, float],
-    cached: bool = False,
-) -> None:
-    """Print one finished experiment and record its wall-clock."""
+def _emit(result: ExperimentResult, seconds: float, args, cached: bool = False) -> None:
+    """Print one finished experiment and its wall-clock."""
     print(result.render())
     if args.json:
         from repro.perf.export import export_result
@@ -72,41 +65,8 @@ def _emit(
         directory.mkdir(parents=True, exist_ok=True)
         written = export_result(result, directory / f"{result.name}.json")
         print(f"[exported {written}]")
-    bench[result.name] = seconds
     suffix = " (served from store)" if cached else ""
     print(f"\n[{result.name} completed in {seconds:.1f}s{suffix}]\n")
-
-
-def _write_bench(
-    path: str,
-    bench: Dict[str, float],
-    args,
-    total_seconds: float,
-    cached_names: List[str],
-) -> Path:
-    """Write the perf-trajectory file: per-experiment seconds + metadata.
-
-    ``code_version`` (the store salt) and ``git_sha`` make every
-    trajectory point attributable to the exact tree that produced it.
-    """
-    from repro.service.versioning import code_version_salt, git_sha
-
-    payload = {
-        "experiments": {name: round(seconds, 3) for name, seconds in bench.items()},
-        "meta": {
-            "jobs": args.jobs,
-            "quick": bool(args.quick),
-            "total_seconds": round(total_seconds, 3),
-            "unix_time": int(time.time()),
-            "code_version": code_version_salt(),
-            "git_sha": git_sha(),
-            "served_from_store": sorted(cached_names),
-        },
-    }
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return out
 
 
 def _serve(args) -> int:
@@ -187,15 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        help=(
-            "write a perf-trajectory JSON ({experiment: seconds} plus "
-            "jobs/quick/code-version metadata) here, "
-            "e.g. BENCH_experiments.json"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE",
         help=(
@@ -272,9 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace or args.metrics:
         telemetry = obs.enable()
 
-    bench: Dict[str, float] = {}
-    cached_names: List[str] = []
-    run_start = time.time()
     try:
         # Store pass: anything already computed for this (name, quick,
         # code version) is served from disk and dropped from the grid.
@@ -285,7 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 hit = store.get(specs[name].key)
                 if hit is not None:
                     finished[name] = (hit.result, 0.0, True)
-                    cached_names.append(name)
             to_run = [name for name in names if name not in finished]
 
         if len(to_run) > 1 and args.jobs > 1:
@@ -310,14 +257,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             result, seconds, cached = finished[name]
             if store is not None and not cached:
                 store.put(result=result, spec=specs[name], meta={"seconds": seconds})
-            _emit(result, seconds, args, bench, cached=cached)
+            _emit(result, seconds, args, cached=cached)
         if store is not None:
             store.flush()
-        if args.bench:
-            written = _write_bench(
-                args.bench, bench, args, time.time() - run_start, cached_names
-            )
-            print(f"[bench -> {written}]")
     finally:
         if telemetry is not None:
             if args.trace:

@@ -12,9 +12,10 @@ experiment's ``data`` dict.  Hooks are defensive — a metric that is
 missing (quick-mode grids can differ) is silently dropped rather than
 crashing the result store, which computes each run's headline once when
 it stores the run and again when it re-derives an index line from an
-old payload.  Hooks read both live ``data`` and payloads reloaded from
-the result store, where numpy arrays come back as lists and tuple keys
-as ``"a/b/c"`` strings.
+old payload.  Hooks read ``data`` in its stored form, the JSON round
+trip of :func:`~repro.perf.export.to_jsonable`: numpy arrays are lists,
+and dict keys are strings (tuple keys joined as ``"a/b/c"``, float
+keys as ``"0.5"``).  The claim checker judges that same form.
 
 Besides the numbers worth charting, hooks expose the derived ratios
 and extremes that the paper-claim table (:data:`repro.experiments.check.CLAIMS`)
@@ -64,6 +65,14 @@ def _collect(pairs: Iterable[tuple]) -> Dict[str, float]:
     return {name: value for name, value in pairs if value is not None}
 
 
+def _numbers(data: Any, *path: str) -> Dict[str, float]:
+    """The numeric entries of the dict at ``path``, by key; empty if there is none."""
+    node = _leaf(data, *path)
+    if not isinstance(node, Mapping):
+        return {}
+    return _collect((key, _num(node, key)) for key in node)
+
+
 def _spread(data: Mapping[str, Any], field: str) -> Dict[str, float]:
     """``{f"{row}_{field}": row[field]}`` over a dict-of-rows table."""
     out: Dict[str, float] = {}
@@ -91,9 +100,9 @@ def _ratio(numerator: Optional[float], denominator: Optional[float]) -> Optional
 
 
 def _series(data: Any, *path: str) -> Optional[np.ndarray]:
-    """A non-empty 1-D numeric series (ndarray live, list once stored)."""
+    """A non-empty 1-D numeric series (a list once stored) as an array."""
     node = _leaf(data, *path)
-    if not isinstance(node, (list, np.ndarray)):
+    if not isinstance(node, list):
         return None
     array = np.asarray(node, dtype=float)
     return array if array.ndim == 1 and array.size else None
@@ -104,11 +113,7 @@ def _series(data: Any, *path: str) -> Optional[np.ndarray]:
 
 def _fig2(data: Mapping[str, Any]) -> Dict[str, float]:
     def gbps(side: str, pattern: str, granularity: int, threads: int) -> Optional[float]:
-        key = (pattern, granularity, threads)
-        value = _num(data, "bandwidth", side, key)
-        if value is None:  # a stored payload flattens the tuple key
-            value = _num(data, "bandwidth", side, "/".join(map(str, key)))
-        return value
+        return _num(data, "bandwidth", side, f"{pattern}/{granularity}/{threads}")
 
     read_24t = gbps("read", "sequential", 64, 24)
     write_4t = gbps("write", "sequential", 64, 4)
@@ -305,27 +310,45 @@ def _dma(data: Mapping[str, Any]) -> Dict[str, float]:
 
 
 def _mix(data: Mapping[str, Any]) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for mode in ("1lm", "2lm"):
-        curve = data.get(mode)
-        if isinstance(curve, Mapping):
-            values = [v for v in curve.values() if isinstance(v, (int, float))]
-            if values:
-                out[f"peak_{mode}_gbps"] = float(max(values))
-    return out
+    # Each mode maps a read fraction, "0.0" (all stores) to "1.0" (all loads), to GB/s.
+    curves = {mode: _numbers(data, mode) for mode in ("1lm", "2lm")}
+    pairs = []
+    for mode, curve in curves.items():
+        pairs.append((f"peak_{mode}_gbps", max(curve.values(), default=None)))
+        pairs.append((f"{mode}_read_over_write", _ratio(curve.get("1.0"), curve.get("0.0"))))
+    ratios = _collect(
+        (fraction, _ratio(gbps, curves["2lm"].get(fraction)))
+        for fraction, gbps in curves["1lm"].items()
+    )
+    pairs.append(("min_1lm_over_2lm", min(ratios.values(), default=None)))
+    return _collect(pairs)
 
 
 def _dlrm(data: Mapping[str, Any]) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for phase in sorted(data):
-        value = _num(data, phase, "bandana_speedup_over_2lm")
-        if value is not None:
-            out[f"{phase}_bandana_speedup"] = value
-    return out
+    pairs = [
+        (f"{phase}_bandana_speedup", _num(data, phase, "bandana_speedup_over_2lm"))
+        for phase in sorted(data)
+    ]
+    for phase in ("inference", "training"):
+        pairs.append(
+            (f"{phase}_bandana_amplification", _num(data, phase, "bandana", "amplification"))
+        )
+    pairs += [
+        ("inference_2lm_amplification", _num(data, "inference", "2lm", "amplification")),
+        ("inference_2lm_hit_fraction", _num(data, "inference", "2lm", "hit_fraction")),
+        ("inference_bandana_hit_fraction", _num(data, "inference", "bandana", "hit_fraction")),
+    ]
+    writes = [_num(data, "inference", mode, "nvram_writes") for mode in ("2lm", "bandana", "nvram")]
+    if None not in writes:
+        pairs.append(("inference_nvram_writes", sum(writes)))
+    return _collect(pairs)
 
 
 def _gpt(data: Mapping[str, Any]) -> Dict[str, float]:
-    return _pick(data, "speedup", "hit_rate", "nvram_ratio")
+    return _pick(
+        data, "speedup", "hit_rate", "nvram_ratio", "dirty_misses",
+        "footprint_bytes", "cache_bytes",
+    )
 
 
 #: Per-trace verdict metrics the kvtrace hook flattens into the

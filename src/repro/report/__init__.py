@@ -4,7 +4,7 @@ The catalog (:mod:`repro.service.catalog`, a view over the result
 store's index) makes experiment history *queryable*; this package makes
 it *visible* without adding a plotting dependency.  Every chart is a
 small hand-assembled SVG string — bandwidth bars, paper-vs-repro delta
-tables, perf-trajectory sparklines — inlined into per-experiment HTML
+tables, headline-trajectory sparklines across stored runs — inlined into per-experiment HTML
 pages plus an index.
 
 Rendering is a pure function of the store contents: the same store
@@ -22,8 +22,6 @@ Modules:
   sparklines) with pinned float formatting.
 * :mod:`repro.report.html` — HTML assembly helpers (escaping, tables,
   the page skeleton with inline CSS).
-* :mod:`repro.report.bench` — loader for ``BENCH_*.json``
-  perf-trajectory files.
 * :mod:`repro.report.render` — catalog -> HTML page composition.
 * :mod:`repro.report.cli` — the ``repro-report`` entry point.
 """

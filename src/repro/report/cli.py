@@ -3,7 +3,7 @@
 Usage::
 
     repro-report --store ./results
-    repro-report --store ./results --out ./report --bench BENCH_*.json
+    repro-report --store ./results --out ./report
     repro-report --store ./results --experiment fig4
 
 Renders ``index.html`` plus one ``<experiment>.html`` page per
@@ -14,10 +14,6 @@ store produces byte-identical files (CI gates on exactly that), so a
 report diff is a *result* diff.  The store's ``index.jsonl`` is derived
 from its payloads: after hand-editing a store, delete it and the next
 render re-derives every entry.
-
-``--bench`` accepts any number of ``BENCH_*.json`` snapshots (the
-``repro-experiment --bench`` output and the benchmark suite's exports);
-they become perf-trajectory sparklines.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
-from repro.report.bench import load_bench_history
 from repro.report.render import render_experiment, render_index
 from repro.service.catalog import Catalog
 from repro.service.store import ResultStore
@@ -53,13 +48,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="repro-report",
         metavar="DIR",
         help="output directory for the HTML bundle (default: ./repro-report)",
-    )
-    parser.add_argument(
-        "--bench",
-        nargs="*",
-        default=[],
-        metavar="FILE",
-        help="BENCH_*.json snapshots to render as perf-trajectory sparklines",
     )
     parser.add_argument(
         "--experiment",
@@ -87,10 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     catalog = Catalog(store)
     print(f"[catalog: {len(catalog)} rows <- {store.index_path}]")
 
-    bench = load_bench_history(args.bench) if args.bench else None
-    if bench is not None:
-        print(f"[bench history: {len(bench)} snapshots]")
-
     names = sorted(
         summary["experiment"] for summary in catalog.experiments()
     )
@@ -106,14 +90,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name in names:
-        html = render_experiment(catalog, name, bench=bench)
+        html = render_experiment(catalog, name)
         if html is None:  # raced an emptying store; skip quietly
             continue
         path = out_dir / f"{name}.html"
         path.write_text(html)
         written.append(path)
     index_path = out_dir / "index.html"
-    index_path.write_text(render_index(catalog, bench=bench))
+    index_path.write_text(render_index(catalog))
     written.append(index_path)
     for path in written:
         print(f"[report -> {path}]")

@@ -1,7 +1,7 @@
 """Compose catalog state into HTML report pages.
 
-Pure functions of ``(catalog, bench history)``: no clocks, no
-randomness, sorted iteration everywhere — the same store must render
+Pure functions of the catalog: no clocks, no randomness, sorted
+iteration everywhere — the same store must render
 byte-identical pages (CI diffs a second render against the first).
 """
 
@@ -13,7 +13,6 @@ from typing import Any, Dict, List, Optional
 from repro.experiments.check import paper_values
 from repro.experiments.headline import KVTRACE_VERDICT_METRICS
 from repro.report import svg
-from repro.report.bench import BenchHistory
 from repro.report.html import esc, page, table
 from repro.report.svg import fmt
 from repro.service.catalog import Catalog
@@ -212,59 +211,7 @@ def _param_diff_section(catalog: Catalog, experiment: str) -> List[str]:
     ]
 
 
-def _bench_section(history: Optional[BenchHistory], series: str) -> List[str]:
-    if history is None or len(history) < 1:
-        return []
-    values = history.series(series)
-    if len(values) < 2:
-        return []
-    return [
-        "<h2>Perf trajectory (BENCH files)</h2>",
-        table(
-            ["series", "seconds over snapshots", "latest", "best"],
-            [[series, svg.sparkline(values), fmt(values[-1]), fmt(min(values))]],
-            numeric=(2, 3),
-        ),
-    ]
-
-
-def _bench_series_section(
-    history: Optional[BenchHistory], experiment_names: set
-) -> List[str]:
-    """Index-level sparklines for non-experiment bench series.
-
-    Experiment wall-clock series render inline in the summaries table;
-    everything else in the bench snapshots (the cache-engine
-    microbenchmark's per-model timings and speedups) lands here, one
-    sparkline per series once two snapshots exist.
-    """
-    if history is None or len(history) < 2:
-        return []
-    rows = []
-    for name in history.names():
-        values = history.series(name)
-        if len(values) < 2 or name in experiment_names:
-            continue
-        rows.append(
-            [esc(name), svg.sparkline(values), fmt(values[-1]), fmt(min(values))]
-        )
-    if not rows:
-        return []
-    return [
-        "<h2>Perf trajectory (BENCH files)</h2>",
-        '<p class="muted">Benchmark series across snapshots (cache-engine '
-        "timings, speedups); experiment wall-clocks sparkline in the table "
-        "above.</p>",
-        table(["series", "values over snapshots", "latest", "best"], rows,
-              numeric=(2, 3)),
-    ]
-
-
-def render_experiment(
-    catalog: Catalog,
-    experiment: str,
-    bench: Optional[BenchHistory] = None,
-) -> Optional[str]:
+def render_experiment(catalog: Catalog, experiment: str) -> Optional[str]:
     """The full HTML page for one experiment, ``None`` if it has no runs."""
     runs = catalog.rows(experiment=experiment)
     if not runs:
@@ -299,14 +246,11 @@ def render_experiment(
     body.extend(_paper_delta_section(experiment, headline))
     body.extend(_trajectory_section(catalog, experiment))
     body.extend(_param_diff_section(catalog, experiment))
-    body.extend(_bench_section(bench, experiment))
     body.extend(_runs_section(runs))
     return page(f"{experiment} — repro report", body)
 
 
-def render_index(
-    catalog: Catalog, bench: Optional[BenchHistory] = None
-) -> str:
+def render_index(catalog: Catalog) -> str:
     """The report index: one row per experiment present in the store."""
     summaries = catalog.experiments()
     body: List[str] = [
@@ -321,7 +265,6 @@ def render_index(
             name = summary["experiment"]
             latest = catalog.rows(experiment=name, limit=1)
             headline = latest[0]["headline"] if latest else {}
-            bench_values = bench.series(name) if bench is not None else []
             rows.append(
                 [
                     f'<a href="{esc(name)}.html">{esc(name)}</a>',
@@ -329,30 +272,15 @@ def render_index(
                     str(summary["code_versions"]),
                     _iso(summary["last_unix"]),
                     _headline_summary(headline),
-                    svg.sparkline(bench_values) if len(bench_values) >= 2 else "",
                 ]
             )
         body.append(
             table(
-                [
-                    "experiment",
-                    "runs",
-                    "code versions",
-                    "latest (UTC)",
-                    "latest headline",
-                    "bench trajectory",
-                ],
+                ["experiment", "runs", "code versions", "latest (UTC)", "latest headline"],
                 rows,
                 numeric=(1, 2),
             )
         )
     else:
         body.append("<p>The store is empty — run some experiments first.</p>")
-    body.extend(_bench_series_section(bench, {s["experiment"] for s in summaries}))
-    if bench is not None and len(bench):
-        body.append(
-            f'<p class="muted">Bench history: {len(bench)} snapshot'
-            f"{'s' if len(bench) != 1 else ''} "
-            f"({', '.join(esc(p.label) for p in bench.points)}).</p>"
-        )
     return page("repro report index", body)

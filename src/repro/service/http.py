@@ -90,10 +90,24 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        # No header means an empty body.  Anything but a non-negative
+        # integer is refused before a byte is read: ``read(-1)`` would
+        # wait for the client to close the connection.  A refused body
+        # stays unread, so the connection closes after the reply.
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            self._send_json(
+                400, {"error": f"Content-Length must be a non-negative integer: {declared!r}"}
+            )
+            return None
+        # int() refuses thousands of digits; so many are over the limit anyway.
+        digits = declared.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self.close_connection = True
             self._send_json(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
             return None
+        length = int(digits)
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")
@@ -118,7 +132,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             outcome = self.service.submit(
                 experiment=body.get("experiment", ""),
                 params=body.get("params") or {},
-                quick=bool(body.get("quick", False)),
+                quick=body.get("quick", False),
                 priority=int(body.get("priority", 0)),
                 timeout=body.get("timeout"),
                 max_retries=body.get("max_retries"),

@@ -14,6 +14,7 @@ health is scraped exactly like the simulator's own counters.
 from __future__ import annotations
 
 import inspect
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -49,6 +50,28 @@ class RetryPolicy:
             self.backoff_max,
             self.backoff_base * self.backoff_factor ** (attempt - 1),
         )
+
+
+def _check_knobs(timeout: Any, max_retries: Any) -> None:
+    """Reject scheduling knobs a worker could not act on.
+
+    They are checked at admission: a ``timeout`` of the wrong type fails
+    only once a worker has forked the job's child, and a bad
+    ``max_retries`` only inside the worker's failure handler.
+    """
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not math.isfinite(timeout)
+        or timeout <= 0
+    ):
+        raise JobRejectedError(
+            f"'timeout' must be a finite number of seconds > 0, got {timeout!r}"
+        )
+    if max_retries is not None and (
+        isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 0
+    ):
+        raise JobRejectedError(f"'max_retries' must be an integer >= 0, got {max_retries!r}")
 
 
 @dataclass
@@ -149,6 +172,8 @@ class SimulationService:
         quick: bool = False,
     ) -> RequestSpec:
         """Validate a request and bind it to this service's salt."""
+        if not isinstance(quick, bool):
+            raise JobRejectedError(f"'quick' must be true or false, got {quick!r}")
         fn = self.experiments.get(experiment)
         if fn is None:
             raise JobRejectedError(
@@ -195,6 +220,7 @@ class SimulationService:
         """
         self._count("requests")
         spec = self.build_spec(experiment, params, quick)
+        _check_knobs(timeout, max_retries)
         cached = self.store.get(spec.key)
         if cached is not None:
             self._count("cache_hits")

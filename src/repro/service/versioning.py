@@ -8,9 +8,9 @@ of a hardware cache writing back data nobody wants.  The salt folds
 that determine experiment output, so any edit to simulation code
 changes every store key and forces honest recomputation.
 
-``git_sha`` is best-effort provenance for perf-trajectory artifacts
-(``--bench``): a point on the trajectory is only attributable if it
-names the commit that produced it.
+``git_sha`` is best-effort provenance for stored results and the
+service's health report: a point on a report's trajectory is only
+attributable if it names the commit that produced it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
 """Tests for the experiment CLI."""
 
-import json
-
 import pytest
 
 from repro.exec import fork_available
@@ -46,16 +44,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig2", "--jobs", "0"])
 
-    def test_bench_writes_perf_trajectory(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_experiments.json"
-        assert main(["table1", "--quick", "--bench", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert set(payload["experiments"]) == {"table1"}
-        assert payload["experiments"]["table1"] >= 0.0
-        assert payload["meta"]["jobs"] == 1
-        assert payload["meta"]["quick"] is True
-        assert payload["meta"]["total_seconds"] >= payload["experiments"]["table1"]
-
     @pytest.mark.skipif(not fork_available(), reason="no fork")
     def test_jobs_flag_runs_sweep_experiments(self, capsys):
         assert main(["fig2", "--quick", "--jobs", "2"]) == 0
@@ -75,16 +63,3 @@ class TestCLI:
         assert "(served from store)" in second
         # The cached run still renders the full table.
         assert "Table I" in second
-
-    def test_bench_records_code_version_and_store_hits(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        out = tmp_path / "BENCH_experiments.json"
-        assert main(["table1", "--quick", "--store", str(store)]) == 0
-        assert (
-            main(["table1", "--quick", "--store", str(store), "--bench", str(out)])
-            == 0
-        )
-        meta = json.loads(out.read_text())["meta"]
-        assert isinstance(meta["code_version"], str) and len(meta["code_version"]) == 16
-        assert meta["git_sha"] is None or isinstance(meta["git_sha"], str)
-        assert meta["served_from_store"] == ["table1"]

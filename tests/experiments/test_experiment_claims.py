@@ -85,6 +85,11 @@ class TestRegistry:
         }
         assert expected == set(EXPERIMENTS)
 
+    def test_every_experiment_is_claimed(self):
+        from repro.experiments import EXPERIMENTS
+
+        assert {claim.experiment for claim in CLAIMS} == set(EXPERIMENTS)
+
     def test_unknown_experiment_raises(self):
         from repro.experiments import get_experiment
 

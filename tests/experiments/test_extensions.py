@@ -1,13 +1,12 @@
-"""Tests for the extension experiments (mix, dlrm, gpt) and mixed kernel.
+"""Tests for the mixed read/write kernel behind the ``mix`` extension.
 
-The dma study's checks are rows of the claim table
-(:data:`repro.experiments.check.CLAIMS`).
+The extension studies' shape checks (dma, mix, dlrm, gpt) are rows of
+the claim table (:data:`repro.experiments.check.CLAIMS`).
 """
 
 import pytest
 
 from repro.config import default_platform
-from repro.experiments import run_experiment
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, FlatBackend
 
@@ -49,60 +48,3 @@ class TestMixedKernel:
         with pytest.raises(ValueError):
             KernelSpec(Kernel.MIXED, read_fraction=1.5)
 
-
-class TestMixExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("mix", quick=True)
-
-    def test_1lm_faster_than_2lm_at_every_ratio(self, result):
-        for fraction, bandwidth in result.data["1lm"].items():
-            assert bandwidth > result.data["2lm"][fraction]
-
-    def test_read_heavy_faster(self, result):
-        assert result.data["1lm"][1.0] > result.data["1lm"][0.0]
-        assert result.data["2lm"][1.0] > result.data["2lm"][0.0]
-
-
-class TestDlrmExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("dlrm", quick=True)
-
-    def test_bandana_beats_2lm_inference(self, result):
-        assert result.data["inference"]["bandana_speedup_over_2lm"] > 1.2
-
-    def test_placement_hit_fraction_beats_cache(self, result):
-        assert (
-            result.data["inference"]["bandana"]["hit_fraction"]
-            > result.data["inference"]["2lm"]["hit_fraction"]
-        )
-
-    def test_2lm_amplifies(self, result):
-        assert result.data["inference"]["2lm"]["amplification"] > 1.5
-
-    def test_software_placement_never_amplifies(self, result):
-        for phase in ("inference", "training"):
-            assert result.data[phase]["bandana"]["amplification"] == pytest.approx(1.0)
-
-    def test_inference_writes_nothing(self, result):
-        for mode in ("2lm", "bandana", "nvram"):
-            assert result.data["inference"][mode]["nvram_writes"] == 0
-
-
-class TestGptExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("gpt", quick=True)
-
-    def test_footprint_exceeds_cache(self, result):
-        assert result.data["footprint_bytes"] > result.data["cache_bytes"]
-
-    def test_autotm_faster(self, result):
-        assert result.data["speedup"] > 1.05
-
-    def test_autotm_cuts_nvram_traffic(self, result):
-        assert result.data["nvram_ratio"] < 0.8
-
-    def test_dirty_misses_present(self, result):
-        assert result.data["dirty_misses"] > 0

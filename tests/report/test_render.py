@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.report import render, svg
-from repro.report.bench import load_bench_history
 from repro.report.render import render_experiment, render_index
 from repro.service import catalog as catalog_module
 from repro.service.catalog import Catalog
@@ -132,46 +131,3 @@ class TestRenderIndex:
 
     def test_byte_stable(self, catalog):
         assert render_index(catalog) == render_index(catalog)
-
-
-class TestBenchIntegration:
-    def test_bench_history_becomes_sparklines(self, catalog, tmp_path):
-        for stamp, seconds in ((1000, 4.0), (2000, 3.0), (3000, 3.5)):
-            (tmp_path / f"BENCH_{stamp}.json").write_text(
-                '{"experiments": {"fig2": %s}, '
-                '"meta": {"unix_time": %d, "git_sha": "%s"}}'
-                % (seconds, stamp, "d" * 40)
-            )
-        history = load_bench_history(sorted(tmp_path.glob("BENCH_*.json")))
-        assert len(history) == 3
-        assert history.series("fig2") == [4.0, 3.0, 3.5]
-
-        html = render_experiment(catalog, "fig2", bench=history)
-        assert "Perf trajectory (BENCH files)" in html
-        index = render_index(catalog, bench=history)
-        assert "Bench history: 3 snapshots" in index
-
-    def test_cache_bench_series_sparkline_on_the_index(self, catalog, tmp_path):
-        # BENCH_cache.json-style nested snapshots: series named a/b,
-        # no "experiments" key, ordering by filename (no unix_time).
-        for stamp, speedup in ((1000, 3.5), (2000, 4.0)):
-            (tmp_path / f"BENCH_cache_{stamp}.json").write_text(
-                '{"direct_mapped/uniform": {"speedup": %s, '
-                '"closed_form_s": 0.02}}' % speedup
-            )
-        history = load_bench_history(sorted(tmp_path.glob("BENCH_cache_*.json")))
-        assert history.series("direct_mapped/uniform/speedup") == [3.5, 4.0]
-
-        index = render_index(catalog, bench=history)
-        assert "Perf trajectory (BENCH files)" in index
-        assert "direct_mapped/uniform/speedup" in index
-        assert render_index(catalog, bench=history) == index
-
-    def test_single_snapshot_renders_no_series_section(self, catalog, tmp_path):
-        (tmp_path / "BENCH_cache.json").write_text(
-            '{"direct_mapped/uniform": {"speedup": 4.0}}'
-        )
-        history = load_bench_history([tmp_path / "BENCH_cache.json"])
-        index = render_index(catalog, bench=history)
-        assert "Perf trajectory (BENCH files)" not in index
-        assert "Bench history: 1 snapshot" in index

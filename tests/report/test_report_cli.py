@@ -88,20 +88,3 @@ class TestReportCli:
         assert "[catalog: 2 rows <- " in capsys.readouterr().out
         assert read_bundle(out2) == read_bundle(out1)
         assert store.index_path.is_file()
-
-    def test_bench_files_feed_the_bundle(self, tmp_path):
-        build_store(tmp_path / "store")
-        benches = []
-        for stamp, seconds in ((1000, 5.0), (2000, 4.0)):
-            path = tmp_path / f"BENCH_{stamp}.json"
-            path.write_text(
-                '{"experiments": {"fig2": %s}, "meta": {"unix_time": %d}}'
-                % (seconds, stamp)
-            )
-            benches.append(str(path))
-        out = tmp_path / "report"
-        main(
-            ["--store", str(tmp_path / "store"), "--out", str(out), "--bench"]
-            + benches
-        )
-        assert b"Perf trajectory (BENCH files)" in read_bundle(out)["fig2.html"]

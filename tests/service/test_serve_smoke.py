@@ -2,11 +2,12 @@
 
 import contextlib
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPResponse
 from urllib.parse import urlsplit
 
 import pytest
@@ -53,6 +54,23 @@ def get_with_headers(url):
             return response.status, dict(response.headers), response.read().decode()
     except urllib.error.HTTPError as error:
         return error.code, dict(error.headers), error.read().decode()
+
+
+def post_raw(base, content_length, body=b""):
+    """POST /jobs with a hand-written ``Content-Length``, keeping the socket open.
+
+    Returns the reply's status and JSON body; a server that never answers
+    fails the caller with ``socket.timeout``.
+    """
+    address = urlsplit(base)
+    with socket.create_connection((address.hostname, address.port), timeout=3) as sock:
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body
+        )
+        response = HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
 
 
 def make_service(store_root):
@@ -314,3 +332,46 @@ class TestServeSmoke:
         assert status == 404
         status, _ = http("GET", f"{base}/nope")
         assert status == 404
+
+    @pytest.mark.parametrize("content_length", [b"abc", b"1.5", b"-5", b"-1", b""])
+    def test_malformed_content_length_is_a_400(self, served, content_length):
+        _, base, _ = served
+        status, payload = post_raw(base, content_length, b'{"experiment": "sleepy"}')
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize("digits", [11, 5000])
+    def test_oversized_content_length_is_a_413(self, served, digits):
+        _, base, _ = served
+        status, payload = post_raw(base, b"9" * digits, b"{}")
+        assert status == 413
+        assert "body exceeds" in payload["error"]
+
+    def test_malformed_job_fields_are_rejected_and_the_worker_lives(self, served):
+        service, base, _ = served
+        for field, value in (
+            ("quick", "false"),
+            ("quick", 1),
+            ("timeout", "abc"),
+            ("timeout", -1),
+            ("timeout", 0),
+            ("timeout", True),
+            ("timeout", float("inf")),
+            ("max_retries", "x"),
+            ("max_retries", -1),
+            ("max_retries", 1.5),
+            ("max_retries", True),
+        ):
+            status, payload = http("POST", f"{base}/jobs", {"experiment": "sleepy", field: value})
+            assert status == 400, (field, value)
+            assert f"'{field}'" in payload["error"], (field, value)
+        assert service.queue.depth == 0
+
+        # The one worker still runs a well-formed job to completion.
+        status, accepted = http(
+            "POST",
+            f"{base}/jobs",
+            {"experiment": "sleepy", "quick": False, "timeout": 30, "max_retries": 0},
+        )
+        assert status == 202
+        assert poll_until_done(base, accepted["job"]["id"])["state"] == "succeeded"
