@@ -9,7 +9,10 @@ gathers) the paper's argument lives in, and an engine that loops once
 per collision round degrades toward serial cost there.
 
 Each cache model's closed form is timed on a shared workload family and
-the timings are exported as ``BENCH_cache.json``.  Every row records
+the timings are exported to ``benchmarks/out/BENCH_cache.json``, which
+git ignores; the committed ``BENCH_cache.json`` at the repository root
+is the trajectory point, and a change that means to move it copies the
+new rows over it.  Every row records
 its per-line seconds over the same model's ``uniform`` row's, timed in
 the same run, as ``per_line_vs_uniform``: wall seconds follow
 the host's speed, and unchanged code read 1.5-2x apart between runs
@@ -91,7 +94,7 @@ from repro.traces.replay import (
 )
 
 REPEATS = 5
-BENCH_PATH = Path("BENCH_cache.json")
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_cache.json"
 
 DM_SETS = 1 << 18
 SECTOR_SETS = 1 << 14
@@ -357,6 +360,7 @@ def test_closed_form_engine_cost_contract():
         "repeats": REPEATS,
         "timer": "perf_counter, best-of-N, read pass + write pass",
     }
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
     ratios = {name: results[name]["per_line_vs_uniform"] for name in GATES}

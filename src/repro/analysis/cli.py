@@ -4,15 +4,13 @@ Usage::
 
     python -m repro.analysis src/repro
     python -m repro.analysis src/repro --format json
-    python -m repro.analysis src/repro --baseline lint-baseline.json
     python -m repro.analysis src/repro --changed-only
     python -m repro.analysis src/repro --graph dot
     python -m repro.analysis --list-rules
 
-Exit codes: 0 clean, 1 findings, 2 usage or analysis error.  The
-baseline file (written with ``--write-baseline``) holds known findings
-to ignore, matched by (path, rule, message) so line drift does not
-resurrect them; the CI gate runs with no baseline at all.
+Exit codes: 0 clean, 1 findings, 2 usage or analysis error.  A finding
+is either fixed or suppressed inline with its reason
+(``# repro-lint: disable=RULE (why)``); there is no baseline file.
 
 ``--changed-only`` still parses the full tree (the project-level rules
 need the whole graph) but reports only findings in files git considers
@@ -24,7 +22,6 @@ rules entirely and prints the package-level import graph.
 from __future__ import annotations
 
 import argparse
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,27 +40,6 @@ from repro.analysis.reporters import render_dot, render_json, render_text
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
-
-
-def _load_baseline(path: Path) -> List[str]:
-    payload = json.loads(path.read_text())
-    findings = payload.get("findings", []) if isinstance(payload, dict) else payload
-    return [
-        f"{entry['path']}::{entry['rule']}::{entry['message']}" for entry in findings
-    ]
-
-
-def _apply_baseline(report: AnalysisReport, keys: List[str]) -> AnalysisReport:
-    budget = list(keys)
-    kept = []
-    for finding in report.findings:
-        if finding.baseline_key in budget:
-            budget.remove(finding.baseline_key)  # one entry absolves one finding
-        else:
-            kept.append(finding)
-    return AnalysisReport(
-        findings=kept, suppressed=report.suppressed, files=report.files
-    )
 
 
 def _git_changed_files() -> Optional[Set[Path]]:
@@ -116,16 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="report format (json output is byte-stable across runs)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="ignore the findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
         "--changed-only",
         action="store_true",
         help="report findings only for files git sees as changed "
@@ -174,23 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             report = _only_changed(report, changed)
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(render_json(report))
-        print(
-            f"[baseline: {len(report.findings)} finding(s) -> {args.write_baseline}]"
-        )
-        return EXIT_CLEAN
-
-    if args.baseline:
-        try:
-            report = _apply_baseline(report, _load_baseline(Path(args.baseline)))
-        except (OSError, ValueError, KeyError) as error:
-            print(
-                f"repro-lint: error: bad baseline {args.baseline}: {error!r}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
 
     output = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(output)

@@ -40,11 +40,6 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
 
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-free identity used for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.message}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 

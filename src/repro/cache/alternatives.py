@@ -122,24 +122,7 @@ class SetAssociativeCache:
         record_cache_metrics(self.cache_kind, traffic, tags)
         return traffic, tags
 
-    # -- priming and introspection -----------------------------------------
-
-    def prime(
-        self, lines: np.ndarray, *, dirty: bool, known_resident: bool = False
-    ) -> None:
-        """Install lines directly, bypassing traffic accounting.
-
-        Each line lands in its hit way (refreshing recency) or the LRU
-        victim way, exactly as a demand access would place it, so later
-        occurrences win the way they would under real accesses.
-        """
-        lines = as_lines(lines)
-        seg = self._segmenter.segment(lines)
-        self._clock = _engine_ops.setassoc_prime_batch(
-            lines, seg, self._tags, self._dirty, self._known_resident,
-            self._stamp, self._clock,
-            mark_dirty=dirty, mark_known_resident=known_resident,
-        )
+    # -- introspection -----------------------------------------------------
 
     def contains(self, lines: np.ndarray) -> np.ndarray:
         lines = as_lines(lines)

@@ -179,21 +179,7 @@ class DirectMappedCache:
         tags.clean_misses += counts.misses - counts.dirty_misses
         tags.dirty_misses += counts.dirty_misses
 
-    # -- priming and introspection --------------------------------------------
-
-    def prime(self, lines: np.ndarray, *, dirty: bool, known_resident: bool = False) -> None:
-        """Install lines directly, bypassing traffic accounting.
-
-        Experiment setup helper: the paper primes the cache by running
-        warm-up iterations; ``prime`` produces the same state instantly.
-        Later occupants of a set win, as they would under real accesses
-        (:func:`~repro.cache.engine.prime_batch`).
-        """
-        lines = as_lines(lines)
-        _engine_ops.prime_batch(
-            lines, self._segment(lines), self._tags, self._dirty, self._known_resident,
-            mark_dirty=dirty, mark_known_resident=known_resident,
-        )
+    # -- introspection --------------------------------------------------------
 
     def contains(self, lines: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``lines`` are currently cached."""

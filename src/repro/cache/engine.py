@@ -1107,125 +1107,3 @@ def prefetch_fill_batch(
     dirty[lead_sets] &= ~seg_installed
     known_resident[lead_sets] |= seg_installed
     return PrefetchCounts(int(np.count_nonzero(install)), dirty_evict)
-
-
-# ---------------------------------------------------------------------------
-# Priming (state installation without traffic accounting)
-# ---------------------------------------------------------------------------
-
-
-def prime_batch(
-    lines: np.ndarray,
-    seg: Grouping,
-    tags: np.ndarray,
-    dirty: np.ndarray,
-    known_resident: np.ndarray,
-    *,
-    mark_dirty: bool,
-    mark_known_resident: bool,
-) -> None:
-    """Install lines directly into direct-mapped state, later wins.
-
-    Each set takes its last occurrence's line, with the caller-chosen
-    dirty and known-resident marks and no traffic.  The last occurrence
-    comes from the grouping, rather than from numpy fancy assignment
-    applying duplicate indices left to right (an undocumented
-    implementation detail).
-    """
-    if type(seg) is SplitBatch:
-        return _by_part(
-            prime_batch, seg, (lines,), tags, dirty, known_resident,
-            mark_dirty=mark_dirty, mark_known_resident=mark_known_resident,
-        )
-    if seg.collision_free:
-        sets, winners = seg.index, lines
-    else:
-        sets, winners = seg.leaders, lines[seg.order[seg.last_pos]]
-    tags[sets] = winners
-    dirty[sets] = mark_dirty
-    known_resident[sets] = mark_known_resident
-
-
-def sector_prime_batch(
-    sectors: np.ndarray,
-    offsets: np.ndarray,
-    seg: Grouping,
-    tags: np.ndarray,
-    valid: np.ndarray,
-    dirty: np.ndarray,
-    *,
-    mark_dirty: bool,
-) -> None:
-    """Install lines directly into sector bitmap state, later wins.
-
-    Sequential semantics: each line replaces the sector (fresh bitmap)
-    when its sector differs from the previous occupant, otherwise adds
-    its valid bit — so a set ends holding its last primed sector with
-    the bits of the trailing same-sector run, all closed-form via one
-    ``bitwise_or.reduceat`` over the run partition.
-    """
-    if type(seg) is SplitBatch:
-        return _by_part(
-            sector_prime_batch, seg, (sectors, offsets), tags, valid, dirty,
-            mark_dirty=mark_dirty,
-        )
-    n = int(sectors.size)
-    if not n:
-        return
-    bits = _ONE << offsets.astype(np.uint64)
-    if seg.collision_free:
-        index = seg.keys
-        tags[index] = sectors
-        valid[index] = bits
-        dirty[index] = bits if mark_dirty else _ZERO
-        return
-    g = seg.order
-    gs = sectors[g]
-    gb = bits[g]
-    # Priming never inherits resident state: a segment's first line
-    # starts a run without counting as a sector change.
-    changed = _differs_from_previous(gs, seg, gs[seg.first_pos])
-    run_id, run_starts = _run_partition(seg, changed)
-    run_or = np.bitwise_or.reduceat(gb, run_starts)
-    lead_sets = seg.leaders
-    last_pos = seg.last_pos
-    final = run_or[run_id[last_pos]]
-    tags[lead_sets] = gs[last_pos]
-    valid[lead_sets] = final
-    dirty[lead_sets] = final if mark_dirty else _ZERO
-
-
-def setassoc_prime_batch(
-    lines: np.ndarray,
-    seg: Grouping,
-    tags: np.ndarray,
-    dirty: np.ndarray,
-    known_resident: np.ndarray,
-    stamp: np.ndarray,
-    clock: np.int64,
-    *,
-    mark_dirty: bool,
-    mark_known_resident: bool,
-) -> np.int64:
-    """Install lines into LRU state directly, later occurrences winning.
-
-    Each line lands in its hit way (refreshing recency) or the LRU
-    victim way, exactly as a demand access would place it, but with the
-    caller-chosen dirty/known-resident marks and no traffic.  Repeats
-    fold into their run's head, and the clock advances, as in
-    :func:`setassoc_read_batch`.
-    """
-    if type(seg) is SplitBatch:
-        return _by_part(
-            setassoc_prime_batch, seg, (lines,), tags, dirty, known_resident, stamp, clock,
-            mark_dirty=mark_dirty, mark_known_resident=mark_known_resident,
-        )
-    tags_at, dirty_at = tags.reshape(-1), dirty.reshape(-1)
-    known_at, stamp_at = known_resident.reshape(-1), stamp.reshape(-1)
-    for sub_lines, sub_sets, last_rank, _ in _lru_rounds(lines, seg):
-        _, slot = _lru_lookup(sub_lines, sub_sets, tags, stamp)
-        tags_at[slot] = sub_lines
-        dirty_at[slot] = mark_dirty
-        known_at[slot] = mark_known_resident
-        stamp_at[slot] = clock + 1 + last_rank
-    return clock + seg.max_multiplicity

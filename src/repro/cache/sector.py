@@ -138,24 +138,7 @@ class SectorCache:
         record_cache_metrics(self.cache_kind, traffic, tags)
         return traffic, tags
 
-    # -- priming and introspection -----------------------------------------------
-
-    def prime(self, lines: np.ndarray, *, dirty: bool) -> None:
-        """Install lines directly, bypassing traffic accounting.
-
-        Later occupants win as under real accesses: each primed line
-        replaces the sector when its tag differs from the previous
-        occupant and adds its valid (and, with ``dirty=True``, dirty)
-        bit otherwise, so the set ends holding its last primed sector
-        with the bits of the trailing same-sector run.
-        """
-        lines = as_lines(lines)
-        sector, offset, index = self._decompose(lines)
-        seg = self._segmenter.segment(lines, index)
-        _engine_ops.sector_prime_batch(
-            sector, offset, seg, self._tags, self._valid, self._dirty,
-            mark_dirty=dirty,
-        )
+    # -- introspection -----------------------------------------------------------
 
     def contains(self, lines: np.ndarray) -> np.ndarray:
         lines = as_lines(lines)

@@ -6,9 +6,10 @@ key of one experiment's run and cites the paper; rows whose number the
 paper publishes also carry it as ``paper``.  Everything else derives
 from the table:
 
-* ``repro-experiment check`` runs each claimed experiment once and
-  prints one PASS/FAIL row per claim, with its :func:`slack`, so the
-  tightest rows show; the CLI exits 1 if one fails;
+* ``repro-experiment check`` runs each claimed experiment once (under
+  ``all``, it judges the runs ``all`` already made) and prints one
+  PASS/FAIL row per claim, with its :func:`slack`, so the tightest rows
+  show; the CLI exits 1 if one fails;
 * the report's paper-vs-repro deltas and bar-chart ticks
   (:func:`paper_values`);
 * the claim tests, one parametrized case per row.
@@ -267,26 +268,33 @@ def paper_values(experiment: str) -> Dict[str, float]:
     }
 
 
-def headlines(quick: bool) -> Lookup:
+def headlines(quick: bool, results: Optional[Mapping[str, ExperimentResult]] = None) -> Lookup:
     """A memo of headline metrics that runs each experiment at most once.
 
     Each run's ``data`` is judged in the form the result store keeps and
     the catalog indexes, after its JSON round trip, so a claim reads the
-    same headline a report charts.  ``check`` is answered from the same
-    memo, so judging the table's own row re-runs nothing.
+    same headline a report charts.  ``results`` seeds the memo with runs
+    already made, which are judged as they are and never re-run.
+    ``check`` is answered from the same memo, so judging the table's own
+    row re-runs nothing.
     """
     # Imported here: the registry imports this module at package load.
     from repro.experiments.registry import run_experiment
 
     memo: Dict[str, Mapping[str, float]] = {}
 
+    def remember(name: str, result: ExperimentResult) -> None:
+        stored = json.loads(json.dumps(to_jsonable(result.data), sort_keys=True))
+        memo[name] = headline_metrics(name, stored)
+
     def lookup(name: str) -> Mapping[str, float]:
         if name not in memo:
             result = _check(lookup) if name == "check" else run_experiment(name, quick=quick)
-            stored = json.loads(json.dumps(to_jsonable(result.data), sort_keys=True))
-            memo[name] = headline_metrics(name, stored)
+            remember(name, result)
         return memo[name]
 
+    for name, result in (results or {}).items():
+        remember(name, result)
     return lookup
 
 
@@ -311,6 +319,12 @@ def _check(lookup: Lookup) -> ExperimentResult:
     return result
 
 
-def run(quick: bool = True) -> ExperimentResult:
-    """Evaluate every claim; quick mode is the default (and recommended)."""
-    return _check(headlines(quick))
+def run(
+    quick: bool = True, results: Optional[Mapping[str, ExperimentResult]] = None
+) -> ExperimentResult:
+    """Evaluate every claim; quick mode is the default (and recommended).
+
+    ``results`` are runs already made, as ``repro-experiment all`` hands
+    them over; only the experiments they leave out are run.
+    """
+    return _check(headlines(quick, results))

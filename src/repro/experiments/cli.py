@@ -24,7 +24,8 @@ simulation service (:mod:`repro.service`) on the same store.
 
 The exit status is 1 when a ``check`` result it prints (alone or within
 ``all``) has a failing paper claim, so a CI step running ``all`` fails
-on a broken claim.
+on a broken claim.  Within ``all``, ``check`` runs last and judges the
+results the other experiments left, so each experiment runs once.
 
 ``--trace`` writes a Chrome trace-event JSON (open it in Perfetto or
 ``chrome://tracing``; a ``.jsonl`` suffix switches to one-span-per-line
@@ -69,6 +70,14 @@ def _emit(result: ExperimentResult, seconds: float, args, cached: bool = False) 
     print(f"\n[{result.name} completed in {seconds:.1f}s{suffix}]\n")
 
 
+def _write_metrics(registry: obs.MetricsRegistry, path: str) -> None:
+    """Write ``registry`` as Prometheus text exposition to ``path``."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(registry.to_prometheus())
+    print(f"[metrics -> {target}]")
+
+
 def _serve(args) -> int:
     """Run the long-lived simulation service until interrupted."""
     from repro.service import JobQueue, ResultStore, SimulationService
@@ -98,10 +107,7 @@ def _serve(args) -> int:
         server.server_close()
         service.shutdown(drain=True, timeout=60.0)
         if args.metrics:
-            sink = obs.PrometheusFileSink(args.metrics)
-            service.telemetry.metrics.sinks.append(sink)
-            service.telemetry.metrics.flush()
-            print(f"[metrics -> {sink.path}]")
+            _write_metrics(service.telemetry.metrics, args.metrics)
     return 0
 
 
@@ -234,6 +240,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if hit is not None:
                     finished[name] = (hit.result, 0.0, True)
             to_run = [name for name in names if name not in finished]
+        # Under 'all', check judges the results the other experiments
+        # leave here instead of running each of them a second time.
+        judge_last = args.name == "all" and "check" in to_run
+        if judge_last:
+            to_run.remove("check")
 
         if len(to_run) > 1 and args.jobs > 1:
             # 'all': the experiment list is itself a sweep — dispatch
@@ -252,6 +263,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 start = time.time()
                 result = run_experiment(name, quick=args.quick, jobs=args.jobs)
                 finished[name] = (result, time.time() - start, False)
+        if judge_last:
+            start = time.time()
+            results = {name: result for name, (result, _, _) in finished.items()}
+            result = run_experiment("check", quick=args.quick, results=results)
+            finished["check"] = (result, time.time() - start, False)
 
         for name in names:
             result, seconds, cached = finished[name]
@@ -269,10 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     written = telemetry.tracer.write_chrome(args.trace)
                 print(f"[trace: {len(telemetry.tracer)} spans -> {written}]")
             if args.metrics:
-                sink = obs.PrometheusFileSink(args.metrics)
-                telemetry.metrics.sinks.append(sink)
-                telemetry.metrics.flush()
-                print(f"[metrics -> {sink.path}]")
+                _write_metrics(telemetry.metrics, args.metrics)
             obs.disable()
     check = finished.get("check")
     if check is not None and not check[0].data.get("all_pass"):

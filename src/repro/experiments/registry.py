@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from repro import obs
 from repro.experiments import (
@@ -71,17 +71,20 @@ def supports_jobs(name: str) -> bool:
     return "jobs" in inspect.signature(EXPERIMENTS[name]).parameters
 
 
-def run_experiment(name: str, quick: bool = False, jobs: int = 1) -> ExperimentResult:
+def run_experiment(
+    name: str, quick: bool = False, jobs: int = 1, **inputs: Any
+) -> ExperimentResult:
     """Run one experiment, wrapped in a root telemetry span.
 
     ``jobs`` is forwarded to sweep-based experiments (those whose
     ``run`` accepts it) and ignored — with a log note — for the rest.
     Only non-default values are forwarded, so direct serial callers and
     the registry share memoization entries (``ablation.run`` is
-    ``lru_cache``-d).
+    ``lru_cache``-d).  ``inputs`` go to ``run`` as they are; ``all``
+    hands ``check`` the results it already has this way.
     """
     fn = get_experiment(name)
-    kwargs = {"quick": quick}
+    kwargs = {"quick": quick, **inputs}
     if jobs != 1:
         if supports_jobs(name):
             kwargs["jobs"] = jobs

@@ -23,7 +23,6 @@ from repro.memsys.nvram import NVRAMDevice
 from repro.memsys.timing import TimingModel
 from repro.memsys.backends import CachedBackend, FlatBackend, MemoryBackend
 from repro.memsys.topology import AddressMap, Region
-from repro.memsys.validation import validate_traffic, validate_wall_clock
 
 __all__ = [
     "AccessContext",
@@ -43,6 +42,4 @@ __all__ = [
     "TimingModel",
     "Traffic",
     "UncoreCounters",
-    "validate_traffic",
-    "validate_wall_clock",
 ]

@@ -30,7 +30,7 @@ aligned to ``N * line_size`` by the planner).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class ExecutionResult:
         for record in self.records:
             total += record.tags
         return total
-
-    def records_for(self, kinds: Sequence[OpKind]) -> List[KernelRecord]:
-        wanted = set(kinds)
-        return [r for r in self.records if r.op.kind in wanted]
 
 
 class TensorAddresser:

@@ -22,10 +22,6 @@ class TensorLife:
     start: int
     end: int
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
     def overlaps(self, other: "TensorLife") -> bool:
         return self.start <= other.end and other.start <= self.end
 

@@ -8,8 +8,8 @@ into a first-class telemetry layer for the whole simulator:
   both host wall-clock and virtual simulator time, exportable as Chrome
   trace-event JSON (open in Perfetto / ``chrome://tracing``) or JSONL.
 * **Metrics** (:mod:`repro.obs.metrics`): counters, gauges, and
-  fixed-bucket histograms with pluggable sinks (JSONL, Prometheus text
-  exposition, in-memory).
+  fixed-bucket histograms, rendered as Prometheus text exposition or
+  JSON.
 * **The handle** (:mod:`repro.obs.telemetry`): a process-wide
   :class:`Telemetry` object behind :func:`get`.  Disabled — the default
   — it is a null object whose guard costs one attribute lookup, so the
@@ -39,12 +39,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     HistogramSnapshot,
-    InMemorySink,
-    JsonlFileSink,
     LATENCY_BUCKETS,
     MetricsRegistry,
     MetricsSnapshot,
-    PrometheusFileSink,
     RATIO_BUCKETS,
     SIZE_BUCKETS,
     render_prometheus,
@@ -67,14 +64,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "InMemorySink",
-    "JsonlFileSink",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "PrometheusFileSink",
     "RATIO_BUCKETS",
     "SIZE_BUCKETS",
     "Span",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, and pluggable sinks.
+"""Metrics registry: counters, gauges and histograms.
 
 The instruments mirror the Prometheus data model because that is the
 lingua franca of production metrics, and because the paper's own
@@ -12,19 +12,16 @@ simulator would scrape.
   semantics), plus sum and count, so per-epoch distributions
   (amplification, batch sizes) survive aggregation.
 
-Sinks consume :class:`MetricsSnapshot` objects: :class:`JsonlFileSink`
-appends one JSON line per flush, :class:`PrometheusFileSink` rewrites a
-Prometheus text-exposition file, :class:`InMemorySink` keeps snapshots
-for tests.
+A registry renders as Prometheus text exposition
+(:meth:`MetricsRegistry.to_prometheus`) or as plain JSON
+(:meth:`MetricsRegistry.to_jsonable`).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import CACHE_LINE, KiB, MiB
@@ -170,46 +167,6 @@ class Histogram:
         self.count += snapshot.count
 
 
-class MetricsSink(Protocol):
-    """Anything that can consume a metrics snapshot."""
-
-    def write(self, snapshot: MetricsSnapshot) -> None: ...
-
-
-class InMemorySink:
-    """Keeps every flushed snapshot; the test double."""
-
-    def __init__(self) -> None:
-        self.snapshots: List[MetricsSnapshot] = []
-
-    def write(self, snapshot: MetricsSnapshot) -> None:
-        self.snapshots.append(snapshot)
-
-
-class JsonlFileSink:
-    """Appends one JSON object per flush to a file."""
-
-    def __init__(self, path: "str | Path") -> None:
-        self.path = Path(path)
-
-    def write(self, snapshot: MetricsSnapshot) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(snapshot_to_jsonable(snapshot)))
-            handle.write("\n")
-
-
-class PrometheusFileSink:
-    """Rewrites a Prometheus text-exposition file on every flush."""
-
-    def __init__(self, path: "str | Path") -> None:
-        self.path = Path(path)
-
-    def write(self, snapshot: MetricsSnapshot) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(render_prometheus(snapshot))
-
-
 def snapshot_to_jsonable(snapshot: MetricsSnapshot) -> Dict[str, Any]:
     return {
         "counters": dict(snapshot.counters),
@@ -255,13 +212,10 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class MetricsRegistry:
-    """Get-or-create instrument store with attached sinks."""
+    """Get-or-create instrument store."""
 
-    sinks: List[MetricsSink] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
     def _get(self, name: str, kind: type, factory) -> Any:
@@ -328,13 +282,6 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         return render_prometheus(self.snapshot())
-
-    def flush(self) -> MetricsSnapshot:
-        """Snapshot the registry and push it to every attached sink."""
-        snapshot = self.snapshot()
-        for sink in self.sinks:
-            sink.write(snapshot)
-        return snapshot
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Hook for :func:`repro.perf.export.to_jsonable`."""

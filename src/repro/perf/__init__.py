@@ -10,7 +10,7 @@ tables and textual figures for the experiment CLI.
 from repro.perf.sampler import CounterSampler
 from repro.perf.segments import DuplicateProbe, SegmentedBatch, SplitBatch, segment
 from repro.perf.trace import Trace, TracePoint
-from repro.perf.report import render_table, render_series, render_bars
+from repro.perf.report import render_table, render_series
 
 __all__ = [
     "CounterSampler",
@@ -19,7 +19,6 @@ __all__ = [
     "SplitBatch",
     "Trace",
     "TracePoint",
-    "render_bars",
     "render_series",
     "render_table",
     "segment",

@@ -115,17 +115,6 @@ class Traffic:
     # access batch and kernel the simulator records, and reflecting on
     # ``dataclasses.fields`` costs several times more.
 
-    def as_dict(self) -> dict:
-        """Field name -> value, in declaration order."""
-        return {
-            "dram_reads": self.dram_reads,
-            "dram_writes": self.dram_writes,
-            "nvram_reads": self.nvram_reads,
-            "nvram_writes": self.nvram_writes,
-            "demand_reads": self.demand_reads,
-            "demand_writes": self.demand_writes,
-        }
-
     def copy(self) -> "Traffic":
         return Traffic(
             self.dram_reads,
@@ -240,15 +229,6 @@ class TagStats:
     ddo_writes: int = 0
 
     # Unrolled like Traffic's arithmetic, for the same reason.
-
-    def as_dict(self) -> dict:
-        """Field name -> value, in declaration order."""
-        return {
-            "hits": self.hits,
-            "clean_misses": self.clean_misses,
-            "dirty_misses": self.dirty_misses,
-            "ddo_writes": self.ddo_writes,
-        }
 
     def copy(self) -> "TagStats":
         return TagStats(self.hits, self.clean_misses, self.dirty_misses, self.ddo_writes)

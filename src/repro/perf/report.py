@@ -1,9 +1,9 @@
 """Plain-text rendering of tables and figures for the experiment CLI.
 
 The reproduction regenerates every table and figure of the paper as
-text: tables as aligned columns, time-series figures as unicode
-sparklines, and bar charts as horizontal bars.  Keeping output textual
-makes the harness dependency-free and diffable.
+text: tables as aligned columns and time-series figures as unicode
+sparklines.  Keeping output textual makes the harness dependency-free
+and diffable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-_BAR_CHAR = "█"
 
 
 def render_table(
@@ -69,22 +68,3 @@ def render_series(
     spark = "".join(_SPARK_LEVELS[i] for i in indices)
     peak = float(np.asarray(values, dtype=float).max())
     return f"{label:<24s} |{spark}| peak={peak:.3g}"
-
-
-def render_bars(
-    items: Sequence[tuple],
-    width: int = 48,
-    unit: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Render (label, value) pairs as a horizontal bar chart."""
-    if not items:
-        return title or ""
-    values = [float(v) for _, v in items]
-    vmax = max(values) or 1.0
-    label_width = max(len(str(label)) for label, _ in items)
-    lines = [title] if title else []
-    for label, value in items:
-        bar = _BAR_CHAR * max(1 if value > 0 else 0, int(round(value / vmax * width)))
-        lines.append(f"{str(label):<{label_width}}  {bar:<{width}} {value:.3g}{unit}")
-    return "\n".join(lines)

@@ -88,35 +88,11 @@ class Trace:
             ]
         )
 
-    def hit_rate_series(self) -> np.ndarray:
-        """DRAM-cache hit rate per sample."""
-        return np.array([p.tags.hit_rate for p in self.points])
-
     def mips_series(self) -> np.ndarray:
         return np.array([p.mips for p in self.points])
-
-    def total_traffic(self) -> Traffic:
-        total = Traffic()
-        for point in self.points:
-            total += point.traffic
-        return total
-
-    def total_tags(self) -> TagStats:
-        total = TagStats()
-        for point in self.points:
-            total += point.tags
-        return total
 
     @property
     def duration(self) -> float:
         if not self.points:
             return 0.0
         return self.points[-1].end - self.points[0].start
-
-    def window(self, start: float, end: float) -> "Trace":
-        """Samples whose midpoint falls inside [start, end]."""
-        return Trace([p for p in self.points if start <= p.midpoint <= end])
-
-    def labelled(self, label: str) -> "Trace":
-        """Samples carrying a specific label."""
-        return Trace([p for p in self.points if p.label == label])

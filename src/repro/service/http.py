@@ -133,7 +133,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 experiment=body.get("experiment", ""),
                 params=body.get("params") or {},
                 quick=body.get("quick", False),
-                priority=int(body.get("priority", 0)),
+                priority=body.get("priority", 0),
                 timeout=body.get("timeout"),
                 max_retries=body.get("max_retries"),
             )

@@ -41,11 +41,6 @@ class JobState(str, enum.Enum):
     CANCELLED = "cancelled"
 
 
-#: States in which a job occupies the queue (counts against capacity
-#: and participates in dedup).
-_LIVE_STATES = (JobState.PENDING, JobState.RUNNING)
-
-
 @dataclass(frozen=True)
 class JobRequest:
     """What a submitter asks for: a request spec plus scheduling knobs."""
@@ -76,10 +71,6 @@ class Job:
     @property
     def key(self) -> str:
         return self.request.spec.key
-
-    @property
-    def done(self) -> bool:
-        return self.state not in _LIVE_STATES
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able job summary for status endpoints."""

@@ -52,13 +52,16 @@ class RetryPolicy:
         )
 
 
-def _check_knobs(timeout: Any, max_retries: Any) -> None:
+def _check_knobs(priority: Any, timeout: Any, max_retries: Any) -> None:
     """Reject scheduling knobs a worker could not act on.
 
     They are checked at admission: a ``timeout`` of the wrong type fails
-    only once a worker has forked the job's child, and a bad
-    ``max_retries`` only inside the worker's failure handler.
+    only once a worker has forked the job's child, a bad ``max_retries``
+    only inside the worker's failure handler, and a ``priority`` that is
+    not an integer would be ordered against the others' in the queue.
     """
+    if isinstance(priority, bool) or not isinstance(priority, int):
+        raise JobRejectedError(f"'priority' must be an integer, got {priority!r}")
     if timeout is not None and (
         isinstance(timeout, bool)
         or not isinstance(timeout, (int, float))
@@ -109,7 +112,6 @@ class SimulationService:
         experiments: Optional[Mapping[str, Callable[..., ExperimentResult]]] = None,
         workers: int = 2,
         retry: Optional[RetryPolicy] = None,
-        capture_spans: bool = False,
         salt: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -121,7 +123,6 @@ class SimulationService:
         self.queue = queue if queue is not None else JobQueue(clock=clock)
         self.experiments = dict(experiments)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.capture_spans = capture_spans
         self.salt = salt if salt is not None else code_version_salt()
         self.telemetry = obs.Telemetry()
         self._metrics_lock = threading.Lock()
@@ -220,7 +221,7 @@ class SimulationService:
         """
         self._count("requests")
         spec = self.build_spec(experiment, params, quick)
-        _check_knobs(timeout, max_retries)
+        _check_knobs(priority, timeout, max_retries)
         cached = self.store.get(spec.key)
         if cached is not None:
             self._count("cache_hits")
@@ -370,7 +371,6 @@ class SimulationService:
             self.queue.cancel_pending()
         self.workers.stop(timeout=timeout)
         flushed = self.store.flush()
-        self.telemetry.metrics.flush()
         self._log.info("service stopped (drain=%s, %d index entries)", drain, flushed)
 
     def __enter__(self) -> "SimulationService":

@@ -273,9 +273,6 @@ class ResultStore:
             meta=payload.get("meta", {}),
         )
 
-    def get_spec(self, spec: RequestSpec) -> Optional[StoredResult]:
-        return self.get(spec.key)
-
     # -- storage -----------------------------------------------------
 
     def put(

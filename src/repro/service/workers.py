@@ -7,11 +7,10 @@ a **forked child process** (the same isolation the sweep engine uses):
   not abandoned;
 * a crashing simulation takes down only its child, and surfaces as a
   retryable :class:`~repro.errors.JobError`;
-* the child runs under a fresh :func:`repro.obs.session`, so its spans
-  and metrics ship home as a payload the parent merges through the
-  existing ``SpanTracer.absorb`` / ``MetricsRegistry.merge_snapshot``
-  machinery — one registry then serves ``GET /metrics`` for the whole
-  service.
+* the child runs under a fresh :func:`repro.obs.session`, so its
+  metrics ship home as a payload the parent merges through
+  ``MetricsRegistry.merge_snapshot`` — one registry then serves
+  ``GET /metrics`` for the whole service (spans stay in the child).
 
 On platforms without ``fork`` the pool degrades gracefully: jobs run
 inline in the worker thread (results identical), but hard timeouts
@@ -39,14 +38,13 @@ if TYPE_CHECKING:  # import cycle: scheduler instantiates the pool
 _POLL_SECONDS = 0.1
 
 
-def _child_main(conn, fn: Callable[..., ExperimentResult], kwargs: Dict[str, Any],
-                capture_spans: bool) -> None:
-    """Forked child entry: run the experiment, ship result + telemetry."""
+def _child_main(conn, fn: Callable[..., ExperimentResult], kwargs: Dict[str, Any]) -> None:
+    """Forked child entry: run the experiment, ship result + metrics."""
     try:
         with obs.session() as tele:
             result = fn(**kwargs)
             payload = _WorkerTelemetry(
-                records=list(tele.tracer.records) if capture_spans else [],
+                records=[],
                 origin_abs=tele.tracer.origin_abs,
                 metrics=tele.metrics.snapshot(),
             )
@@ -159,7 +157,7 @@ class WorkerPool:
         parent_conn, child_conn = context.Pipe(duplex=False)
         process = context.Process(
             target=_child_main,
-            args=(child_conn, fn, kwargs, self.service.capture_spans),
+            args=(child_conn, fn, kwargs),
             daemon=True,
         )
         process.start()

@@ -1,8 +1,8 @@
 """CLI coverage for the whole-program additions.
 
 --graph dot (byte-stable, matches the committed docs), --changed-only
-(git-aware filtering with a full-tree fallback), and baseline/JSON
-interplay with the project-level ARC/LOCK rules.
+(git-aware filtering with a full-tree fallback), and JSON rendering of
+the project-level ARC/LOCK rules.
 """
 
 import json
@@ -135,23 +135,5 @@ class TestProjectRuleReporting:
         payload = json.loads(first)
         rules = {finding["rule"] for finding in payload["findings"]}
         assert {"ARC001", "LOCK001"} <= rules
-
-    def test_baseline_absolves_project_level_findings(self, tmp_path, capsys):
-        write_tree(tmp_path, ARC_AND_LOCK_TREE)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-        capsys.readouterr()
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_CLEAN
-
-    def test_new_project_findings_escape_the_baseline(self, tmp_path, capsys):
-        write_tree(tmp_path, {"repro/perf/bad.py": "import repro.cache.model\n"})
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-        capsys.readouterr()
-        write_tree(
-            tmp_path, {"repro/perf/worse.py": "import repro.service.http\n"}
-        )
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "worse.py" in out
-        assert "bad.py" not in out
+        locations = [(f["path"], f["line"], f["col"]) for f in payload["findings"]]
+        assert locations == sorted(locations)

@@ -1,4 +1,4 @@
-"""CLI exit codes, reporters, baseline handling, and the injection gate."""
+"""CLI exit codes, reporters, and the injection gate."""
 
 import json
 from pathlib import Path
@@ -86,39 +86,6 @@ class TestJsonReporter:
         payload = json.loads(capsys.readouterr().out)
         locations = [(e["path"], e["line"], e["col"]) for e in payload["findings"]]
         assert locations == sorted(locations)
-
-
-class TestBaseline:
-    def test_write_then_apply_absolves_findings(self, tmp_path, capsys):
-        write(
-            tmp_path, "sim.py", "import time\n\n\ndef f():\n    return time.time()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-
-        assert main([str(tmp_path), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-        capsys.readouterr()
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_CLEAN
-
-    def test_new_findings_escape_the_baseline(self, tmp_path, capsys):
-        target = write(
-            tmp_path, "sim.py", "import time\n\n\ndef f():\n    return time.time()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        main([str(tmp_path), "--write-baseline", str(baseline)])
-        capsys.readouterr()
-
-        target.write_text(
-            "import time\n\n\ndef f():\n    return time.time()\n"
-            "\n\ndef g():\n    return time.monotonic()\n"
-        )
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_FINDINGS
-        assert "time.monotonic" in capsys.readouterr().out
-
-    def test_bad_baseline_exits_two(self, tmp_path, capsys):
-        write(tmp_path, "ok.py", "X = 1\n")
-        bad = write(tmp_path, "baseline.json", "not json")
-        assert main([str(tmp_path / "ok.py"), "--baseline", str(bad)]) == EXIT_ERROR
-        assert "bad baseline" in capsys.readouterr().err
 
 
 class TestInjectionGate:

@@ -150,48 +150,6 @@ class TestWriteAroundVariant:
         assert cache.is_dirty(np.array([3]))[0]  # occupant untouched
 
 
-class TestPrime:
-    def test_prime_installs_without_traffic(self, cache):
-        cache.prime(np.arange(100), dirty=True)
-        assert cache.dirty_fraction == pytest.approx(100 / 256)
-        traffic, tags = cache.llc_read(np.arange(100))
-        assert tags.hits == 100
-
-    def test_prime_matches_write_priming(self):
-        by_prime = DirectMappedCache(256 * 64)
-        by_prime.prime(np.arange(300), dirty=True)
-        by_writes = DirectMappedCache(256 * 64)
-        by_writes.llc_write(np.arange(300))
-        probe = np.arange(300)
-        assert np.array_equal(by_prime.contains(probe), by_writes.contains(probe))
-        assert np.array_equal(by_prime.is_dirty(probe), by_writes.is_dirty(probe))
-
-    def test_prime_duplicate_sets_last_occurrence_wins(self):
-        """Aliasing lines in one prime batch: the later occupant must win,
-        as it would under real accesses — by explicit last-occurrence
-        selection, not numpy fancy-assignment ordering."""
-        cache = DirectMappedCache(256 * 64)
-        # Lines 3, 3+256, 3+512 all map to set 3; 3+512 arrives last.
-        cache.prime(np.array([3, 3 + 256, 7, 3 + 512]), dirty=True)
-        assert cache.contains(np.array([3 + 512]))[0]
-        assert not cache.contains(np.array([3]))[0]
-        assert not cache.contains(np.array([3 + 256]))[0]
-        assert cache.is_dirty(np.array([3 + 512]))[0]
-        assert cache.contains(np.array([7]))[0]
-
-    def test_prime_duplicates_match_serial_priming(self):
-        rng = np.random.default_rng(41)
-        lines = rng.integers(0, 4 * 256, size=1000).astype(np.int64)
-        batched = DirectMappedCache(256 * 64)
-        batched.prime(lines, dirty=True)
-        serial = DirectMappedCache(256 * 64)
-        for line in lines.tolist():
-            serial.prime(np.array([line]), dirty=True)
-        probe = np.arange(4 * 256)
-        assert np.array_equal(batched.contains(probe), serial.contains(probe))
-        assert np.array_equal(batched.is_dirty(probe), serial.is_dirty(probe))
-
-
 class TestInputValidation:
     def test_rejects_negative_lines(self, cache):
         with pytest.raises(ValueError):

@@ -256,24 +256,6 @@ def test_sector_footprint_fill_property(data, footprint):
         assert bool(vectorized.contains(np.array([line]))[0]) == scalar.contains(line)
 
 
-def test_sector_prime_semantics():
-    """Trailing same-sector run wins; dirty flag marks the same bits."""
-    cache = SectorCache(4 * 8 * 64, sector_lines=8, footprint=1)
-    alias = 4 * 8  # sector stride per set
-    # Set 0 sees sector 0 (offsets 1, 2), then sector 4 (offsets 3, 5).
-    lines = np.array([1, 2, alias + 3, alias + 5], dtype=np.int64)
-    cache.prime(lines, dirty=True)
-    assert not cache.contains(np.array([1, 2])).any()  # replaced
-    assert cache.contains(np.array([alias + 3, alias + 5])).all()
-    assert not cache.contains(np.array([alias + 4]))[0]
-    assert cache.dirty_fraction == pytest.approx(2 / 32)
-    # Re-priming the same sector clean replaces the bitmap.
-    cache.prime(np.array([alias + 3], dtype=np.int64), dirty=False)
-    assert cache.contains(np.array([alias + 3]))[0]
-    assert not cache.contains(np.array([alias + 5]))[0]
-    assert cache.dirty_fraction == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Set-associative LRU: run-folding engine vs scalar LRU
 # ---------------------------------------------------------------------------
@@ -324,19 +306,6 @@ def test_setassoc_matches_scalar_lru(ways, ddo):
                 for index in range(num_sets)
             ]
             assert lru_sets(vectorized) == expected, f"state diverged ({context})"
-
-
-def test_setassoc_prime_follows_lru():
-    """Primed lines land in LRU victim ways, later occurrences winning."""
-    cache = SetAssociativeCache(2 * 64, ways=2)  # one 2-way set
-    a, b, c = 0, 2, 4  # all map to set 0
-    cache.prime(np.array([a, b, c], dtype=np.int64), dirty=False)
-    contains = cache.contains(np.array([a, b, c], dtype=np.int64))
-    assert contains.tolist() == [False, True, True]  # a evicted by c
-    # b is now least-recently used; the next miss must evict it.
-    cache.llc_read(np.array([6], dtype=np.int64))
-    contains = cache.contains(np.array([b, c, 6], dtype=np.int64))
-    assert contains.tolist() == [False, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +458,7 @@ def test_collision_free_batches_take_no_grouping_sort(grouping_sorts, make_cache
     distinct = make_batch(cache)
     ordered = bool((np.diff(distinct) > 0).all())
     probe = cache._segmenter._probe
-    for request in (cache.llc_read, cache.llc_write, lambda b: cache.prime(b, dirty=True)):
+    for request in (cache.llc_read, cache.llc_write):
         request(distinct.copy())
         assert sum(grouping_sorts.values()) == 0, request
         if ordered:
@@ -810,30 +779,6 @@ def test_nearly_distinct_batches_match_the_oracle(monkeypatch, make_cache, make_
             assert state(cache) == want_state(oracle), f"state diverged ({context})"
             assert rng_state(cache) == rng_state(oracle), f"coins diverged ({context})"
     assert sum(splits) >= 80, f"{sum(splits)} of {len(splits)} groupings split"
-
-
-def test_prime_keeps_each_sets_last_line_on_a_split_batch(monkeypatch):
-    """``prime`` on a nearly distinct batch splits it, and each set ends
-    holding its last line, with the requested marks."""
-    splits = []
-    real_segment = engine.segment
-
-    def spy_segment(keys, probe=None):
-        seg = real_segment(keys, probe)
-        splits.append(isinstance(seg, SplitBatch))
-        return seg
-
-    monkeypatch.setattr(engine, "segment", spy_segment)
-    rng = np.random.default_rng(0x9)
-    cache = DirectMappedCache(NEARLY_SETS * 64)
-    for _ in range(40):
-        lines = nearly_distinct_units(rng).astype(np.int64)
-        cache.prime(lines, dirty=True, known_resident=True)
-        last = {int(line) % NEARLY_SETS: int(line) for line in lines}
-        for index, line in last.items():
-            assert cache._tags[index] == line
-            assert cache._dirty[index] and cache._known_resident[index]
-    assert sum(splits) >= 20, f"{sum(splits)} of {len(splits)} groupings split"
 
 
 def test_first_logappend_write_window_sorts_only_its_colliding_positions(monkeypatch):

@@ -16,6 +16,10 @@ from repro.cache import (
     RequestOutcome,
     expected_traffic,
 )
+from repro.config import default_platform
+from repro.kernels import Kernel, KernelSpec, run_kernel
+from repro.memsys import CachedBackend, StoreType
+from repro.perf.counters import Traffic
 
 SETS = 1024
 
@@ -93,6 +97,43 @@ class TestTableI:
         traffic, tags = cache.llc_read(lines(10))
         assert tags.clean_misses == 10
         assert traffic.nvram_writes == 0
+
+
+@pytest.mark.parametrize(
+    "kernel, store",
+    [
+        (Kernel.READ_ONLY, StoreType.STANDARD),
+        (Kernel.WRITE_ONLY, StoreType.NONTEMPORAL),
+    ],
+)
+def test_microbenchmark_counters_validate_exactly(kernel, store):
+    """The simulated IMC counters of a warmed microbenchmark run must
+    equal Table I applied to the run's own tag outcomes -- the paper's
+    counter check (Section III-B), applied to the simulator."""
+    platform = default_platform(4096)
+    backend = CachedBackend(platform, DirectMappedCache(platform.socket.dram_capacity))
+    num_lines = int(platform.socket.dram_capacity * 2.2) // 64
+    spec = KernelSpec(kernel, store_type=store, threads=24)
+    run_kernel(backend, spec, num_lines)  # warm-up iteration
+    result = run_kernel(backend, spec, num_lines)
+    tags = result.tags
+    if kernel is Kernel.READ_ONLY:
+        counts = {
+            RequestOutcome.READ_HIT: tags.hits,
+            RequestOutcome.READ_MISS_CLEAN: tags.clean_misses,
+            RequestOutcome.READ_MISS_DIRTY: tags.dirty_misses,
+        }
+    else:
+        counts = {
+            RequestOutcome.WRITE_HIT: tags.hits,
+            RequestOutcome.WRITE_MISS_CLEAN: tags.clean_misses,
+            RequestOutcome.WRITE_MISS_DIRTY: tags.dirty_misses,
+            RequestOutcome.WRITE_DDO: tags.ddo_writes,
+        }
+    expected = sum(
+        (expected_traffic(outcome, count) for outcome, count in counts.items()), Traffic()
+    )
+    assert result.traffic == expected
 
 
 class TestAmplificationTable:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import fork_available
-from repro.experiments import check
+from repro.experiments import check, cli, registry
 from repro.experiments.check import Claim
 from repro.experiments.cli import main
 
@@ -39,6 +39,31 @@ class TestCLI:
         monkeypatch.setattr(check, "CLAIMS", [Claim("table1", "matches_paper", "==", bound, "")])
         assert main(["check", "--quick"]) == code
         assert f"{1 - code}/1 claims hold" in capsys.readouterr().out
+
+    def test_all_runs_each_experiment_once(self, monkeypatch, capsys):
+        # check runs last under 'all' and judges the table1 result 'all'
+        # already has, instead of running table1 a second time.
+        monkeypatch.setattr(check, "CLAIMS", [Claim("table1", "matches_paper", "==", 1, "")])
+        monkeypatch.setattr(cli, "registered_names", lambda: ["check", "table1"])
+        calls = []
+
+        def spy(name, *args, _real=registry.run_experiment, **kwargs):
+            calls.append(name)
+            return _real(name, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "run_experiment", spy)
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        assert main(["all", "--quick"]) == 0
+        assert calls.count("table1") == 1
+        out = capsys.readouterr().out
+        assert "1/1 claims hold" in out
+        assert out.index("=== check:") < out.index("=== table1:")  # printed in name order
+
+    def test_metrics_file_is_written(self, tmp_path, capsys):
+        path = tmp_path / "deep" / "m.prom"
+        assert main(["table1", "--quick", "--metrics", str(path)]) == 0
+        assert "# TYPE repro_" in path.read_text()
+        assert f"[metrics -> {path}]" in capsys.readouterr().out
 
     def test_bad_jobs_errors(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,11 +1,10 @@
 """Tests for the microbenchmark runner: LLC request translation and results."""
 
-import numpy as np
 import pytest
 
 from repro.cache import DirectMappedCache
 from repro.config import default_platform
-from repro.memsys import AddressMap, CachedBackend, FlatBackend, Pattern, StoreType
+from repro.memsys import AddressMap, CachedBackend, FlatBackend, StoreType
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.units import GB, MiB
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.autodiff import build_training_graph
-from repro.nn.ir import Graph, OpKind
 from repro.nn.liveness import analyze_liveness, live_bytes_series
 from repro.nn.ops import GraphBuilder
 from repro.nn.planner import FirstFitArena, plan_memory

@@ -1,16 +1,9 @@
-"""Tests for the metrics registry, instruments, sinks, and exposition."""
-
-import json
+"""Tests for the metrics registry, instruments, and exposition."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import (
-    InMemorySink,
-    JsonlFileSink,
-    MetricsRegistry,
-    PrometheusFileSink,
-)
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import Histogram
 
 
@@ -95,33 +88,6 @@ class TestPrometheusExposition:
         assert "repro_epoch_amplification_sum 2" in text
         assert "repro_epoch_amplification_count 1" in text
         assert text.endswith("\n")
-
-    def test_prometheus_file_sink(self, tmp_path):
-        registry = self._registry()
-        registry.sinks.append(PrometheusFileSink(tmp_path / "m.prom"))
-        registry.flush()
-        content = (tmp_path / "m.prom").read_text()
-        assert "repro_dram_reads_total 100" in content
-
-    def test_jsonl_sink_appends(self, tmp_path):
-        registry = self._registry()
-        registry.sinks.append(JsonlFileSink(tmp_path / "m.jsonl"))
-        registry.flush()
-        registry.counter("repro_dram_reads_total").inc(1)
-        registry.flush()
-        lines = (tmp_path / "m.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["counters"]["repro_dram_reads_total"] == 100
-        assert second["counters"]["repro_dram_reads_total"] == 101
-
-    def test_in_memory_sink(self):
-        registry = self._registry()
-        sink = InMemorySink()
-        registry.sinks.append(sink)
-        registry.flush()
-        assert len(sink.snapshots) == 1
-        assert sink.snapshots[0].gauges["repro_tag_hit_rate"] == 0.5
 
     def test_to_jsonable_hook(self):
         payload = self._registry().to_jsonable()

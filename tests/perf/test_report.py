@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.report import render_bars, render_series, render_table
+from repro.perf.report import render_series, render_table
 
 
 class TestRenderTable:
@@ -45,18 +45,3 @@ class TestRenderSeries:
         low = render_series([1, 1], "x", vmax=100)
         assert "▁" in low
 
-
-class TestRenderBars:
-    def test_bars_scale(self):
-        text = render_bars([("a", 10.0), ("b", 5.0)], width=10)
-        lines = text.splitlines()
-        assert lines[0].count("█") == 10
-        assert lines[1].count("█") == 5
-
-    def test_title_and_unit(self):
-        text = render_bars([("x", 1.0)], unit=" GB/s", title="T")
-        assert text.startswith("T")
-        assert "GB/s" in text
-
-    def test_empty(self):
-        assert render_bars([], title="T") == "T"

@@ -1,6 +1,5 @@
 """Tests for counter sampling and derived trace series."""
 
-import numpy as np
 import pytest
 
 from repro.perf.counters import TagStats, Traffic, UncoreCounters
@@ -46,14 +45,13 @@ class TestSampler:
         assert len(sampler.trace()) == 5
 
 
-def make_point(start, end, dram_reads=0, nvram_writes=0, hits=0, dirty=0, inst=0, label=None):
+def make_point(start, end, dram_reads=0, nvram_writes=0, hits=0, dirty=0, inst=0):
     return TracePoint(
         start=start,
         end=end,
         traffic=Traffic(dram_reads=dram_reads, nvram_writes=nvram_writes),
         tags=TagStats(hits=hits, dirty_misses=dirty),
         instructions=inst,
-        label=label,
     )
 
 
@@ -84,24 +82,6 @@ class TestTrace:
     def test_mips(self):
         trace = Trace([make_point(0, 2, inst=4_000_000)])
         assert trace.mips_series()[0] == pytest.approx(2.0)
-
-    def test_hit_rate_series(self):
-        trace = Trace([make_point(0, 1, hits=3, dirty=1)])
-        assert trace.hit_rate_series()[0] == pytest.approx(0.75)
-
-    def test_totals(self):
-        trace = Trace([make_point(0, 1, dram_reads=5), make_point(1, 2, dram_reads=7)])
-        assert trace.total_traffic().dram_reads == 12
-
-    def test_window(self):
-        trace = Trace([make_point(i, i + 1) for i in range(10)])
-        assert len(trace.window(2, 5)) == 3
-
-    def test_labelled(self):
-        trace = Trace(
-            [make_point(0, 1, label="a"), make_point(1, 2, label="b"), make_point(2, 3, label="a")]
-        )
-        assert len(trace.labelled("a")) == 2
 
     def test_duration(self):
         trace = Trace([make_point(1, 2), make_point(2, 5)])

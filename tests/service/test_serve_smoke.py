@@ -361,6 +361,9 @@ class TestServeSmoke:
             ("max_retries", -1),
             ("max_retries", 1.5),
             ("max_retries", True),
+            ("priority", 1.9),
+            ("priority", True),
+            ("priority", "7"),
         ):
             status, payload = http("POST", f"{base}/jobs", {"experiment": "sleepy", field: value})
             assert status == 400, (field, value)
@@ -371,7 +374,8 @@ class TestServeSmoke:
         status, accepted = http(
             "POST",
             f"{base}/jobs",
-            {"experiment": "sleepy", "quick": False, "timeout": 30, "max_retries": 0},
+            {"experiment": "sleepy", "quick": False, "timeout": 30, "max_retries": 0,
+             "priority": 3},
         )
         assert status == 202
         assert poll_until_done(base, accepted["job"]["id"])["state"] == "succeeded"

@@ -1,6 +1,5 @@
 """Cross-cutting property-based tests on core invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
