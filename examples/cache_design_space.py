@@ -12,8 +12,10 @@ Run:  python examples/cache_design_space.py
 from repro.cache import DirectMappedCache, SetAssociativeCache
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
-from repro.memsys import CachedBackend, StoreType
+from repro.memsys import CachedBackend
+from repro.perf.counters import StoreType
 from repro.perf.report import render_table
+from repro.units import CACHE_LINE
 
 
 def designs(capacity):
@@ -45,7 +47,7 @@ def main() -> None:
     platform = default_platform()
     scale = platform.scale_factor
     capacity = platform.socket.dram_capacity
-    num_lines = int(capacity * 2.2) // platform.line_size
+    num_lines = int(capacity * 2.2) // CACHE_LINE
 
     for workload, (kernel, store, primer) in WORKLOADS.items():
         rows = []

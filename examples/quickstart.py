@@ -13,7 +13,7 @@ from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.perf.report import render_table
-from repro.units import format_bytes
+from repro.units import CACHE_LINE, format_bytes
 
 
 def main() -> None:
@@ -27,12 +27,12 @@ def main() -> None:
     )
 
     # An array 2.2x the DRAM cache: every access misses in 2LM.
-    num_lines = int(platform.socket.dram_capacity * 2.2) // platform.line_size
+    num_lines = int(platform.socket.dram_capacity * 2.2) // CACHE_LINE
     spec = KernelSpec(Kernel.READ_ONLY, threads=24)
 
     # --- 1LM: app-direct, reads go straight to NVRAM ----------------------
     flat = FlatBackend(
-        platform, AddressMap.nvram_only(platform.socket.nvram_capacity // 64)
+        platform, AddressMap.nvram_only(platform.socket.nvram_capacity // CACHE_LINE)
     )
     direct = run_kernel(flat, spec, num_lines)
 

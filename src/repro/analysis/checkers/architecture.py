@@ -56,7 +56,6 @@ LAYERS: List[Tuple[str, Tuple[str, ...]]] = [
             "nn",
             "graphs",
             "autotm",
-            "cpu",
             "recsys",
             "traces",
         ),

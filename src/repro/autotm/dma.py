@@ -42,6 +42,7 @@ from repro.memsys.topology import AddressMap
 from repro.nn.autodiff import TrainingGraph
 from repro.nn.executor import KernelRecord, execute_op
 from repro.nn.ir import Tensor
+from repro.units import CACHE_LINE
 
 
 @dataclass
@@ -121,7 +122,7 @@ def execute_autotm_async(
         raise ConfigurationError("lookahead must be >= 1")
     graph = training.graph
     addresser = _Addresser(training, plan, platform, sample_stride)
-    nvram_capacity_lines = platform.socket.nvram_capacity // platform.line_size
+    nvram_capacity_lines = platform.socket.nvram_capacity // CACHE_LINE
     address_map = AddressMap.numa_preferred(
         addresser.dram_lines, max(1, nvram_capacity_lines)
     )

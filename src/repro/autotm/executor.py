@@ -39,6 +39,7 @@ from repro.nn.ir import Op, OpKind, Tensor
 from repro.nn.liveness import analyze_liveness
 from repro.nn.planner import FirstFitArena
 from repro.perf.sampler import CounterSampler
+from repro.units import CACHE_LINE
 
 
 @dataclass
@@ -75,11 +76,9 @@ class _Addresser:
         sample_stride: int,
     ) -> None:
         graph = training.graph
-        line = platform.line_size
-        alignment = max(1024, sample_stride * line)
-        self.line_size = line
+        alignment = max(1024, sample_stride * CACHE_LINE)
         self.sample_stride = sample_stride
-        self.dram_lines = platform.socket.dram_capacity // line
+        self.dram_lines = platform.socket.dram_capacity // CACHE_LINE
 
         dram = FirstFitArena(alignment)
         nvram = FirstFitArena(alignment)
@@ -124,12 +123,12 @@ class _Addresser:
                 f"AutoTM DRAM pool overflows the device: {dram.high_water} bytes"
             )
         self.nvram_base_line = self.dram_lines
-        self.nvram_high_water_lines = nvram.high_water // line
+        self.nvram_high_water_lines = nvram.high_water // CACHE_LINE
 
     def _lines_for(self, offset_bytes: int, size_bytes: int, in_dram: bool) -> np.ndarray:
         base = 0 if in_dram else self.nvram_base_line
-        first = base + offset_bytes // self.line_size
-        count = -(-size_bytes // self.line_size)
+        first = base + offset_bytes // CACHE_LINE
+        count = -(-size_bytes // CACHE_LINE)
         return first + np.arange(0, count, self.sample_stride, dtype=np.int64)
 
     def lines(self, tensor: Tensor, op_index: int) -> np.ndarray:
@@ -159,7 +158,7 @@ def execute_autotm(
     graph = training.graph
     addresser = _Addresser(training, plan, platform, sample_stride)
 
-    nvram_capacity_lines = platform.socket.nvram_capacity // platform.line_size
+    nvram_capacity_lines = platform.socket.nvram_capacity // CACHE_LINE
     if addresser.nvram_high_water_lines > nvram_capacity_lines:
         raise ConfigurationError("AutoTM NVRAM pool overflows the device")
     address_map = AddressMap.numa_preferred(

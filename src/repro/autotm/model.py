@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, InvariantError
 from repro.nn.autodiff import TrainingGraph
 from repro.nn.ir import Tensor
 from repro.nn.liveness import TensorLife, analyze_liveness
+from repro.units import CACHE_LINE
 
 
 class PlacementMode(enum.Enum):
@@ -131,7 +132,7 @@ class PlacementProblem:
         graph = training.graph
         socket = platform.socket
         if min_candidate_bytes is None:
-            min_candidate_bytes = max(platform.line_size, budget_bytes // 10_000)
+            min_candidate_bytes = max(CACHE_LINE, budget_bytes // 10_000)
 
         dram_bw = socket.dram_bandwidth
         nvram_read_bw = socket.nvram_read_bandwidth

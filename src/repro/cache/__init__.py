@@ -8,7 +8,7 @@ machine used to validate the vectorized engine.  ``alternatives``
 contains the design variants used for ablation studies.
 """
 
-from repro.cache.base import AccessKind, CacheModel
+from repro.cache.base import CacheModel
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.flow import ReferenceCache
 from repro.cache.amplification import (
@@ -22,7 +22,6 @@ from repro.cache.sector import SectorCache
 
 __all__ = [
     "AMPLIFICATION_TABLE",
-    "AccessKind",
     "BypassCache",
     "CacheModel",
     "DirectMappedCache",

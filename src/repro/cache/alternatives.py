@@ -30,9 +30,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.cache import engine as _engine_ops
-from repro.cache.base import as_lines, record_cache_metrics
+from repro.cache.base import record_cache_metrics
 from repro.errors import ConfigurationError
-from repro.perf.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic, as_lines
 from repro.units import CACHE_LINE
 
 _INVALID = np.int64(-1)
@@ -51,21 +51,19 @@ class SetAssociativeCache:
     def __init__(
         self,
         capacity: int,
-        line_size: int = CACHE_LINE,
         *,
         ways: int = 8,
         ddo_enabled: bool = True,
     ) -> None:
         if ways <= 0:
             raise ConfigurationError(f"ways must be positive, got {ways}")
-        if capacity % (line_size * ways):
+        if capacity % (CACHE_LINE * ways):
             raise ConfigurationError(
                 f"capacity {capacity} is not divisible into {ways}-way sets"
             )
         self.capacity = capacity
-        self.line_size = line_size
         self.ways = ways
-        self.num_sets = capacity // (line_size * ways)
+        self.num_sets = capacity // (CACHE_LINE * ways)
         self.ddo_enabled = ddo_enabled
         self._tags = np.full((self.num_sets, ways), _INVALID, dtype=np.int64)
         self._dirty = np.zeros((self.num_sets, ways), dtype=bool)

@@ -19,9 +19,9 @@ from typing import Dict, Protocol, Tuple
 import numpy as np
 
 from repro import obs
-from repro.perf.counters import AccessKind, TagStats, Traffic, as_lines
+from repro.perf.counters import TagStats, Traffic
 
-__all__ = ["AccessKind", "CacheModel", "as_lines", "record_cache_metrics"]
+__all__ = ["CacheModel", "record_cache_metrics"]
 
 #: Metric-name rows per cache kind, formatted once per process instead
 #: of once per batch: (attribute, counter name, counter help) plus the

@@ -34,9 +34,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.cache import engine as _engine_ops
-from repro.cache.base import as_lines, record_cache_metrics
+from repro.cache.base import record_cache_metrics
 from repro.errors import ConfigurationError
-from repro.perf.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic, as_lines
 from repro.units import CACHE_LINE
 
 _INVALID = np.int64(-1)
@@ -48,9 +48,8 @@ class DirectMappedCache:
     Parameters
     ----------
     capacity:
-        Cache capacity in bytes (e.g. the socket's 192 GiB of DRAM).
-    line_size:
-        Cache-line size; 64 B on the real hardware.
+        Cache capacity in bytes (e.g. the socket's 192 GiB of DRAM), a
+        whole number of :data:`~repro.units.CACHE_LINE` lines.
     ddo_enabled:
         Model the Dirty Data Optimization (Section IV-C).  Disable for
         the ablation study.
@@ -66,20 +65,18 @@ class DirectMappedCache:
     def __init__(
         self,
         capacity: int,
-        line_size: int = CACHE_LINE,
         *,
         ddo_enabled: bool = True,
         insert_on_write_miss: bool = True,
     ) -> None:
-        if line_size <= 0 or capacity < line_size:
+        if capacity < CACHE_LINE:
             raise ConfigurationError(
-                f"cache needs at least one {line_size}B line, got {capacity} bytes"
+                f"cache needs at least one {CACHE_LINE}B line, got {capacity} bytes"
             )
-        if capacity % line_size:
+        if capacity % CACHE_LINE:
             raise ConfigurationError("capacity must be a whole number of lines")
         self.capacity = capacity
-        self.line_size = line_size
-        self.num_sets = capacity // line_size
+        self.num_sets = capacity // CACHE_LINE
         self.ddo_enabled = ddo_enabled
         self.insert_on_write_miss = insert_on_write_miss
         self._tags = np.full(self.num_sets, _INVALID, dtype=np.int64)

@@ -48,8 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cache.base import as_lines
-from repro.perf.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic, as_lines
 
 
 @dataclass

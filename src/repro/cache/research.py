@@ -43,7 +43,6 @@ from repro.cache import engine as _engine_ops
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.errors import ConfigurationError
 from repro.perf.counters import TagStats, Traffic
-from repro.units import CACHE_LINE
 
 
 class MissPredictorCache(DirectMappedCache):
@@ -60,7 +59,6 @@ class MissPredictorCache(DirectMappedCache):
     def __init__(
         self,
         capacity: int,
-        line_size: int = CACHE_LINE,
         *,
         accuracy: float = 0.95,
         seed: int = 0,
@@ -68,7 +66,7 @@ class MissPredictorCache(DirectMappedCache):
     ) -> None:
         if not 0.0 <= accuracy <= 1.0:
             raise ConfigurationError(f"accuracy must be in [0, 1], got {accuracy}")
-        super().__init__(capacity, line_size, **kwargs)
+        super().__init__(capacity, **kwargs)
         self.accuracy = accuracy
         self._rng = np.random.default_rng(seed)
 
@@ -116,7 +114,6 @@ class BypassCache(DirectMappedCache):
     def __init__(
         self,
         capacity: int,
-        line_size: int = CACHE_LINE,
         *,
         insert_probability: float = 0.1,
         seed: int = 0,
@@ -126,7 +123,7 @@ class BypassCache(DirectMappedCache):
             raise ConfigurationError(
                 f"insert_probability must be in [0, 1], got {insert_probability}"
             )
-        super().__init__(capacity, line_size, **kwargs)
+        super().__init__(capacity, **kwargs)
         self.insert_probability = insert_probability
         self._rng = np.random.default_rng(seed)
 

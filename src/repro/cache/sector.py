@@ -33,9 +33,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.cache import engine as _engine_ops
-from repro.cache.base import as_lines, record_cache_metrics
+from repro.cache.base import record_cache_metrics
 from repro.errors import ConfigurationError
-from repro.perf.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic, as_lines
 from repro.units import CACHE_LINE
 
 _INVALID = np.int64(-1)
@@ -49,7 +49,6 @@ class SectorCache:
     def __init__(
         self,
         capacity: int,
-        line_size: int = CACHE_LINE,
         *,
         sector_lines: int = 32,
         footprint: int = 4,
@@ -62,13 +61,12 @@ class SectorCache:
             )
         if footprint > sector_lines:
             raise ConfigurationError("footprint cannot exceed the sector size")
-        sector_bytes = sector_lines * line_size
+        sector_bytes = sector_lines * CACHE_LINE
         if capacity < sector_bytes or capacity % sector_bytes:
             raise ConfigurationError(
                 f"capacity must be a positive multiple of the {sector_bytes}B sector"
             )
         self.capacity = capacity
-        self.line_size = line_size
         self.sector_lines = sector_lines
         self.footprint = footprint
         self.num_sets = capacity // sector_bytes  # sector-granularity sets

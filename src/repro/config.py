@@ -138,7 +138,6 @@ class PlatformConfig:
 
     sockets: int = 2
     socket: SocketConfig = SocketConfig()
-    line_size: int = CACHE_LINE
     #: Factor by which capacities and bandwidths were divided; purely
     #: informational, recorded by :meth:`scaled`.
     scale_factor: float = 1.0
@@ -146,11 +145,9 @@ class PlatformConfig:
     def __post_init__(self) -> None:
         if self.sockets < 1:
             raise ConfigurationError("platform needs at least one socket")
-        if self.line_size <= 0 or self.line_size & (self.line_size - 1):
-            raise ConfigurationError("line size must be a positive power of two")
-        if self.socket.dram.capacity % self.line_size:
+        if self.socket.dram.capacity % CACHE_LINE:
             raise ConfigurationError("DRAM capacity must be a multiple of the line size")
-        if self.socket.nvram.capacity % self.line_size:
+        if self.socket.nvram.capacity % CACHE_LINE:
             raise ConfigurationError("NVRAM capacity must be a multiple of the line size")
 
     def scaled(self, factor: float) -> "PlatformConfig":
@@ -165,8 +162,8 @@ class PlatformConfig:
 
         def cap(nbytes: int) -> int:
             scaled_bytes = int(nbytes / factor)
-            scaled_bytes -= scaled_bytes % self.line_size
-            if scaled_bytes < self.line_size:
+            scaled_bytes -= scaled_bytes % CACHE_LINE
+            if scaled_bytes < CACHE_LINE:
                 raise ConfigurationError(
                     f"scaling by {factor} shrinks a {nbytes}-byte device below one line"
                 )

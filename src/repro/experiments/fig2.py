@@ -19,9 +19,10 @@ from repro.exec import SweepSpec, run_sweep
 from repro.experiments.base import ExperimentResult
 from repro.experiments.platform import cnn_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
-from repro.memsys import AddressMap, FlatBackend, Pattern, StoreType
+from repro.memsys import AddressMap, FlatBackend
+from repro.perf.counters import Pattern, StoreType
 from repro.perf.report import render_table
-from repro.units import MiB
+from repro.units import CACHE_LINE, MiB
 
 THREAD_COUNTS = (1, 2, 4, 8, 16, 24)
 GRANULARITIES = (64, 128, 256, 512)
@@ -44,8 +45,8 @@ def bench_point(
 ) -> float:
     """One grid point: effective GB/s for one (side, pattern, threads)."""
     platform = cnn_platform()
-    buffer_lines = ((8 if quick else 48) * MiB) // platform.line_size
-    nvram_lines = platform.socket.nvram_capacity // platform.line_size
+    buffer_lines = ((8 if quick else 48) * MiB) // CACHE_LINE
+    nvram_lines = platform.socket.nvram_capacity // CACHE_LINE
     kernel, store = SIDES[side]
     backend = FlatBackend(platform, AddressMap.nvram_only(nvram_lines))
     spec = KernelSpec(

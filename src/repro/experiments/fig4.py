@@ -19,8 +19,10 @@ from repro.exec import SweepSpec, run_sweep
 from repro.experiments.base import ExperimentResult
 from repro.experiments.platform import cnn_platform_for
 from repro.kernels import Kernel, KernelSpec, run_kernel
-from repro.memsys import CachedBackend, Pattern, StoreType
+from repro.memsys import CachedBackend
+from repro.perf.counters import Pattern, StoreType
 from repro.perf.report import render_table
+from repro.units import CACHE_LINE
 
 #: Array-to-cache ratio matching the paper's 420 GB vs 192 GB.
 OVERSUBSCRIPTION = 2.2
@@ -50,8 +52,8 @@ def _patterns(quick: bool):
 
 
 def _num_lines(platform) -> int:
-    num_lines = int(platform.socket.dram_capacity * OVERSUBSCRIPTION) // platform.line_size
-    return num_lines - num_lines % (512 // platform.line_size)  # largest granularity
+    num_lines = int(platform.socket.dram_capacity * OVERSUBSCRIPTION) // CACHE_LINE
+    return num_lines - num_lines % (512 // CACHE_LINE)  # largest granularity
 
 
 def bench_case(

@@ -49,7 +49,7 @@ def _setup(
     else:
         graph = gpt_like(batch=2, seq_len=256, layers=24)
     training = build_training_graph(graph)
-    plan = plan_memory(graph, alignment=CNN_STRIDE * 64)
+    plan = plan_memory(graph, alignment=CNN_STRIDE * CACHE_LINE)
     return platform, graph, training, plan
 
 

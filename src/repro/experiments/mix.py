@@ -18,6 +18,7 @@ from repro.experiments.platform import cnn_platform_for
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.perf.report import render_table
+from repro.units import CACHE_LINE
 
 READ_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -25,7 +26,7 @@ READ_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 def run(quick: bool = False) -> ExperimentResult:
     platform = cnn_platform_for(quick)
     scale = platform.scale_factor
-    num_lines = int(platform.socket.dram_capacity * 2.2) // platform.line_size
+    num_lines = int(platform.socket.dram_capacity * 2.2) // CACHE_LINE
     fractions = (0.0, 0.5, 1.0) if quick else READ_FRACTIONS
 
     rows = []
@@ -34,7 +35,7 @@ def run(quick: bool = False) -> ExperimentResult:
         spec = KernelSpec(Kernel.MIXED, threads=24, read_fraction=fraction)
 
         flat = FlatBackend(
-            platform, AddressMap.nvram_only(platform.socket.nvram_capacity // 64)
+            platform, AddressMap.nvram_only(platform.socket.nvram_capacity // CACHE_LINE)
         )
         direct = run_kernel(flat, spec, num_lines)
 

@@ -20,6 +20,7 @@ from repro.nn import build_training_graph, plan_memory
 from repro.nn.autodiff import TrainingGraph
 from repro.nn.networks import densenet264, inception_v4, resnet200
 from repro.nn.planner import MemoryPlan
+from repro.units import CACHE_LINE
 
 #: Scale for the microbenchmark and CNN studies.
 CNN_SCALE = 1024.0
@@ -79,7 +80,7 @@ def training_setup(network: str, quick: bool = False) -> Tuple[TrainingGraph, Me
     else:
         graph = _BUILDERS[network](CNN_BATCH)
     training = build_training_graph(graph)
-    plan = plan_memory(graph, alignment=CNN_STRIDE * 64)
+    plan = plan_memory(graph, alignment=CNN_STRIDE * CACHE_LINE)
     return training, plan
 
 

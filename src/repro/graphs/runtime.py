@@ -35,6 +35,7 @@ from repro.graphs.csr import CSRGraph
 from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import AccessContext, AccessKind, Pattern
 from repro.perf.sampler import CounterSampler
+from repro.units import CACHE_LINE
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,8 @@ class _ArrayExtent:
 class GraphLayout:
     """Line-address layout of the CSR arrays and node property arrays."""
 
-    def __init__(self, csr: CSRGraph, base_line: int = 0, line_size: int = 64) -> None:
+    def __init__(self, csr: CSRGraph, base_line: int = 0) -> None:
         self.csr = csr
-        self.line_size = line_size
         self._extents: Dict[str, _ArrayExtent] = {}
         self._cursor = base_line
         self._add("indptr", csr.num_nodes + 1, 8)
@@ -58,7 +58,7 @@ class GraphLayout:
     def _add(self, name: str, elements: int, elem_bytes: int) -> _ArrayExtent:
         if name in self._extents:
             raise ConfigurationError(f"array {name!r} already placed")
-        num_lines = max(1, -(-elements * elem_bytes // self.line_size))
+        num_lines = max(1, -(-elements * elem_bytes // CACHE_LINE))
         extent = _ArrayExtent(self._cursor, num_lines, elem_bytes)
         self._extents[name] = extent
         self._cursor += num_lines
@@ -94,7 +94,7 @@ class GraphLayout:
     def element_lines(self, name: str, idx: np.ndarray) -> np.ndarray:
         """Line addresses of elements ``idx`` within array ``name``."""
         e = self._extents[name]
-        return e.start_line + (idx.astype(np.int64) * e.elem_bytes) // self.line_size
+        return e.start_line + (idx.astype(np.int64) * e.elem_bytes) // CACHE_LINE
 
 
 class GraphRuntime:
@@ -121,9 +121,7 @@ class GraphRuntime:
         self.edge_stride = edge_stride
         self.sampler = sampler
         self._rounds_run = 0
-        self.ctx = AccessContext(
-            threads=threads, pattern=Pattern.RANDOM, granularity=64, sockets=sockets
-        )
+        self.ctx = AccessContext(threads=threads, pattern=Pattern.RANDOM, sockets=sockets)
 
     # -- epochs -------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.runtime import GraphLayout
 from repro.memsys.backends import CachedBackend, FlatBackend
 from repro.memsys.topology import AddressMap, Region
+from repro.units import CACHE_LINE
 
 #: Property arrays the four kernels allocate, with element sizes.
 KERNEL_PROPERTIES: Dict[str, int] = {
@@ -67,8 +68,8 @@ def setup_numa(
 ) -> Tuple[FlatBackend, GraphLayout]:
     """1LM with NVRAM as NUMA nodes: DRAM-first allocation, no cache."""
     layout, _ = _layout_with_properties(csr, properties)
-    dram_lines = sockets * platform.socket.dram_capacity // platform.line_size
-    nvram_lines = sockets * platform.socket.nvram_capacity // platform.line_size
+    dram_lines = sockets * platform.socket.dram_capacity // CACHE_LINE
+    nvram_lines = sockets * platform.socket.nvram_capacity // CACHE_LINE
     total_needed = layout.total_lines
     if total_needed > dram_lines + nvram_lines:
         raise ValueError("graph does not fit in DRAM + NVRAM")

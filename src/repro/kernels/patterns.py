@@ -32,7 +32,6 @@ def access_blocks(
     num_lines: int,
     pattern: Pattern,
     granularity: int = CACHE_LINE,
-    line_size: int = CACHE_LINE,
 ) -> np.ndarray:
     """Line-offset visit order for one pass over a ``num_lines`` buffer.
 
@@ -52,31 +51,27 @@ def access_blocks(
     """
     if num_lines < 0:
         raise ValueError(f"num_lines must be non-negative, got {num_lines}")
-    if granularity % line_size:
-        raise ValueError(f"granularity {granularity} is not a multiple of {line_size}")
+    if granularity % CACHE_LINE:
+        raise ValueError(f"granularity {granularity} is not a multiple of {CACHE_LINE}")
     if pattern is Pattern.SEQUENTIAL:
         # Sequential iteration is granularity-indifferent: normalize the
         # cache key so every granularity shares one entry.
-        return _cached_order(num_lines, pattern, line_size, line_size)
-    return _cached_order(num_lines, pattern, granularity, line_size)
+        return _cached_order(num_lines, pattern, CACHE_LINE)
+    return _cached_order(num_lines, pattern, granularity)
 
 
 @lru_cache(maxsize=64)
-def _cached_order(
-    num_lines: int, pattern: Pattern, granularity: int, line_size: int
-) -> np.ndarray:
-    order = _compute_order(num_lines, pattern, granularity, line_size)
+def _cached_order(num_lines: int, pattern: Pattern, granularity: int) -> np.ndarray:
+    order = _compute_order(num_lines, pattern, granularity)
     order.setflags(write=False)
     return order
 
 
-def _compute_order(
-    num_lines: int, pattern: Pattern, granularity: int, line_size: int
-) -> np.ndarray:
+def _compute_order(num_lines: int, pattern: Pattern, granularity: int) -> np.ndarray:
     if pattern is Pattern.SEQUENTIAL:
         return np.arange(num_lines, dtype=np.int64)
 
-    lines_per_block = granularity // line_size
+    lines_per_block = granularity // CACHE_LINE
     if num_lines % lines_per_block:
         raise ValueError(
             f"{num_lines} lines do not divide into {granularity}-byte blocks"

@@ -4,24 +4,70 @@ Translates a :class:`~repro.kernels.bench.KernelSpec` into the LLC
 request stream the IMC would see (Section IV-A's request taxonomy) and
 accounts traffic, tag events, virtual time, and effective bandwidth —
 the quantities the paper's Figures 2 and 4 report.
+
+The CPU is modelled only where it shapes IMC-visible traffic.  For the
+buffer sizes the paper studies (tens to hundreds of GB against a 33 MB
+LLC) every fresh load misses the LLC, so two effects remain: a
+*standard* store to a non-resident line first issues a
+Read-For-Ownership (an extra LLC read), and dirtied lines are written
+back *later*, once roughly an LLC's worth of newer data has streamed
+through — the temporal gap that makes the Dirty Data Optimization
+observable (Section IV-C).  :class:`WritebackQueue` models that delay.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator, List
 
 import numpy as np
 
 from repro import obs
-from repro.cache.base import AccessKind
 from repro.config import BATCH_LINES
-from repro.cpu.cores import retired_instructions
-from repro.cpu.llc import LLCModel, WritebackQueue
 from repro.kernels.bench import Kernel, KernelSpec
 from repro.kernels.patterns import access_blocks
 from repro.memsys.backends import MemoryBackend
-from repro.perf.counters import AccessContext, StoreType, TagStats, Traffic
+from repro.perf.counters import AccessContext, AccessKind, StoreType, TagStats, Traffic
 from repro.units import CACHE_LINE, to_gb_per_s
+
+
+class WritebackQueue:
+    """FIFO of dirtied lines awaiting eviction from the LLC.
+
+    ``push`` enqueues a batch of freshly dirtied lines and returns the
+    batches that the incoming data displaces, once the backlog exceeds
+    ``capacity_lines``; ``drain`` flushes the rest (e.g. at the end of a
+    benchmark, or on an explicit flush).
+    """
+
+    def __init__(self, capacity_lines: int) -> None:
+        if capacity_lines < 0:
+            raise ValueError("capacity must be non-negative")
+        self.capacity_lines = capacity_lines
+        self._pending: deque[np.ndarray] = deque()
+        self._pending_lines = 0
+
+    def __len__(self) -> int:
+        return self._pending_lines
+
+    def push(self, lines: np.ndarray) -> List[np.ndarray]:
+        """Enqueue dirtied lines; return batches evicted by the pressure."""
+        self._pending.append(lines)
+        self._pending_lines += int(lines.size)
+        evicted: List[np.ndarray] = []
+        while self._pending_lines > self.capacity_lines and self._pending:
+            batch = self._pending.popleft()
+            self._pending_lines -= int(batch.size)
+            evicted.append(batch)
+        return evicted
+
+    def drain(self) -> Iterator[np.ndarray]:
+        """Flush all pending write-backs in FIFO order."""
+        while self._pending:
+            batch = self._pending.popleft()
+            self._pending_lines -= int(batch.size)
+            yield batch
 
 
 @dataclass
@@ -120,7 +166,8 @@ def _run_kernel(
         granularity=spec.granularity,
         sockets=spec.sockets,
     )
-    llc = LLCModel(backend.timing.platform.socket.cpu)
+    cpu = backend.timing.platform.socket.cpu
+    llc_lines = cpu.llc_capacity // CACHE_LINE
     # access_blocks returns a shared read-only cache entry; the request
     # pipeline below only ever slices it, so the zero-offset case can
     # use it directly.  A non-zero offset allocates a fresh array.
@@ -135,7 +182,7 @@ def _run_kernel(
     mix_rng = np.random.default_rng(0xB411) if spec.kernel is Kernel.MIXED else None
 
     for _ in range(iterations):
-        queue = WritebackQueue(llc.capacity_lines) if delayed_writes else None
+        queue = WritebackQueue(llc_lines) if delayed_writes else None
         # Each pass over the buffer is one overlapped epoch: demand
         # reads, write-backs, and device traffic pipeline against each
         # other, as they do in the hardware's steady state.
@@ -175,9 +222,7 @@ def _run_kernel(
         seconds += epoch.seconds
 
     demand_bytes = iterations * num_lines * CACHE_LINE
-    backend.counters.retire(
-        retired_instructions(demand_bytes, backend.timing.platform.socket.cpu)
-    )
+    backend.counters.retire(int(demand_bytes * cpu.instructions_per_byte))
     return BenchmarkResult(
         spec=spec,
         traffic=totals,

@@ -1,23 +1,13 @@
-"""Memory-system substrate: devices, counters, timing, and backends.
+"""Memory-system substrate: devices, timing, and backends.
 
 This package simulates the memory side of the paper's test platform:
-DRAM and Optane DIMMs behind integrated memory controllers, the uncore
-performance counters used for every measurement in the paper, and the
-two system configurations the paper compares — 1LM (app-direct / flat)
-and 2LM (DRAM cache in front of NVRAM).
+DRAM and Optane DIMMs behind integrated memory controllers, and the two
+system configurations the paper compares — 1LM (app-direct / flat) and
+2LM (DRAM cache in front of NVRAM).  The uncore counters the backends
+charge, used for every measurement in the paper, are imported from
+:mod:`repro.perf.counters`.
 """
 
-from repro.perf.counters import (
-    AccessContext,
-    AccessKind,
-    CounterSnapshot,
-    Pattern,
-    StoreType,
-    TagStats,
-    Traffic,
-    UncoreCounters,
-    as_lines,
-)
 from repro.memsys.dram import DRAMDevice
 from repro.memsys.nvram import NVRAMDevice
 from repro.memsys.timing import TimingModel
@@ -25,21 +15,12 @@ from repro.memsys.backends import CachedBackend, FlatBackend, MemoryBackend
 from repro.memsys.topology import AddressMap, Region
 
 __all__ = [
-    "AccessContext",
-    "AccessKind",
     "AddressMap",
-    "as_lines",
     "CachedBackend",
-    "CounterSnapshot",
     "DRAMDevice",
     "FlatBackend",
     "MemoryBackend",
     "NVRAMDevice",
-    "Pattern",
     "Region",
-    "StoreType",
-    "TagStats",
     "TimingModel",
-    "Traffic",
-    "UncoreCounters",
 ]

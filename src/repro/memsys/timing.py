@@ -29,6 +29,7 @@ from typing import Dict
 
 from repro.config import PlatformConfig
 from repro.perf.counters import AccessContext, Traffic
+from repro.units import CACHE_LINE
 from repro.memsys.dram import DRAMDevice
 from repro.memsys.nvram import NVRAMDevice
 
@@ -97,11 +98,11 @@ class TimingModel:
         threads = min(ctx.threads, socket.cpu.cores * sockets)
 
         demand_read = _ratio(
-            traffic.demand_reads * self.platform.line_size,
+            traffic.demand_reads * CACHE_LINE,
             threads * socket.cpu.per_thread_read_bandwidth,
         )
         demand_write = _ratio(
-            traffic.demand_writes * self.platform.line_size,
+            traffic.demand_writes * CACHE_LINE,
             threads * socket.cpu.per_thread_write_bandwidth,
         )
 

@@ -24,7 +24,7 @@ recorded traffic by N.  For a direct-mapped cache this is exact in
 distribution: addresses in different residue classes mod N map to
 disjoint set classes with identical conflict structure, so the sampled
 class is an unbiased 1/N census of the full stream (tensor offsets are
-aligned to ``N * line_size`` by the planner).
+aligned to ``N * CACHE_LINE`` by the planner).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.perf.counters import (
 from repro.nn.ir import COMPUTE_BOUND_KINDS, Graph, Op, OpKind, Tensor
 from repro.nn.planner import MemoryPlan
 from repro.perf.sampler import CounterSampler
+from repro.units import CACHE_LINE
 
 #: Fraction of peak flops achieved by tuned compute-bound kernels.
 COMPUTE_EFFICIENCY = 0.6
@@ -100,18 +101,17 @@ class ExecutionResult:
 class TensorAddresser:
     """Maps planned tensors to (sampled) line-address arrays."""
 
-    def __init__(self, plan: MemoryPlan, base_line: int, sample_stride: int, line_size: int) -> None:
+    def __init__(self, plan: MemoryPlan, base_line: int, sample_stride: int) -> None:
         if sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
-        if plan.alignment % (sample_stride * line_size):
+        if plan.alignment % (sample_stride * CACHE_LINE):
             raise ConfigurationError(
                 f"plan alignment {plan.alignment} must be a multiple of "
-                f"sample_stride * line_size = {sample_stride * line_size}"
+                f"sample_stride * CACHE_LINE = {sample_stride * CACHE_LINE}"
             )
         self.plan = plan
         self.base_line = base_line
         self.sample_stride = sample_stride
-        self.line_size = line_size
         self._cache: Dict[Tensor, np.ndarray] = {}
 
     def lines(self, tensor: Tensor) -> np.ndarray:
@@ -125,8 +125,8 @@ class TensorAddresser:
         if cached is not None:
             return cached
         offset = self.plan.offset_of(tensor)
-        first = self.base_line + offset // self.line_size
-        num_lines = -(-tensor.size_bytes // self.line_size)
+        first = self.base_line + offset // CACHE_LINE
+        num_lines = -(-tensor.size_bytes // CACHE_LINE)
         lines = first + np.arange(0, num_lines, self.sample_stride, dtype=np.int64)
         lines.flags.writeable = False
         self._cache[tensor] = lines
@@ -134,7 +134,7 @@ class TensorAddresser:
 
     @property
     def total_lines(self) -> int:
-        return -(-self.plan.total_bytes // self.line_size)
+        return -(-self.plan.total_bytes // CACHE_LINE)
 
 
 def compute_time(op: Op, peak_flops: float) -> float:
@@ -160,9 +160,8 @@ def execute_iteration(
     """Run ``iterations`` training iterations of the planned graph."""
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
-    platform = backend.timing.platform
-    cpu = platform.socket.cpu
-    addresser = TensorAddresser(plan, base_line, sample_stride, platform.line_size)
+    cpu = backend.timing.platform.socket.cpu
+    addresser = TensorAddresser(plan, base_line, sample_stride)
 
     result = ExecutionResult(graph=plan.graph)
     contexts: Dict[int, AccessContext] = {}  # one per distinct stream count

@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn.ir import Graph, Tensor
 from repro.nn.liveness import TensorLife, analyze_liveness
+from repro.units import CACHE_LINE
 
 
 @dataclass
@@ -35,7 +36,7 @@ class MemoryPlan:
     weight_offsets: Dict[Tensor, int]
     weight_bytes: int
     lives: List[TensorLife] = field(default_factory=list)
-    alignment: int = 64
+    alignment: int = CACHE_LINE
 
     @property
     def total_bytes(self) -> int:
@@ -71,7 +72,7 @@ class FirstFitArena:
     first gap wide enough wins (else the space above them all).
     """
 
-    def __init__(self, alignment: int = 64) -> None:
+    def __init__(self, alignment: int = CACHE_LINE) -> None:
         if alignment <= 0 or alignment & (alignment - 1):
             raise ConfigurationError("alignment must be a positive power of two")
         self.alignment = alignment
@@ -104,7 +105,7 @@ class FirstFitArena:
         return offset
 
 
-def plan_memory(graph: Graph, alignment: int = 64) -> MemoryPlan:
+def plan_memory(graph: Graph, alignment: int = CACHE_LINE) -> MemoryPlan:
     """First-fit decreasing-lifetime offset assignment.
 
     Tensors are placed in schedule order (producers first), each at the

@@ -35,6 +35,7 @@ from repro.perf.counters import (
 from repro.memsys.topology import AddressMap
 from repro.recsys.embedding import EmbeddingModel, LookupTrace
 from repro.recsys.placement import HotRowPlacement
+from repro.units import CACHE_LINE
 
 MODES = ("2lm", "bandana", "nvram")
 
@@ -64,19 +65,17 @@ class _Layout:
     def __init__(
         self,
         model: EmbeddingModel,
-        line_size: int,
         placement: Optional[HotRowPlacement],
         dram_lines: int,
     ) -> None:
         self.model = model
-        self.line_size = line_size
         self.placement = placement
         # Full tables live contiguously in the "cold" region.
         self._table_base: List[int] = []
         cursor = dram_lines  # cold region starts after the DRAM window
         for table in model.tables:
             self._table_base.append(cursor)
-            cursor += -(-table.size_bytes // line_size)
+            cursor += -(-table.size_bytes // CACHE_LINE)
         self.total_lines = cursor
         # Hot copies pack into the DRAM window.
         self._hot_slot: List[np.ndarray] = []
@@ -85,7 +84,7 @@ class _Layout:
             for t_index, table in enumerate(model.tables):
                 slots = np.full(table.rows, -1, dtype=np.int64)
                 hot = np.flatnonzero(placement.hot_masks[t_index])
-                lines_per_row = -(-table.row_bytes // line_size)
+                lines_per_row = -(-table.row_bytes // CACHE_LINE)
                 slots[hot] = slot + np.arange(hot.size) * lines_per_row
                 slot += hot.size * lines_per_row
                 self._hot_slot.append(slots)
@@ -95,7 +94,7 @@ class _Layout:
     def row_lines(self, t_index: int, rows: np.ndarray) -> np.ndarray:
         """Line addresses covering the given rows (deduplicated)."""
         table = self.model.tables[t_index]
-        lines_per_row = -(-table.row_bytes // self.line_size)
+        lines_per_row = -(-table.row_bytes // CACHE_LINE)
         unique_rows = np.unique(rows)
         if self.placement is None:
             first = self._table_base[t_index] + unique_rows * lines_per_row
@@ -123,11 +122,8 @@ def run_recsys(
     if mode == "bandana" and placement is None:
         raise ConfigurationError("bandana mode needs a HotRowPlacement")
 
-    line = platform.line_size
-    dram_lines = platform.socket.dram_capacity // line
-    layout = _Layout(
-        model, line, placement if mode == "bandana" else None, dram_lines
-    )
+    dram_lines = platform.socket.dram_capacity // CACHE_LINE
+    layout = _Layout(model, placement if mode == "bandana" else None, dram_lines)
 
     backend: MemoryBackend
     if mode == "2lm":
@@ -140,11 +136,11 @@ def run_recsys(
             platform, AddressMap.numa_preferred(dram_lines, nvram_lines)
         )
 
-    row_bytes = model.tables[0].row_bytes if model.tables else line
+    row_bytes = model.tables[0].row_bytes if model.tables else CACHE_LINE
     ctx = AccessContext(
         threads=threads,
         pattern=Pattern.RANDOM,
-        granularity=max(line, min(row_bytes, 512)),
+        granularity=max(CACHE_LINE, min(row_bytes, 512)),
     )
     cpu = platform.socket.cpu
 

@@ -179,6 +179,9 @@ class WorkerPool:
             try:
                 status, value, payload = parent_conn.recv()
             except EOFError:
+                # EOF can arrive before the child is reaped; join it so
+                # the message carries its exit code, not None.
+                process.join(1.0)
                 raise JobError(
                     f"job {job.id} worker process died without a result "
                     f"(exit code {process.exitcode})"

@@ -47,8 +47,8 @@ def format_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-def lines_in(nbytes: int, line_size: int = CACHE_LINE) -> int:
+def lines_in(nbytes: int) -> int:
     """Number of cache lines covering ``nbytes`` (must divide evenly)."""
-    if nbytes % line_size:
-        raise ValueError(f"{nbytes} bytes is not a whole number of {line_size}B lines")
-    return nbytes // line_size
+    if nbytes % CACHE_LINE:
+        raise ValueError(f"{nbytes} bytes is not a whole number of {CACHE_LINE}B lines")
+    return nbytes // CACHE_LINE

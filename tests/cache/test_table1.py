@@ -18,8 +18,8 @@ from repro.cache import (
 )
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
-from repro.memsys import CachedBackend, StoreType
-from repro.perf.counters import Traffic
+from repro.memsys import CachedBackend
+from repro.perf.counters import StoreType, Traffic
 
 SETS = 1024
 

@@ -9,7 +9,7 @@ from repro.kernels.patterns import (
     pattern_cache_info,
 )
 from repro.perf.counters import Pattern
-from repro.units import MiB
+from repro.units import CACHE_LINE, MiB
 
 
 class TestSequential:
@@ -88,7 +88,7 @@ class TestMemoization:
 
         pattern_cache_clear()
         platform = cnn_platform()
-        num_lines = MiB // platform.line_size
+        num_lines = MiB // CACHE_LINE
         cached = access_blocks(num_lines, Pattern.RANDOM, granularity=256)
         pristine = cached.copy()
 

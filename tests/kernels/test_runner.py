@@ -1,11 +1,14 @@
 """Tests for the microbenchmark runner: LLC request translation and results."""
 
+import numpy as np
 import pytest
 
 from repro.cache import DirectMappedCache
 from repro.config import default_platform
-from repro.memsys import AddressMap, CachedBackend, FlatBackend, StoreType
+from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.kernels import Kernel, KernelSpec, run_kernel
+from repro.kernels.runner import WritebackQueue
+from repro.perf.counters import StoreType
 from repro.units import GB, MiB
 
 
@@ -92,6 +95,41 @@ class TestDDOViaDelayedWriteback:
         assert r.traffic.demand_writes == 2000
 
 
+class TestWritebackQueue:
+    def test_holds_until_capacity(self):
+        q = WritebackQueue(capacity_lines=100)
+        assert q.push(np.arange(50)) == []
+        assert q.push(np.arange(50)) == []
+        assert len(q) == 100
+
+    def test_evicts_fifo_on_pressure(self):
+        q = WritebackQueue(capacity_lines=100)
+        first = np.arange(60)
+        q.push(first)
+        evicted = q.push(np.arange(60, 120))
+        assert len(evicted) == 1
+        assert np.array_equal(evicted[0], first)
+
+    def test_drain_flushes_in_order(self):
+        q = WritebackQueue(capacity_lines=1000)
+        a, b = np.arange(10), np.arange(10, 20)
+        q.push(a)
+        q.push(b)
+        drained = list(q.drain())
+        assert np.array_equal(drained[0], a)
+        assert np.array_equal(drained[1], b)
+        assert len(q) == 0
+
+    def test_zero_capacity_evicts_immediately(self):
+        q = WritebackQueue(capacity_lines=0)
+        evicted = q.push(np.arange(5))
+        assert len(evicted) == 1
+
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError):
+            WritebackQueue(capacity_lines=-1)
+
+
 class TestResults:
     def test_effective_bandwidth_positive(self, platform):
         be = flat_backend(platform)
@@ -108,9 +146,12 @@ class TestResults:
         assert r.bandwidth_gb_per_s("dram_reads") == 0.0
 
     def test_instructions_retired(self, platform):
+        # Memory-bound phases retire a fixed number of instructions per
+        # byte of demand traffic (Figure 5a's MIPS trace).
         be = flat_backend(platform)
-        run_kernel(be, KernelSpec(Kernel.READ_ONLY), 1000)
-        assert be.counters.instructions > 0
+        r = run_kernel(be, KernelSpec(Kernel.READ_ONLY), 1000)
+        per_byte = platform.socket.cpu.instructions_per_byte
+        assert be.counters.instructions == int(r.demand_bytes * per_byte) == 16_000
 
     def test_rejects_empty_buffer(self, platform):
         with pytest.raises(ValueError):

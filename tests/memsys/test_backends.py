@@ -13,12 +13,11 @@ from repro.cache import (
     SectorCache,
     SetAssociativeCache,
 )
-from repro.cache.base import AccessKind
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.memsys import backends as backends_module
 from repro.memsys.backends import AccessReport
-from repro.perf.counters import AccessContext, TagStats, Traffic
+from repro.perf.counters import AccessContext, AccessKind, TagStats, Traffic
 from repro.traces.replay import MODEL_FACTORIES
 from repro.units import KiB
 

@@ -124,7 +124,7 @@ class TestComputeTime:
 class TestTensorAddresser:
     def test_lines_cover_tensor(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1, line_size=64)
+        addresser = TensorAddresser(plan, base_line=0, sample_stride=1)
         tensor = plan.graph.activations[0]
         lines = addresser.lines(tensor)
         assert lines.size == -(-tensor.size_bytes // 64)
@@ -132,7 +132,7 @@ class TestTensorAddresser:
 
     def test_disjoint_concurrent_tensors_have_disjoint_lines(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1, line_size=64)
+        addresser = TensorAddresser(plan, base_line=0, sample_stride=1)
         lives = plan.lives
         for i, a in enumerate(lives):
             for other in lives[i + 1 :]:

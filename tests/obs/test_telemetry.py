@@ -9,7 +9,8 @@ from repro import obs
 from repro.cache import DirectMappedCache
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
-from repro.memsys import AccessContext, AccessKind, CachedBackend, FlatBackend, AddressMap
+from repro.memsys import AddressMap, CachedBackend, FlatBackend
+from repro.perf.counters import AccessContext, AccessKind
 
 
 @pytest.fixture(autouse=True)

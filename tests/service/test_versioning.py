@@ -1,12 +1,24 @@
 """Code-version salt: stability, sensitivity, and git provenance."""
 
+import pkgutil
 import string
 
+import repro
 from repro.service.versioning import (
     DEFAULT_SALT_PACKAGES,
     code_version_salt,
     git_sha,
 )
+
+#: Top-level parts of ``repro`` left out of the salt on purpose, each
+#: with the reason no stored result depends on its source.
+UNSALTED = {
+    "analysis": "repro-lint: reads the source, never runs an experiment",
+    "errors.py": "exception types; a message edit moves no result",
+    "obs": "telemetry: spans, metrics and logs beside a run, never its numbers",
+    "report": "renders stored results after the fact",
+    "service": "serving plumbing: store, queue and workers around a run",
+}
 
 
 class TestCodeVersionSalt:
@@ -29,6 +41,16 @@ class TestCodeVersionSalt:
         # serving layer must not invalidate stored simulation results.
         assert "service" not in DEFAULT_SALT_PACKAGES
         assert "analysis" not in DEFAULT_SALT_PACKAGES
+
+    def test_every_top_level_part_is_salted_or_listed_as_unsalted(self):
+        # A package missing from both lists would let a store serve
+        # results its edited code no longer reproduces.
+        parts = {
+            name if is_package else f"{name}.py"
+            for _, name, is_package in pkgutil.iter_modules(repro.__path__)
+        }
+        assert parts == set(DEFAULT_SALT_PACKAGES) | set(UNSALTED)
+        assert not set(DEFAULT_SALT_PACKAGES) & set(UNSALTED)
 
 
 class TestGitSha:

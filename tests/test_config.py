@@ -66,9 +66,6 @@ class TestScaling:
         )
         assert after == pytest.approx(original)
 
-    def test_line_size_never_scales(self):
-        assert PAPER_PLATFORM.scaled(4096).line_size == 64
-
     def test_scale_factor_recorded_and_composes(self):
         assert PAPER_PLATFORM.scaled(8).scaled(4).scale_factor == 32
 
@@ -92,7 +89,3 @@ class TestValidation:
     def test_rejects_zero_sockets(self):
         with pytest.raises(ConfigurationError):
             PlatformConfig(sockets=0)
-
-    def test_rejects_non_power_of_two_line(self):
-        with pytest.raises(ConfigurationError):
-            PlatformConfig(line_size=96)
