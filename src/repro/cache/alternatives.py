@@ -80,10 +80,9 @@ class SetAssociativeCache:
         self._clock = np.int64(0)
 
     def llc_read(self, lines: np.ndarray) -> Tuple[Traffic, TagStats]:
-        lines = as_lines(lines)
+        lines, seg = self._segmenter.segment(lines)
         traffic, tags = Traffic(), TagStats()
         traffic.demand_reads = int(lines.size)
-        seg = self._segmenter.segment(lines)
         counts, self._clock = _engine_ops.setassoc_read_batch(
             lines, seg, self._tags, self._dirty, self._known_resident,
             self._stamp, self._clock,
@@ -99,10 +98,9 @@ class SetAssociativeCache:
         return traffic, tags
 
     def llc_write(self, lines: np.ndarray) -> Tuple[Traffic, TagStats]:
-        lines = as_lines(lines)
+        lines, seg = self._segmenter.segment(lines)
         traffic, tags = Traffic(), TagStats()
         traffic.demand_writes = int(lines.size)
-        seg = self._segmenter.segment(lines)
         counts, self._clock = _engine_ops.setassoc_write_batch(
             lines, seg, self._tags, self._dirty, self._known_resident,
             self._stamp, self._clock,

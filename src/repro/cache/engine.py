@@ -83,7 +83,7 @@ via the duplicate probe.
 Each closed form is a handful of vectorized segment operations — at
 most one grouping sort per batch (zero for probe-proven collision-free
 batches, one over only the repeated sets of a split batch, and shared
-across the read and write pass when the line vector is reused) — and
+by every pass over a frozen line vector while it lives) — and
 is property-tested bit-for-bit against scalar references
 (``tests/cache/test_engine_property.py``).  A collision-free batch is
 one independent round over the batch as given: one gather per state
@@ -124,10 +124,11 @@ from __future__ import annotations
 
 import operator
 import weakref
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.perf.counters import as_lines
 from repro.perf.segments import (
     DuplicateProbe,
     SegmentedBatch,
@@ -183,7 +184,7 @@ def set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
 
 
 class BatchSegmenter:
-    """Per-model segmentation cache: at most one sort per line batch.
+    """Per-model grouping memo: at most one grouping per frozen line vector.
 
     Owns the model's set-index step and its
     :class:`~repro.perf.segments.DuplicateProbe`, so probe-proven
@@ -192,46 +193,58 @@ class BatchSegmenter:
     set-index pass and the probe.  A batch whose sets mostly occur once
     comes back as a :class:`~repro.perf.segments.SplitBatch`, which sorts
     only the positions whose set repeats, provided at least half of the
-    positions are singletons.  It also remembers the most recent batch's
-    grouping keyed on array identity.
-    A workload that feeds the same line vector to ``llc_read`` and then
-    ``llc_write`` — the read-modify-write shape of the paper's
-    microbenchmarks, and an output tensor's RFO and write-back —
-    therefore pays for exactly one grouping (and one set-index pass)
-    across both passes.  The probe's key space, ``num_sets``, is also
-    the key bound that lets the sort pack keys with positions.
+    positions are singletons.
 
-    Reuse is only offered for arrays marked non-writeable (the memoized
+    It also remembers the grouping of every line vector marked
+    non-writeable, keyed on the vector's identity, for as long as the
+    vector lives: a weak-reference callback drops the entry when the
+    vector is collected.  A workload that feeds the same frozen vector to
+    the model again — an output tensor's RFO and write-back, the
+    read-modify-write shape of the paper's microbenchmarks, and every
+    later kernel that reads a tensor an earlier one wrote — pays for
+    one grouping, one set-index pass and one validation across all of
+    those passes.  The probe's key space, ``num_sets``, is also the key
+    bound that lets the sort pack keys with positions.
+
+    The memo only holds non-writeable vectors (the memoized
     ``access_blocks()``/``lfsr_sequence()`` streams and the executors'
-    tensor line arrays), because a mutable array could change between
-    the two passes and silently invalidate the grouping.
+    tensor line arrays), because a mutable one could change between
+    passes and silently invalidate its grouping.
     """
 
-    __slots__ = ("num_sets", "_probe", "_last")
+    __slots__ = ("num_sets", "_probe", "_memo")
 
     def __init__(self, num_sets: int) -> None:
         self.num_sets = num_sets
         self._probe = DuplicateProbe(num_sets)
-        self._last: Optional[Tuple[weakref.ref, SegmentedBatch]] = None
+        #: ``id`` of a live frozen vector -> (weak reference to it, its grouping).
+        self._memo: Dict[int, Tuple[weakref.ref, Grouping]] = {}
 
     def segment(
         self, lines: np.ndarray, keys: Optional[np.ndarray] = None
-    ) -> Grouping:
-        """Grouped view of ``lines`` by set index.
+    ) -> Tuple[np.ndarray, Grouping]:
+        """``lines`` as a validated int64 vector, and its grouping by set.
 
+        A memoized vector comes back as itself with the grouping made
+        when it was first seen, so only a vector not in the memo is
+        validated (:func:`~repro.perf.counters.as_lines`, which raises
+        ``ValueError`` on a negative or non-1-D batch) and grouped.
         ``keys`` are the per-line set indices, ``lines % num_sets`` by
-        default; that default is computed only when no segmentation of
-        ``lines`` is reused.  A caller that needs the indices itself, or
-        whose sets are not ``lines % num_sets`` (the sector cache),
-        passes its own.
+        default, computed only on a memo miss.  A caller whose sets are
+        not ``lines % num_sets`` (the sector cache) validates ``lines``
+        itself and passes its own keys.
         """
-        cached = self._last
-        if cached is not None and cached[0]() is lines:
-            return cached[1]
-        seg = segment(self._set_index(lines) if keys is None else keys, probe=self._probe)
+        entry = self._memo.get(id(lines))
+        if entry is not None:
+            return lines, entry[1]
+        if keys is None:
+            lines = as_lines(lines)
+            keys = self._set_index(lines)
+        seg = segment(keys, probe=self._probe)
         if lines.size and not lines.flags.writeable:
-            self._last = (weakref.ref(lines), seg)
-        return seg
+            memo, key = self._memo, id(lines)
+            memo[key] = (weakref.ref(lines, lambda _, key=key: memo.pop(key, None)), seg)
+        return lines, seg
 
     def _set_index(self, lines: np.ndarray) -> Union[np.ndarray, range]:
         """``lines % num_sets`` (by :func:`set_index`), or the range of

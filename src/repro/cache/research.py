@@ -174,7 +174,7 @@ class NextLinePrefetchCache(DirectMappedCache):
             return
 
         candidates = lines[miss] + 1
-        pf_seg = self._segmenter.segment(candidates)
+        candidates, pf_seg = self._segmenter.segment(candidates)
         fills = _engine_ops.prefetch_fill_batch(
             candidates, pf_seg, self._tags, self._dirty, self._known_resident
         )

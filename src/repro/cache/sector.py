@@ -96,7 +96,7 @@ class SectorCache:
         traffic, tags = Traffic(), TagStats()
         traffic.demand_reads = int(lines.size)
         sector, offset, index = self._decompose(lines)
-        seg = self._segmenter.segment(lines, index)
+        _, seg = self._segmenter.segment(lines, index)
         counts = _engine_ops.sector_read_batch(
             sector, offset, seg, self._tags, self._valid, self._dirty,
             footprint=self.footprint, sector_lines=self.sector_lines,
@@ -119,7 +119,7 @@ class SectorCache:
         traffic, tags = Traffic(), TagStats()
         traffic.demand_writes = int(lines.size)
         sector, offset, index = self._decompose(lines)
-        seg = self._segmenter.segment(lines, index)
+        _, seg = self._segmenter.segment(lines, index)
         counts = _engine_ops.sector_write_batch(
             sector, offset, seg, self._tags, self._valid, self._dirty
         )

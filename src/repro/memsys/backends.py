@@ -3,9 +3,13 @@
 A backend is the boundary workloads talk to: it accepts LLC request
 vectors of any length, produces exact device traffic, charges it to the
 uncore counters, and advances the virtual clock using the timing model.
-It is also the one place host batching happens: ``access`` cuts a vector
-longer than :data:`repro.config.BATCH_LINES` into consecutive batches,
-so no workload executor chunks its own streams.
+Inside an :class:`Epoch` an access charges only the epoch's pooled
+traffic; the counter bank is charged once, when the epoch closes, the way
+the paper reads its IMC counters by differencing snapshots around a
+phase (Section III-B), so the bank is read between epochs.
+The backend is also the one place host batching happens: ``access`` cuts
+a vector longer than :data:`repro.config.BATCH_LINES` into consecutive
+batches, so no workload executor chunks its own streams.
 
 * :class:`FlatBackend` — 1LM / app-direct.  Each line address is backed
   by DRAM or NVRAM according to an :class:`~repro.memsys.topology.AddressMap`
@@ -20,7 +24,7 @@ so no workload executor chunks its own streams.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Iterator, List, Optional, Protocol
 
 import numpy as np
@@ -44,10 +48,11 @@ class _CacheLike(Protocol):
 
     The model validates its input: :class:`CachedBackend` passes each
     batch of at most :data:`~repro.config.BATCH_LINES` lines straight
-    through (the caller's array itself, so segmentation reuse keyed on
-    its identity still applies), and ``llc_read``/``llc_write`` coerce it
-    with :func:`~repro.perf.counters.as_lines`, raising ``ValueError`` on
-    a negative or non-1-D batch.
+    through (the caller's array itself, so the grouping memo keyed on
+    its identity still applies), and ``llc_read``/``llc_write`` coerce a
+    vector they have not grouped before with
+    :func:`~repro.perf.counters.as_lines`, raising ``ValueError`` on a
+    negative or non-1-D batch.
     """
 
     def llc_read(self, lines: np.ndarray) -> "tuple[Traffic, TagStats]": ...
@@ -58,8 +63,8 @@ class _CacheLike(Protocol):
 #: miss handler (Section IV-D: 23 GB/s of ~32 GB/s read, 8 of ~11 write).
 MISS_HANDLER_EFFICIENCY = 0.72
 
-#: (attribute, metric name, help) rows for the per-access counters, so
-#: the hot accounting loop never rebuilds metric-name strings per batch.
+#: (attribute, metric name, help) rows for the IMC counters, so charging
+#: them never rebuilds metric-name strings.
 _TRAFFIC_COUNTER_SPECS = tuple(
     (f.name, f"repro_{f.name}_total", f"IMC {f.name.replace('_', ' ')} (lines)")
     for f in fields(Traffic)
@@ -74,7 +79,7 @@ class _CounterHandles:
     """Per-backend cache of resolved telemetry counter handles.
 
     Valid for exactly one telemetry handle (compared by identity in
-    :meth:`_EpochSupport._account`); each slot resolves lazily on its
+    :meth:`_EpochSupport._record`); each slot resolves lazily on its
     first nonzero increment, preserving the registry invariant that a
     counter exists only once something was recorded to it.
     """
@@ -87,20 +92,12 @@ class _CounterHandles:
         self.tags: List[Optional[obs.Counter]] = [None] * len(_TAG_COUNTER_SPECS)
 
 
-@dataclass(frozen=True)
-class AccessReport:
-    """Result of one backend access (summed over its host batches)."""
-
-    traffic: Traffic
-    tags: TagStats
-    seconds: float
-
-
 class Epoch:
     """A window of overlapped execution.
 
-    Within an epoch, accesses contribute traffic but no time; when the
-    epoch closes, elapsed time is computed from the *pooled* traffic, so
+    Within an epoch, accesses add their traffic to ``traffic``/``tags``
+    but no time; when the epoch closes, the pooled traffic is charged to
+    the counter bank and elapsed time is computed from it, so
     independent constraints (demand reads vs writes, DRAM vs NVRAM)
     overlap as they would in a pipelined steady state.  ``add_compute``
     registers serial compute work; the epoch takes the roofline maximum
@@ -135,11 +132,13 @@ class MemoryBackend(Protocol):
         ctx: AccessContext,
         advance: bool = True,
         weight: int = 1,
-    ) -> AccessReport:
+    ) -> None:
         """Process a vector of LLC requests and account for them.
 
         ``weight`` multiplies the recorded traffic: stride-sampling
         executors simulate every N-th line and weight the result by N.
+        Inside an epoch the traffic lands in the epoch; outside one it
+        is charged to the counter bank at once (read a delta of it).
         """
         ...
 
@@ -179,6 +178,9 @@ class _EpochSupport:
                 yield epoch
             finally:
                 self._active_epoch = None
+                # Charged even when the epoch raises; the clock then
+                # does not advance.
+                self._record(epoch.traffic, epoch.tags)
             breakdown = self.timing.breakdown(epoch.traffic, ctx)
             epoch.memory_seconds = breakdown.elapsed
             if self.timing.cache_managed:
@@ -231,27 +233,23 @@ class _EpochSupport:
         ctx: AccessContext,
         advance: bool = True,
         weight: int = 1,
-    ) -> AccessReport:
+    ) -> None:
         """Process ``lines`` in host batches of at most ``BATCH_LINES``.
 
         A vector within the cap is one batch, the array itself.  A longer
         one is validated whole, then cut into consecutive ``BATCH_LINES``
-        slices, each accounted as its own batch (its own traffic scaling,
-        clock advance, ``memsys.access`` span and batch-size observation);
-        the report is their sum.
+        slices, each accounted as its own batch (its own clock advance
+        outside an epoch, ``memsys.access`` span and batch-size
+        observation).
         """
+        if weight < 0:
+            raise ValueError("weight must be non-negative")
         if np.size(lines) <= BATCH_LINES:
-            return self._access_batch(lines, kind, ctx, advance, weight)
+            self._access_batch(lines, kind, ctx, advance, weight)
+            return
         whole = as_lines(lines)
-        reports = [
+        for begin in range(0, whole.size, BATCH_LINES):
             self._access_batch(whole[begin : begin + BATCH_LINES], kind, ctx, advance, weight)
-            for begin in range(0, whole.size, BATCH_LINES)
-        ]
-        return AccessReport(
-            traffic=sum((report.traffic for report in reports), Traffic()),
-            tags=sum((report.tags for report in reports), TagStats()),
-            seconds=sum(report.seconds for report in reports),
-        )
 
     def _access_batch(
         self,
@@ -260,70 +258,82 @@ class _EpochSupport:
         ctx: AccessContext,
         advance: bool,
         weight: int,
-    ) -> AccessReport:
+    ) -> None:
         tele = obs.get()
         if not tele.enabled:
-            return self._access(lines, kind, ctx, advance, weight)
+            traffic, tags = self._counts(lines, kind)
+            self._charge(traffic, tags, ctx, advance, weight)
+            return
         with tele.span(
             "memsys.access", cat="memsys", clock=lambda: self.counters.time
         ) as span:
-            report = self._access(lines, kind, ctx, advance, weight)
+            traffic, tags = self._counts(lines, kind)
+            self._charge(traffic, tags, ctx, advance, weight)
             span.set(
                 kind=kind.value,
                 lines=int(np.size(lines)),
                 weight=weight,
-                dram=report.traffic.dram_reads + report.traffic.dram_writes,
-                nvram=report.traffic.nvram_reads + report.traffic.nvram_writes,
+                dram=(traffic.dram_reads + traffic.dram_writes) * weight,
+                nvram=(traffic.nvram_reads + traffic.nvram_writes) * weight,
             )
         tele.histogram(
             "repro_access_batch_lines",
             obs.SIZE_BUCKETS,
             "LLC request lines per host batch",
         ).observe(int(np.size(lines)))
-        return report
 
-    def _access(
+    def _counts(self, lines: np.ndarray, kind: AccessKind) -> "tuple[Traffic, TagStats]":
+        """One batch's unweighted traffic and tag events."""
+        raise NotImplementedError
+
+    def _charge(
         self,
-        lines: np.ndarray,
-        kind: AccessKind,
+        traffic: Traffic,
+        tags: TagStats,
         ctx: AccessContext,
         advance: bool,
         weight: int,
-    ) -> AccessReport:
-        raise NotImplementedError
-
-    def _account(self, traffic: Traffic, tags: TagStats, ctx: AccessContext, advance: bool) -> float:
-        """Record one access's traffic; return its standalone time."""
-        self.counters.record_traffic(traffic)
-        if tags.checks or tags.ddo_writes:
-            self.counters.record_tags(tags)
-        tele = obs.get()
-        if tele.enabled:
-            handles = self._counter_handles
-            if handles is None or handles.tele is not tele:
-                handles = self._counter_handles = _CounterHandles(tele)
-            for index, (attr, metric, help_text) in enumerate(_TRAFFIC_COUNTER_SPECS):
-                value = getattr(traffic, attr)
-                if value:
-                    counter = handles.traffic[index]
-                    if counter is None:
-                        counter = handles.traffic[index] = tele.counter(metric, help_text)
-                    counter.inc(value)
-            for index, (attr, metric, help_text) in enumerate(_TAG_COUNTER_SPECS):
-                value = getattr(tags, attr)
-                if value:
-                    counter = handles.tags[index]
-                    if counter is None:
-                        counter = handles.tags[index] = tele.counter(metric, help_text)
-                    counter.inc(value)
-        if self._active_epoch is not None:
-            self._active_epoch.traffic += traffic
-            self._active_epoch.tags += tags
-            return 0.0
-        seconds = self.timing.elapsed(traffic, ctx)
+    ) -> None:
+        """Charge one batch's counts times ``weight``: to the open epoch,
+        or, outside one, to the counter bank and (with ``advance``) the
+        clock, timed on its own."""
+        epoch = self._active_epoch
+        if epoch is not None:
+            epoch.traffic.add(traffic, weight)
+            epoch.tags.add(tags, weight)
+            return
+        weighted_traffic, weighted_tags = Traffic(), TagStats()
+        weighted_traffic.add(traffic, weight)
+        weighted_tags.add(tags, weight)
+        self._record(weighted_traffic, weighted_tags)
         if advance:
-            self.counters.advance(seconds)
-        return seconds
+            self.counters.advance(self.timing.elapsed(weighted_traffic, ctx))
+
+    def _record(self, traffic: Traffic, tags: TagStats) -> None:
+        """Charge traffic and tag events to the counter bank and to the
+        telemetry counters."""
+        self.counters.record_traffic(traffic)
+        self.counters.record_tags(tags)
+        tele = obs.get()
+        if not tele.enabled:
+            return
+        handles = self._counter_handles
+        if handles is None or handles.tele is not tele:
+            handles = self._counter_handles = _CounterHandles(tele)
+        for index, (attr, metric, help_text) in enumerate(_TRAFFIC_COUNTER_SPECS):
+            value = getattr(traffic, attr)
+            if value:
+                counter = handles.traffic[index]
+                if counter is None:
+                    counter = handles.traffic[index] = tele.counter(metric, help_text)
+                counter.inc(value)
+        for index, (attr, metric, help_text) in enumerate(_TAG_COUNTER_SPECS):
+            value = getattr(tags, attr)
+            if value:
+                counter = handles.tags[index]
+                if counter is None:
+                    counter = handles.tags[index] = tele.counter(metric, help_text)
+                counter.inc(value)
 
 
 class FlatBackend(_EpochSupport):
@@ -341,14 +351,7 @@ class FlatBackend(_EpochSupport):
         self.counters = counters or UncoreCounters()
         self.timing = TimingModel(platform, nvram_efficiency=1.0)
 
-    def _access(
-        self,
-        lines: np.ndarray,
-        kind: AccessKind,
-        ctx: AccessContext,
-        advance: bool,
-        weight: int,
-    ) -> AccessReport:
+    def _counts(self, lines: np.ndarray, kind: AccessKind) -> "tuple[Traffic, TagStats]":
         lines = as_lines(lines)
         is_dram = self.address_map.classify(lines)
         n_dram = int(is_dram.sum())
@@ -364,11 +367,7 @@ class FlatBackend(_EpochSupport):
             traffic.nvram_writes = n_nvram
             traffic.demand_writes = int(lines.size)
 
-        tags = TagStats()  # no DRAM cache, no tag events
-        if weight != 1:
-            traffic = traffic.scaled(weight)
-        seconds = self._account(traffic, tags, ctx, advance)
-        return AccessReport(traffic=traffic, tags=tags, seconds=seconds)
+        return traffic, TagStats()  # no DRAM cache, no tag events
 
 
 class CachedBackend(_EpochSupport):
@@ -391,21 +390,7 @@ class CachedBackend(_EpochSupport):
             cache_managed=True,
         )
 
-    def _access(
-        self,
-        lines: np.ndarray,
-        kind: AccessKind,
-        ctx: AccessContext,
-        advance: bool,
-        weight: int,
-    ) -> AccessReport:
+    def _counts(self, lines: np.ndarray, kind: AccessKind) -> "tuple[Traffic, TagStats]":
         if kind is AccessKind.LLC_READ:
-            traffic, tags = self.cache.llc_read(lines)
-        else:
-            traffic, tags = self.cache.llc_write(lines)
-
-        if weight != 1:
-            traffic = traffic.scaled(weight)
-            tags = tags.scaled(weight)
-        seconds = self._account(traffic, tags, ctx, advance)
-        return AccessReport(traffic=traffic, tags=tags, seconds=seconds)
+            return self.cache.llc_read(lines)
+        return self.cache.llc_write(lines)

@@ -147,13 +147,23 @@ class Traffic:
         )
 
     def __iadd__(self, other: "Traffic") -> "Traffic":
-        self.dram_reads += other.dram_reads
-        self.dram_writes += other.dram_writes
-        self.nvram_reads += other.nvram_reads
-        self.nvram_writes += other.nvram_writes
-        self.demand_reads += other.demand_reads
-        self.demand_writes += other.demand_writes
+        self.add(other)
         return self
+
+    def add(self, other: "Traffic", weight: int = 1) -> None:
+        """Add ``other`` times ``weight`` in place.
+
+        An access charges its epoch this way, weighted by its sampling
+        stride: simulating every ``weight``-th line and multiplying the
+        traffic reproduces the full workload's statistics (set conflicts
+        are residue-class symmetric in a direct-mapped cache).
+        """
+        self.dram_reads += other.dram_reads * weight
+        self.dram_writes += other.dram_writes * weight
+        self.nvram_reads += other.nvram_reads * weight
+        self.nvram_writes += other.nvram_writes * weight
+        self.demand_reads += other.demand_reads * weight
+        self.demand_writes += other.demand_writes * weight
 
     @property
     def dram_read_bytes(self) -> int:
@@ -194,25 +204,6 @@ class Traffic:
             return 0.0
         return self.total_accesses / self.demand_accesses
 
-    def scaled(self, weight: int) -> "Traffic":
-        """Traffic multiplied by an integer sampling weight.
-
-        Used by stride-sampling executors: simulating every ``weight``-th
-        line and multiplying the traffic reproduces the full workload's
-        statistics (set conflicts are residue-class symmetric in a
-        direct-mapped cache).
-        """
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        return Traffic(
-            self.dram_reads * weight,
-            self.dram_writes * weight,
-            self.nvram_reads * weight,
-            self.nvram_writes * weight,
-            self.demand_reads * weight,
-            self.demand_writes * weight,
-        )
-
 
 @dataclass
 class TagStats:
@@ -251,11 +242,15 @@ class TagStats:
         )
 
     def __iadd__(self, other: "TagStats") -> "TagStats":
-        self.hits += other.hits
-        self.clean_misses += other.clean_misses
-        self.dirty_misses += other.dirty_misses
-        self.ddo_writes += other.ddo_writes
+        self.add(other)
         return self
+
+    def add(self, other: "TagStats", weight: int = 1) -> None:
+        """Add ``other`` times ``weight`` in place (see :meth:`Traffic.add`)."""
+        self.hits += other.hits * weight
+        self.clean_misses += other.clean_misses * weight
+        self.dirty_misses += other.dirty_misses * weight
+        self.ddo_writes += other.ddo_writes * weight
 
     @property
     def checks(self) -> int:
@@ -268,17 +263,6 @@ class TagStats:
     @property
     def misses(self) -> int:
         return self.clean_misses + self.dirty_misses
-
-    def scaled(self, weight: int) -> "TagStats":
-        """Tag stats multiplied by an integer sampling weight."""
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        return TagStats(
-            hits=self.hits * weight,
-            clean_misses=self.clean_misses * weight,
-            dirty_misses=self.dirty_misses * weight,
-            ddo_writes=self.ddo_writes * weight,
-        )
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,9 @@ class WorkerPool:
         self.threads = threads
         self._stop = threading.Event()
         self._merge_lock = threading.Lock()
+        #: Held from a job's pipe creation until the parent has closed
+        #: the child's end, so no sibling forks inside that window.
+        self._fork_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
 
     # -- lifecycle ---------------------------------------------------
@@ -154,14 +157,18 @@ class WorkerPool:
         self, job: Job, fn: Callable[..., ExperimentResult], kwargs: Dict[str, Any]
     ) -> Tuple[ExperimentResult, Optional[_WorkerTelemetry]]:
         context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main,
-            args=(child_conn, fn, kwargs),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        # A sibling worker forking between this pipe's creation and the
+        # close below would hand its child a copy of the write end, and
+        # this job's crash would surface only when that child exited.
+        with self._fork_lock:
+            parent_conn, child_conn = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_child_main,
+                args=(child_conn, fn, kwargs),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
         deadline = (
             None
             if job.request.timeout is None

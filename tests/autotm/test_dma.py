@@ -49,6 +49,26 @@ class TestAsyncExecution:
         assert result.move_traffic.nvram_reads > 0
         assert result.traffic.nvram_reads >= result.move_traffic.nvram_reads
 
+    def test_move_traffic_is_what_the_moves_charged(self, platform, setup, monkeypatch):
+        """Moves run between kernels, outside any epoch, so each charges
+        the counter bank at once: the bank ends holding the kernels'
+        epochs plus exactly the move traffic the result reports."""
+        from repro.autotm import dma
+
+        made = []
+        real = dma.FlatBackend
+
+        def build(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(dma, "FlatBackend", build)
+        training, plan = setup
+        result = execute_autotm_async(training, plan, platform, sample_stride=16)
+        (backend,) = made
+        assert result.move_traffic.demand_accesses > 0
+        assert backend.counters.traffic == result.traffic
+
     def test_stash_restore_balanced(self, platform, setup):
         training, plan = setup
         result = execute_autotm_async(training, plan, platform, sample_stride=16)

@@ -467,6 +467,11 @@ def test_collision_free_batches_take_no_grouping_sort(grouping_sorts, make_cache
     assert sum(grouping_sorts.values()) >= 1
 
 
+def memoized(cache, lines):
+    """The grouping ``cache``'s segmenter holds for the frozen ``lines``."""
+    return cache._segmenter._memo[id(lines)][1]
+
+
 @pytest.mark.parametrize("make_cache,make_batch", SORTLESS_CASES)
 def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_batch):
     """The collision-free closed forms read only the batch and its set
@@ -478,7 +483,7 @@ def test_collision_free_closed_forms_build_no_grouping_arrays(make_cache, make_b
     batch.flags.writeable = False  # the segmenter keeps its grouping
     cache.llc_read(batch)
     cache.llc_write(batch)
-    seg = cache._segmenter._last[1]
+    seg = memoized(cache, batch)
     assert seg.collision_free
     assert all(built is None for built in (seg._order, seg._first_pos, seg._last_pos))
 
@@ -637,7 +642,7 @@ def test_contiguous_batches_match_the_oracle(make_cache, make_oracle, steps):
             assert got == want, f"counters diverged ({context}): {got} vs {want}"
             assert full_state(cache) == oracle_state(oracle), f"state diverged ({context})"
         if step[0] == "rmw":
-            seg = cache._segmenter._last[1]
+            seg = memoized(cache, lines)
             assert isinstance(seg.index, slice) == (start % CONTIGUOUS_SETS + n <= CONTIGUOUS_SETS)
 
 

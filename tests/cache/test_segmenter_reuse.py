@@ -2,13 +2,17 @@
 
 The trace replay engine alternates fetch-read and write-back phases
 over the *same* frozen line vector (the put read-modify-write shape),
-which hits the :class:`~repro.cache.engine.BatchSegmenter` reuse path:
-the write pass gets the read pass's segmentation instead of a fresh
-argsort.  These tests pin the contract that reuse is purely a
-performance trick — traffic, tags, and full cache state stay bit-exact
-against a twin cache fed fresh writeable copies (which can never
-reuse), across many alternating phases.
+and the CNN executors read a tensor again in later kernels, which hits
+the :class:`~repro.cache.engine.BatchSegmenter` memo: every pass after
+the first gets the first pass's grouping instead of a fresh argsort.
+These tests pin the contract that reuse is purely a performance trick —
+traffic, tags, and full cache state stay bit-exact against a twin cache
+fed fresh writeable copies (which can never reuse), across many
+alternating phases — and that a grouping lives exactly as long as its
+frozen vector.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -89,21 +93,78 @@ class TestReusedSegmentationIsBitExact:
             assert_same_state(reused, fresh)
 
 
+def frozen(values):
+    lines = np.asarray(values, dtype=np.int64)
+    lines.flags.writeable = False
+    return lines
+
+
 class TestSegmenterContract:
     def test_frozen_vector_shares_one_segmentation(self):
         cache = DirectMappedCache(64 * KiB)
-        lines = np.arange(0, 8192, 3, dtype=np.int64) % 4096
-        lines.flags.writeable = False
-        first = cache._segment(lines)
-        second = cache._segment(lines)
+        lines = frozen(np.arange(0, 8192, 3) % 4096)
+        first_lines, first = cache._segmenter.segment(lines)
+        second_lines, second = cache._segmenter.segment(lines)
         assert first is second
+        assert first_lines is second_lines is lines
 
     def test_writeable_vector_is_never_cached(self):
         cache = DirectMappedCache(64 * KiB)
         lines = np.arange(0, 8192, 3, dtype=np.int64) % 4096
-        first = cache._segment(lines)
-        second = cache._segment(lines)
+        _, first = cache._segmenter.segment(lines)
+        _, second = cache._segmenter.segment(lines)
         assert first is not second
+        cache.llc_read(lines)
+        cache.llc_write(lines)
+        assert cache._segmenter._memo == {}
+
+    @pytest.mark.parametrize("name,factory", MODELS, ids=[m[0] for m in MODELS])
+    def test_entry_leaves_the_memo_when_its_vector_is_collected(self, name, factory):
+        cache = factory()
+        kept = frozen(np.arange(100, 2100, 7) % 3072)
+        dropped = frozen(np.arange(0, 4096, 3) % 3072)
+        cache.llc_read(kept)
+        cache.llc_write(dropped)
+        assert set(cache._segmenter._memo) == {id(kept), id(dropped)}
+        del dropped
+        gc.collect()
+        assert set(cache._segmenter._memo) == {id(kept)}
+        del kept
+        gc.collect()
+        assert cache._segmenter._memo == {}
+
+    def test_vector_read_again_after_others_gets_its_grouping_back(self, monkeypatch):
+        """A frozen vector read again after other vectors, frozen and
+        writeable, gets the identical grouping back, and neither its set
+        indices nor its validation are computed again."""
+        from repro.cache import engine
+
+        cache = DirectMappedCache(64 * KiB)
+        tensor = frozen(np.arange(0, 8192, 3) % 4096)
+        _, grouping = cache._segmenter.segment(tensor)
+        others = [frozen(np.arange(5, 900, 2)), np.arange(40, 4000, 5, dtype=np.int64)]
+        for lines in others:
+            cache.llc_read(lines)
+            cache.llc_write(lines)
+        set_indices, validations = [], []
+        real_set_index, real_as_lines = engine.BatchSegmenter._set_index, engine.as_lines
+
+        def spy_set_index(self, lines):
+            set_indices.append(lines.size)
+            return real_set_index(self, lines)
+
+        def spy_as_lines(lines):
+            validations.append(np.size(lines))
+            return real_as_lines(lines)
+
+        monkeypatch.setattr(engine.BatchSegmenter, "_set_index", spy_set_index)
+        monkeypatch.setattr(engine, "as_lines", spy_as_lines)
+        assert cache._segmenter.segment(tensor)[1] is grouping
+        cache.llc_read(tensor)
+        cache.llc_write(tensor)
+        assert set_indices == [] and validations == []
+        cache.llc_read(others[1])  # writeable: validated and indexed again
+        assert set_indices == validations == [others[1].size]
 
     def test_replay_put_batches_exercise_reuse(self):
         """The replay engine's all-put batches really hit the reuse path."""
@@ -129,9 +190,9 @@ class TestSegmenterContract:
                 self._inner = inner
 
             def segment(self, lines, keys=None):
-                seg = self._inner.segment(lines, keys)
+                lines, seg = self._inner.segment(lines, keys)
                 seen.append(seg)
-                return seg
+                return lines, seg
 
         backend.cache._segmenter = SpySegmenter(backend.cache._segmenter)
         ctx = AccessContext(threads=4, pattern=Pattern.RANDOM)

@@ -1,6 +1,7 @@
 """Tests for the 1LM and 2LM memory backends."""
 
 import contextlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from repro.cache import (
 from repro.config import default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
 from repro.memsys import backends as backends_module
-from repro.memsys.backends import AccessReport
 from repro.perf.counters import AccessContext, AccessKind, TagStats, Traffic
 from repro.traces.replay import MODEL_FACTORIES
 from repro.units import KiB
@@ -40,30 +40,27 @@ def cached(platform):
 
 
 class TestFlatBackend:
+    """Outside an epoch an access charges the counter bank at once, so a
+    fresh backend's bank holds exactly its first access's traffic."""
+
     def test_routes_by_address(self, flat):
-        report = flat.access(
-            np.array([0, 500, 1500]), AccessKind.LLC_READ, AccessContext()
-        )
-        assert report.traffic.dram_reads == 2
-        assert report.traffic.nvram_reads == 1
-        assert report.traffic.demand_reads == 3
+        flat.access(np.array([0, 500, 1500]), AccessKind.LLC_READ, AccessContext())
+        assert flat.counters.traffic.dram_reads == 2
+        assert flat.counters.traffic.nvram_reads == 1
+        assert flat.counters.traffic.demand_reads == 3
 
     def test_writes_route_too(self, flat):
-        report = flat.access(
-            np.array([999, 1000]), AccessKind.LLC_WRITE, AccessContext()
-        )
-        assert report.traffic.dram_writes == 1
-        assert report.traffic.nvram_writes == 1
+        flat.access(np.array([999, 1000]), AccessKind.LLC_WRITE, AccessContext())
+        assert flat.counters.traffic.dram_writes == 1
+        assert flat.counters.traffic.nvram_writes == 1
 
     def test_no_amplification(self, flat):
-        report = flat.access(
-            np.arange(2000), AccessKind.LLC_READ, AccessContext()
-        )
-        assert report.traffic.amplification == 1.0
+        flat.access(np.arange(2000), AccessKind.LLC_READ, AccessContext())
+        assert flat.counters.traffic.amplification == 1.0
 
     def test_no_tag_events(self, flat):
-        report = flat.access(np.arange(10), AccessKind.LLC_READ, AccessContext())
-        assert report.tags.checks == 0
+        flat.access(np.arange(10), AccessKind.LLC_READ, AccessContext())
+        assert flat.counters.tags.checks == 0
 
     def test_advances_clock(self, flat):
         flat.access(np.arange(2000), AccessKind.LLC_READ, AccessContext())
@@ -85,17 +82,17 @@ class TestCachedBackend:
         assert cached.counters.tags.hits == 100
 
     def test_miss_amplification(self, cached):
-        report = cached.access(np.arange(100), AccessKind.LLC_READ, AccessContext())
-        assert report.traffic.amplification == 3.0  # Table I clean read miss
+        cached.access(np.arange(100), AccessKind.LLC_READ, AccessContext())
+        assert cached.counters.traffic.amplification == 3.0  # Table I clean read miss
 
     def test_slower_than_flat_on_misses(self, platform, cached):
         amap = AddressMap.nvram_only(10_000)
         flat = FlatBackend(platform, amap)
         lines = np.arange(10_000)
         ctx = AccessContext(threads=24)
-        flat_report = flat.access(lines, AccessKind.LLC_READ, ctx)
-        cached_report = cached.access(lines, AccessKind.LLC_READ, ctx)
-        assert cached_report.seconds > flat_report.seconds
+        flat.access(lines, AccessKind.LLC_READ, ctx)
+        cached.access(lines, AccessKind.LLC_READ, ctx)
+        assert cached.counters.time > flat.counters.time
 
 
 PRODUCTION_MODELS = [
@@ -141,14 +138,14 @@ class TestEpochs:
         lines = np.arange(50_000)
 
         serial = FlatBackend(platform, amap)
-        a = serial.access(lines, AccessKind.LLC_READ, ctx)
-        b = serial.access(lines, AccessKind.LLC_WRITE, ctx)
+        serial.access(lines, AccessKind.LLC_READ, ctx)
+        serial.access(lines, AccessKind.LLC_WRITE, ctx)
 
         pooled = FlatBackend(platform, amap)
         with pooled.epoch(ctx) as epoch:
             pooled.access(lines, AccessKind.LLC_READ, ctx)
             pooled.access(lines, AccessKind.LLC_WRITE, ctx)
-        assert epoch.seconds < a.seconds + b.seconds
+        assert epoch.seconds < serial.counters.time
 
     def test_roofline_compute_floor(self, cached):
         ctx = AccessContext()
@@ -173,6 +170,16 @@ class TestEpochs:
         with cached.epoch(ctx) as epoch:
             cached.access(np.arange(5), AccessKind.LLC_READ, ctx)
         assert epoch.traffic.demand_reads == 5
+
+    def test_epoch_that_raises_charges_its_traffic_but_no_time(self, cached):
+        ctx = AccessContext()
+        with pytest.raises(ValueError):
+            with cached.epoch(ctx) as epoch:
+                cached.access(np.arange(10), AccessKind.LLC_READ, ctx)
+                raise ValueError("boom")
+        assert cached.counters.traffic == epoch.traffic
+        assert cached.counters.traffic.demand_reads == 10
+        assert cached.counters.time == 0.0
 
     def test_negative_compute_rejected(self, cached):
         with cached.epoch(AccessContext()) as epoch:
@@ -232,28 +239,30 @@ def request_stream(order, length):
     return [(rng.integers(0, 5000, size=length, dtype=np.int64), k) for k in kinds]
 
 
+def charged(backend, epoch):
+    """What accesses have charged so far: the open epoch's pooled traffic,
+    or, outside an epoch, the counter bank and its clock."""
+    if epoch is not None:
+        return epoch.traffic.copy(), epoch.tags.copy(), 0.0
+    return counter_state(backend)
+
+
 def replay(backend, stream, mode, weight, sliced):
     """Feed ``stream`` through ``backend``: each vector whole, or (when
-    ``sliced``) one call per ``CAP``-line slice.  Returns one report per
-    vector, its calls' reports summed, and the epoch if one was open."""
+    ``sliced``) one call per ``CAP``-line slice.  Returns what each vector
+    charged (its calls' charges together), and the epoch if one was open."""
     ctx = AccessContext(threads=8)
-    reports = []
+    charges = []
     with contextlib.ExitStack() as stack:
         epoch = stack.enter_context(backend.epoch(ctx)) if mode == "epoch" else None
         for lines, kind in stream:
             parts = [lines[b : b + CAP] for b in range(0, lines.size, CAP)] if sliced else [lines]
-            calls = [
+            traffic, tags, time = charged(backend, epoch)
+            for part in parts:
                 backend.access(part, kind, ctx, advance=mode != "no_advance", weight=weight)
-                for part in parts
-            ]
-            reports.append(
-                AccessReport(
-                    traffic=sum((call.traffic for call in calls), Traffic()),
-                    tags=sum((call.tags for call in calls), TagStats()),
-                    seconds=sum(call.seconds for call in calls),
-                )
-            )
-    return reports, epoch
+            now_traffic, now_tags, now_time = charged(backend, epoch)
+            charges.append((now_traffic.sub(traffic), now_tags.sub(tags), now_time - time))
+    return charges, epoch
 
 
 @pytest.mark.usefixtures("small_cap")
@@ -265,12 +274,13 @@ def replay(backend, stream, mode, weight, sliced):
 def test_long_vector_equals_its_slices(platform, name, order, length, weight, mode):
     """One ``access`` of a vector longer than the cap leaves the counters
     and the model exactly as a twin fed its slices one call at a time,
-    and reports the slices' sum."""
+    and charges the epoch, or the counter bank and clock, the slices'
+    sum."""
     stream = request_stream(order, length)
     whole, twin = make_backend(platform, name), make_backend(platform, name)
-    whole_reports, whole_epoch = replay(whole, stream, mode, weight, sliced=False)
-    twin_reports, twin_epoch = replay(twin, stream, mode, weight, sliced=True)
-    assert whole_reports == twin_reports
+    whole_charges, whole_epoch = replay(whole, stream, mode, weight, sliced=False)
+    twin_charges, twin_epoch = replay(twin, stream, mode, weight, sliced=True)
+    assert whole_charges == twin_charges
     assert counter_state(whole) == counter_state(twin)
     assert model_state(whole) == model_state(twin)
     if mode == "epoch":
@@ -325,3 +335,88 @@ def test_invalid_vectors_raise_on_either_side_of_the_cap(platform, name, lines):
         backend.access(lines, AccessKind.LLC_READ, AccessContext())
     assert counter_state(backend) == (Traffic(), TagStats(), 0.0)
     assert model_state(backend) == before
+
+
+# -- charging: the epoch per access, the counter bank per epoch -------------
+
+CACHED_BACKENDS = [*sorted(MODEL_FACTORIES), "no_ddo"]
+
+
+def times(counts, weight):
+    """``counts`` with every field multiplied by ``weight``."""
+    return type(counts)(**{f.name: getattr(counts, f.name) * weight for f in fields(counts)})
+
+
+def random_mix(rng, runs=8):
+    """Runs of accesses, each in one epoch or outside epochs, with
+    ``advance`` on or off.  Vectors are random; some are frozen and read
+    or written again by later accesses, as a kernel re-reads a tensor."""
+    frozen, mix = [], []
+    for _ in range(runs):
+        where = str(rng.choice(["epoch", "advance", "no_advance"]))
+        accesses = []
+        for _ in range(int(rng.integers(1, 5))):
+            if frozen and rng.random() < 0.4:
+                lines = frozen[int(rng.integers(len(frozen)))]
+            else:
+                lines = rng.integers(0, 5000, size=int(rng.integers(0, 400)), dtype=np.int64)
+                if rng.random() < 0.5:
+                    lines.flags.writeable = False
+                    frozen.append(lines)
+            kind = AccessKind.LLC_READ if rng.random() < 0.5 else AccessKind.LLC_WRITE
+            accesses.append((lines, kind, bool(rng.random() < 0.5)))
+        mix.append((where, accesses))
+    return mix
+
+
+@pytest.mark.parametrize("name", CACHED_BACKENDS)
+@pytest.mark.parametrize("weight", [1, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_access_charges_its_weighted_model_counts(platform, name, weight, seed):
+    """Over random mixes of reads and writes, in epochs and outside them
+    with ``advance`` on and off, each epoch's Traffic/TagStats, the final
+    counter bank and the clock equal the sums of a twin model's own
+    ``llc_read``/``llc_write`` returns times the weight.  Inside an epoch
+    the bank does not move until the epoch closes."""
+    backend = make_backend(platform, name)
+    model = make_backend(platform, name).cache  # answers each batch directly
+    ctx = AccessContext(threads=8)
+    traffic, tags, clock = Traffic(), TagStats(), 0.0
+    for where, accesses in random_mix(np.random.default_rng(seed)):
+        if where == "epoch":
+            pooled_traffic, pooled_tags = Traffic(), TagStats()
+            with backend.epoch(ctx) as epoch:
+                before = counter_state(backend)
+                for lines, kind, advance in accesses:
+                    backend.access(lines, kind, ctx, advance=advance, weight=weight)
+                    request = model.llc_read if kind is AccessKind.LLC_READ else model.llc_write
+                    counts, tag_counts = request(lines)
+                    pooled_traffic += times(counts, weight)
+                    pooled_tags += times(tag_counts, weight)
+                assert counter_state(backend) == before
+            assert (epoch.traffic, epoch.tags) == (pooled_traffic, pooled_tags)
+            breakdown = backend.timing.breakdown(pooled_traffic, ctx)
+            assert epoch.seconds == max(breakdown.elapsed, breakdown.nvram_device)
+            traffic += pooled_traffic
+            tags += pooled_tags
+            clock += epoch.seconds
+            continue
+        for lines, kind, _ in accesses:
+            backend.access(lines, kind, ctx, advance=where == "advance", weight=weight)
+            request = model.llc_read if kind is AccessKind.LLC_READ else model.llc_write
+            counts, tag_counts = request(lines)
+            traffic += times(counts, weight)
+            tags += times(tag_counts, weight)
+            if where == "advance":
+                clock += backend.timing.elapsed(times(counts, weight), ctx)
+            assert counter_state(backend) == (traffic, tags, clock)
+    assert counter_state(backend) == (traffic, tags, clock)
+    assert model_state(backend) == model_state(CachedBackend(platform, model))
+
+
+def test_negative_weight_is_refused_before_the_model_runs(cached):
+    before = model_state(cached)
+    with pytest.raises(ValueError):
+        cached.access(np.arange(10), AccessKind.LLC_READ, AccessContext(), weight=-1)
+    assert model_state(cached) == before
+    assert counter_state(cached) == (Traffic(), TagStats(), 0.0)

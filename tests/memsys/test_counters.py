@@ -52,7 +52,7 @@ class TestTraffic:
 
 @pytest.mark.parametrize("cls", [Traffic, TagStats])
 def test_arithmetic_covers_every_field(cls):
-    """+, +=, sub, scaled and copy carry every dataclass field
+    """+, +=, sub, add and copy carry every dataclass field
     to its own slot, so a field added later cannot be dropped silently
     by the unrolled arithmetic."""
     names = [f.name for f in fields(cls)]
@@ -67,11 +67,13 @@ def test_arithmetic_covers_every_field(cls):
 
     assert values(a + b) == each(lambda x, y: x + y)
     assert values(a.sub(b)) == each(lambda x, y: x - y)
-    assert values(a.scaled(3)) == each(lambda x, _: 3 * x)
     copy = a.copy()
     assert copy is not a and values(copy) == values(a)
     copy += b
     assert values(copy) == each(lambda x, y: x + y)
+    copy = a.copy()
+    copy.add(b, 3)
+    assert values(copy) == each(lambda x, y: x + 3 * y)
     assert values(a) == {name: 10**i for i, name in enumerate(names, 1)}  # untouched
 
 

@@ -2,11 +2,13 @@
 
 import contextlib
 import json
+import multiprocessing
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPResponse
 from urllib.parse import urlsplit
 
@@ -379,3 +381,73 @@ class TestServeSmoke:
         )
         assert status == 202
         assert poll_until_done(base, accepted["job"]["id"])["state"] == "succeeded"
+
+
+class TestSaturatedQueue:
+    """Backpressure under concurrent submits: one worker is held on a job
+    while parallel clients POST more distinct jobs than the queue holds."""
+
+    CAPACITY = 4
+    CLIENTS = 24
+
+    def test_concurrent_submits_fill_the_queue_and_the_rest_get_429(self, tmp_path):
+        # Created before any job forks, so the held job's child shares it.
+        gate = multiprocessing.get_context("fork").Event()
+
+        def gated(quick=False, n=0):
+            if n == 0:
+                gate.wait(POLL_DEADLINE)
+            result = ExperimentResult(name="gated", title="gated")
+            result.data = {"n": n}
+            return result
+
+        store_root = tmp_path / "store"
+        service = SimulationService(
+            ResultStore(store_root),
+            JobQueue(capacity=self.CAPACITY),
+            experiments={"gated": gated},
+            workers=1,
+            salt="g" * 16,
+        )
+
+        def post(n):
+            return http(
+                "POST", f"{base}/jobs", {"experiment": "gated", "quick": True, "params": {"n": n}}
+            )
+
+        with serving(service) as base:
+            service.start()
+            try:
+                status, held = post(0)
+                assert status == 202
+                for _ in range(int(POLL_DEADLINE / 0.01)):  # the worker claims it
+                    state = http("GET", f"{base}/jobs/{held['job']['id']}")[1]["state"]
+                    if state == "running":
+                        break
+                    time.sleep(0.01)
+                assert state == "running"
+                with ThreadPoolExecutor(8) as pool:
+                    replies = list(pool.map(post, range(1, self.CLIENTS + 1)))
+
+                assert {status for status, _ in replies} <= {202, 429}
+                accepted = [body for status, body in replies if status == 202]
+                refused = [body for status, body in replies if status == 429]
+                assert len(accepted) == self.CAPACITY
+                assert len(refused) == self.CLIENTS - self.CAPACITY
+                assert all(body["status"] == "accepted" for body in accepted)
+                assert all(body["queue_depth"] == self.CAPACITY for body in refused)
+
+                gate.set()
+                for body in [held, *accepted]:
+                    assert poll_until_done(base, body["job"]["id"])["state"] == "succeeded"
+                service.shutdown(drain=True, timeout=10.0)
+            finally:
+                gate.set()
+                if not service.queue.closed:
+                    service.shutdown(drain=False, timeout=10.0)
+
+        keys = [body["key"] for body in [held, *accepted]]
+        assert all(service.store.get(key) is not None for key in keys)
+        lines = (store_root / "index.jsonl").read_text().splitlines()
+        indexed = [json.loads(line)["key"] for line in lines]
+        assert sorted(indexed) == sorted(keys)

@@ -3,10 +3,13 @@
 A job whose experiment outlives its timeout is killed, and a job whose
 child dies without a result surfaces as a failed attempt.  Either way
 the retry policy runs its course, the job ends ``FAILED``, and the
-worker thread that ran it goes on to serve the next job.
+worker thread that ran it goes on to serve the next job.  A crash is
+seen at once even while a sibling worker forks its own job's child.
 """
 
+import multiprocessing.context
 import os
+import threading
 import time
 
 import pytest
@@ -38,6 +41,11 @@ def crashing_experiment(quick=True):
 
 def tiny_experiment(quick=True):
     return ExperimentResult(name="tiny", title="tiny", data={"quick": quick})
+
+
+def two_second_experiment(quick=True):
+    time.sleep(2.0)
+    return ExperimentResult(name="two_seconds", title="two seconds", data={})
 
 
 @pytest.fixture
@@ -100,3 +108,52 @@ class TestWorkerFaults:
         assert counter(service, "repro_service_jobs_timed_out_total") == 0.0
         assert counter(service, "repro_service_jobs_failed_total") == 1.0
         assert_worker_serves_next_job(service)
+
+
+#: How long the crash job's fork waits for a sibling to fork first.
+FORK_WINDOW_SECONDS = 0.5
+
+
+def test_crash_is_reported_while_a_sibling_forks(tmp_path, monkeypatch):
+    """A worker creates its job's pipe, forks the child and closes its own
+    copy of the pipe's write end.  A sibling worker that forked inside
+    that window would hand its child another copy, so the crash would
+    show only when the sibling's 2 s job ended.  Here the crash job's
+    fork waits for the sibling to fork first (up to
+    ``FORK_WINDOW_SECONDS``); the crash must still be reported within
+    1 s of its submission."""
+    window_open, sibling_forked = threading.Event(), threading.Event()
+    real_start = multiprocessing.context.ForkProcess.start
+    starts = []
+
+    def start(process):
+        starts.append(process)
+        if len(starts) == 1:  # the crash job's child
+            window_open.set()
+            sibling_forked.wait(FORK_WINDOW_SECONDS)
+            real_start(process)
+        else:
+            real_start(process)
+            sibling_forked.set()
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    service = SimulationService(
+        ResultStore(tmp_path / "store"),
+        experiments={"crash": crashing_experiment, "two_seconds": two_second_experiment},
+        workers=2,
+        retry=RetryPolicy(max_retries=0),
+        salt="f" * 16,
+    )
+    service.start()
+    try:
+        crash = service.submit("crash", quick=True).job
+        assert window_open.wait(5.0)
+        sibling = service.submit("two_seconds", quick=True).job
+        wait_until_done(crash)
+        assert crash.state is JobState.FAILED
+        assert "died without a result (exit code 3)" in crash.error
+        assert crash.finished_at - crash.submitted_at < 1.0
+        wait_until_done(sibling)
+        assert sibling.state is JobState.SUCCEEDED
+    finally:
+        service.shutdown(drain=False, timeout=5.0)

@@ -71,7 +71,8 @@ class TestTimingProperties:
     @given(traffic=traffics(), weight=st.integers(min_value=0, max_value=100))
     @settings(max_examples=100, deadline=None)
     def test_traffic_scaling_linear(self, traffic, weight):
-        scaled = traffic.scaled(weight)
+        scaled = Traffic()
+        scaled.add(traffic, weight)
         assert scaled.total_accesses == traffic.total_accesses * weight
         assert scaled.demand_accesses == traffic.demand_accesses * weight
 
