@@ -12,6 +12,11 @@ A solve is two steps: :func:`ilp_solution` runs HiGHS and returns its
 outputs as plain data, and :func:`decode` reads a plan out of them.
 Between the two, the outputs can cross a process boundary, which a plan
 cannot; :func:`release_threads` makes a process safe to fork for that.
+
+scipy is imported by the two functions that use it, not with this
+module: only AutoTM's placement solves an ILP, and every other process
+that imports the package (trace replay, the cache studies, the CLIs,
+the service) would pay the import and its memory for nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.autotm.model import (
     MODE_INDEX,
@@ -32,11 +35,6 @@ from repro.autotm.model import (
 )
 from repro.errors import InvariantError, SolverError
 from repro.nn.ir import Tensor
-
-try:  # scipy >= 1.15 binds HiGHS through highspy
-    from scipy.optimize._highspy._core import _Highs
-except ImportError:  # older scipy: no handle on HiGHS's threads
-    _Highs = None
 
 #: Wall-clock cap on one solve, in seconds.
 TIME_LIMIT_S = 120.0
@@ -57,8 +55,13 @@ def release_threads() -> bool:
     the next solve, here or in a child, starts a scheduler of its own.
     Returns False where scipy offers no way to do this; then no solve
     may be forked.
+
+    Either way it loads ``scipy.optimize``, so a child forked after it
+    inherits the solver instead of importing it again.
     """
-    if _Highs is None:
+    try:  # scipy >= 1.15 binds HiGHS through highspy
+        from scipy.optimize._highspy._core import _Highs
+    except ImportError:  # older scipy: no handle on HiGHS's threads
         return False
     _Highs.resetGlobalScheduler(True)  # blocking: returns once the workers have exited
     return True
@@ -98,7 +101,10 @@ class IlpSolution:
 
 
 def ilp_solution(problem: PlacementProblem, time_limit: float = TIME_LIMIT_S) -> IlpSolution:
-    """Build the placement ILP and run HiGHS on it."""
+    """Build the placement ILP and run HiGHS on it (the first call loads scipy)."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     variables = _variables(problem)
     n = len(variables)
     if not n:

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.autotm.ilp import release_threads
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, registered_names, run_experiment
@@ -205,6 +206,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.queue_capacity < 1:
         parser.error(f"--queue-capacity must be >= 1, got {args.queue_capacity}")
+    if not 0 <= args.port <= 65535:
+        parser.error(f"--port must be in 0..65535, got {args.port}")
 
     if args.log_level:
         try:
@@ -249,7 +252,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if len(to_run) > 1 and args.jobs > 1:
             # 'all': the experiment list is itself a sweep — dispatch
             # whole experiments across the pool (inner sweeps stay
-            # serial so the machine isn't oversubscribed).
+            # serial so the machine isn't oversubscribed).  The ILP
+            # solver loads here, before the pool forks, so no worker
+            # pays its import on a first solve: that delay would
+            # reshuffle which worker takes which experiment, and
+            # experiments that share a worker share its memoized runs.
+            release_threads()
             spec = SweepSpec.grid(
                 "experiments",
                 _run_named,

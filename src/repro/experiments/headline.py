@@ -280,6 +280,7 @@ def _table2(data: Mapping[str, Any]) -> Dict[str, float]:
     return {
         **speedups,
         **_spread(data, "nvram_traffic_ratio"),
+        **_spread(data, "mip_gap"),  # absent where a plan is greedy
         **_collect([*dram, ("densenet264_over_inception_v4_speedup", ordering)]),
     }
 

@@ -12,7 +12,7 @@ service layer can schedule the table like any figure.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.autotm_common import run_2lm, run_autotm
@@ -23,6 +23,10 @@ from repro.perf.report import render_table
 from repro.units import CACHE_LINE, GB
 
 NETWORKS = ("inception_v4", "resnet200", "densenet264")
+#: The chosen AutoTM plan's solver statistics that each row carries:
+#: the ILP objective and HiGHS's gap, dual bound and node count
+#: (``None`` where the plan is greedy).
+PLAN_STATS = ("objective_seconds", "mip_gap", "mip_dual_bound", "mip_node_count")
 
 
 def _gb(lines: int, scale: float) -> float:
@@ -39,13 +43,15 @@ def _counts(traffic: Traffic) -> Dict[str, int]:
     }
 
 
-def network_point(network: str, quick: bool) -> Dict[str, Dict[str, float]]:
-    """One grid point: 2LM and AutoTM line counts + runtime for one CNN."""
+def network_point(network: str, quick: bool) -> Dict[str, Dict[str, Optional[float]]]:
+    """One grid point: 2LM and AutoTM line counts + runtime for one CNN,
+    and the AutoTM plan's solver statistics."""
     cached = run_2lm(network, quick)
     autotm = run_autotm(network, quick)
     return {
         "2lm": {**_counts(cached.traffic), "seconds": cached.seconds},
         "autotm": {**_counts(autotm.traffic), "seconds": autotm.seconds},
+        "plan": {name: getattr(autotm.plan, name) for name in PLAN_STATS},
     }
 
 
@@ -68,7 +74,7 @@ def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
     )
     rows = []
     scale = cnn_platform_for(quick).scale_factor
-    data: Dict[str, Dict[str, float]] = {}
+    data: Dict[str, Dict[str, Optional[float]]] = {}
     for point, modes in zip(spec.points, values):
         network = point["network"]
         t2, ta = modes["2lm"], modes["autotm"]
@@ -103,6 +109,7 @@ def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
             "2lm_dram_gb": _gb(t2["dram_reads"] + t2["dram_writes"], scale),
             "autotm_dram_gb": _gb(ta["dram_reads"] + ta["dram_writes"], scale),
             "paper_speedup": PAPER_TABLE2[network]["speedup"],
+            **modes["plan"],
         }
 
     result.add(

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import sparse
 
 from repro.autotm import (
@@ -244,13 +245,14 @@ def loop_capacity_rows(problem):
 def test_ilp_capacity_rows_equal_the_scalar_loop(platform, monkeypatch, budget_fraction, stride):
     problem = build_problem(platform, budget_fraction, capacity_stride=stride)
     models = []
-    real_milp = ilp_module.milp
+    real_milp = scipy.optimize.milp
 
     def recording_milp(**kwargs):
         models.append(kwargs)
         return real_milp(**kwargs)
 
-    monkeypatch.setattr(ilp_module, "milp", recording_milp)
+    # ilp_solution imports milp from scipy.optimize at each call.
+    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
     solve_ilp(problem)
     (model,) = models
     _, capacity = model["constraints"]

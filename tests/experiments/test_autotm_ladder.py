@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-from repro.autotm import ilp
 from repro.autotm.ilp import IlpSolution
 from repro.config import default_platform
 from repro.errors import ConfigurationError
@@ -23,6 +22,16 @@ from repro.nn import build_training_graph
 from repro.nn.ops import GraphBuilder
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no os.fork")
+
+
+def highs_binding():
+    """Whether scipy binds HiGHS through highspy (scipy >= 1.15), so that
+    its worker threads can be stopped."""
+    try:
+        from scipy.optimize._highspy._core import _Highs  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 @pytest.fixture
@@ -215,7 +224,7 @@ print("executed", len(executed))
 
 
 @needs_fork
-@pytest.mark.skipif(ilp._Highs is None, reason="scipy exposes no HiGHS binding")
+@pytest.mark.skipif(not highs_binding(), reason="scipy exposes no HiGHS binding")
 def test_a_look_ahead_survives_highs_worker_threads():
     proc = subprocess.Popen(
         [sys.executable, "-c", WORKER_THREADS_SCRIPT],

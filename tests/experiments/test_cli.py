@@ -59,6 +59,21 @@ class TestCLI:
         assert "1/1 claims hold" in out
         assert out.index("=== check:") < out.index("=== table1:")  # printed in name order
 
+    def test_all_loads_the_solver_before_its_pool_forks(self, monkeypatch, capsys):
+        # Workers then inherit scipy, so no worker's first solve delays
+        # it and shifts which worker the next experiment goes to.
+        order = []
+        monkeypatch.setattr(cli, "registered_names", lambda: ["fig2", "table1"])
+        monkeypatch.setattr(cli, "release_threads", lambda: order.append("solver"))
+
+        def in_process(spec, jobs, _real=cli.run_sweep):
+            order.append(f"pool of {jobs}")
+            return _real(spec, jobs=1)
+
+        monkeypatch.setattr(cli, "run_sweep", in_process)
+        assert main(["all", "--quick", "--jobs", "2"]) == 0
+        assert order == ["solver", "pool of 2"]
+
     def test_metrics_file_is_written(self, tmp_path, capsys):
         path = tmp_path / "deep" / "m.prom"
         assert main(["table1", "--quick", "--metrics", str(path)]) == 0
@@ -68,6 +83,18 @@ class TestCLI:
     def test_bad_jobs_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig2", "--jobs", "0"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--port", "70000"), ("--port", "-5"), ("--workers", "0"), ("--queue-capacity", "0")],
+    )
+    def test_bad_serve_bounds_error_before_the_store_exists(self, tmp_path, capsys, flag, value):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--store", str(store), flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not store.exists()
 
     @pytest.mark.skipif(not fork_available(), reason="no fork")
     def test_jobs_flag_runs_sweep_experiments(self, capsys):

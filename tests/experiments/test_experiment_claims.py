@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.autotm import ilp
 from repro.experiments import run_experiment
-from repro.experiments import check
+from repro.experiments import check, table2
 from repro.experiments.check import CLAIMS, RELATIONS, Claim, evaluate, headlines
 
 
@@ -26,6 +27,12 @@ def quick_headlines():
 def test_claim(claim, quick_headlines):
     (verdict,) = evaluate([claim], quick_headlines)
     assert verdict.ok, f"{claim} ({claim.citation}): got {verdict.value}"
+
+
+@pytest.mark.parametrize("network", table2.NETWORKS)
+def test_table2_plans_are_ilp_plans_within_the_gap(network, quick_headlines):
+    # A greedy fallback records no gap, so the key would be missing.
+    assert 0 <= quick_headlines("table2")[f"{network}_mip_gap"] <= ilp.MIP_REL_GAP
 
 
 class TestSlack:
