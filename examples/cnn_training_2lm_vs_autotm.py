@@ -46,7 +46,6 @@ def main() -> None:
     print("Running one iteration in 2LM (after a warm-up iteration)...")
     cache = DirectMappedCache(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
-    execute_iteration(plan, backend)
     cached = execute_iteration(plan, backend)
 
     print("Solving AutoTM placement (scipy/HiGHS ILP) and re-running in 1LM...")

@@ -66,7 +66,6 @@ def run_variant(variant: str, quick: bool) -> Dict[str, float]:
 
     cache = factory(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
-    execute_iteration(plan, backend, sample_stride=stride)  # warm-up
     execution = execute_iteration(plan, backend, sample_stride=stride)
     traffic, tags = execution.traffic, execution.tags
     return {

@@ -42,7 +42,6 @@ def run_2lm(network: str, quick: bool = False) -> ExecutionResult:
     training, plan = training_setup(network, quick)
     cache = DirectMappedCache(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
-    execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
     return execute_iteration(plan, backend, sample_stride=CNN_STRIDE)
 
 

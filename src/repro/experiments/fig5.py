@@ -39,11 +39,7 @@ def iteration_snapshot(network: str, quick: bool) -> ExperimentResult:
     backend = CachedBackend(platform, cache)
     sampler = CounterSampler(backend.counters)
 
-    execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
-    sampler.discard()
-    execution = execute_iteration(
-        plan, backend, sample_stride=CNN_STRIDE, sampler=sampler
-    )
+    execution = execute_iteration(plan, backend, sample_stride=CNN_STRIDE, sampler=sampler)
     trace = sampler.trace()
 
     # Forward/backward boundary in virtual time.

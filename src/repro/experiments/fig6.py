@@ -45,7 +45,6 @@ def dense_block_snapshot(network: str, quick: bool) -> Dict[str, Dict[str, float
     cache = DirectMappedCache(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
 
-    execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
     execution = execute_iteration(plan, backend, sample_stride=CNN_STRIDE)
 
     # Aggregate forward-pass kernels by kind.

@@ -59,7 +59,6 @@ def mode_point(mode: str, quick: bool) -> Dict[str, float]:
     if mode == "2lm":
         cache = DirectMappedCache(platform.socket.dram_capacity)
         backend = CachedBackend(platform, cache)
-        execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
         cached = execute_iteration(plan, backend, sample_stride=CNN_STRIDE)
         traffic, seconds = cached.traffic, cached.seconds
         extra = {

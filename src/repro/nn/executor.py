@@ -1,6 +1,7 @@
 """Training-iteration executor: streams kernel tensor traffic line by line.
 
-One training iteration runs the planned schedule op by op.  Each kernel:
+:func:`execute_iteration` runs the planned schedule op by op, once to
+warm the backend and once recorded.  Each kernel:
 
 * reads every input tensor (LLC reads),
 * issues Read-For-Ownership reads for its outputs (ngraph kernels use
@@ -74,7 +75,7 @@ class KernelRecord:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one (or more) executed training iterations."""
+    """The records of one measured training iteration, in schedule order."""
 
     graph: Graph
     records: List[KernelRecord] = field(default_factory=list)
@@ -101,7 +102,7 @@ class ExecutionResult:
 class TensorAddresser:
     """Maps planned tensors to (sampled) line-address arrays."""
 
-    def __init__(self, plan: MemoryPlan, base_line: int, sample_stride: int) -> None:
+    def __init__(self, plan: MemoryPlan, sample_stride: int) -> None:
         if sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
         if plan.alignment % (sample_stride * CACHE_LINE):
@@ -110,7 +111,6 @@ class TensorAddresser:
                 f"sample_stride * CACHE_LINE = {sample_stride * CACHE_LINE}"
             )
         self.plan = plan
-        self.base_line = base_line
         self.sample_stride = sample_stride
         self._cache: Dict[Tensor, np.ndarray] = {}
 
@@ -119,22 +119,18 @@ class TensorAddresser:
 
         The array is cached and frozen, so the cache models may reuse
         one segmentation across every pass over the same tensor (the
-        RFO and the write-back of an output).
+        RFO and the write-back of an output, and both iterations).
         """
         cached = self._cache.get(tensor)
         if cached is not None:
             return cached
         offset = self.plan.offset_of(tensor)
-        first = self.base_line + offset // CACHE_LINE
+        first = offset // CACHE_LINE
         num_lines = -(-tensor.size_bytes // CACHE_LINE)
         lines = first + np.arange(0, num_lines, self.sample_stride, dtype=np.int64)
         lines.flags.writeable = False
         self._cache[tensor] = lines
         return lines
-
-    @property
-    def total_lines(self) -> int:
-        return -(-self.plan.total_bytes // CACHE_LINE)
 
 
 def compute_time(op: Op, peak_flops: float) -> float:
@@ -151,34 +147,39 @@ def execute_iteration(
     plan: MemoryPlan,
     backend: MemoryBackend,
     *,
-    threads: int = 24,
-    base_line: int = 0,
     sample_stride: int = 16,
     sampler: Optional[CounterSampler] = None,
-    iterations: int = 1,
 ) -> ExecutionResult:
-    """Run ``iterations`` training iterations of the planned graph."""
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
-    cpu = backend.timing.platform.socket.cpu
-    addresser = TensorAddresser(plan, base_line, sample_stride)
+    """Warm ``backend`` with one training iteration, then run and record one.
 
-    result = ExecutionResult(graph=plan.graph)
+    Only the second pass is recorded and sampled (one ``sampler`` point
+    per op), so its numbers are steady-state, as the paper's are.  Both
+    passes share one :class:`TensorAddresser`, so the second hands every
+    cache model the frozen line vectors it grouped in the first.
+    """
+    cpu = backend.timing.platform.socket.cpu
+    addresser = TensorAddresser(plan, sample_stride)
     contexts: Dict[int, AccessContext] = {}  # one per distinct stream count
-    for _ in range(iterations):
-        for op in plan.graph.ops:
-            # Streams at the memory controller: one per tensor read,
-            # two per output (RFO + write-back).
-            streams = max(1, len(op.inputs) + 2 * len(op.outputs))
-            ctx = contexts.get(streams)
-            if ctx is None:
-                ctx = contexts[streams] = AccessContext(
-                    threads=threads, pattern=Pattern.SEQUENTIAL, streams=streams
-                )
-            record = _run_op(op, addresser, backend, ctx, cpu, sample_stride)
-            result.records.append(record)
-            if sampler is not None:
-                sampler.sample(label=op.name)
+    kernels = []
+    for op in plan.graph.ops:
+        # Streams at the memory controller: one per tensor read,
+        # two per output (RFO + write-back).
+        streams = max(1, len(op.inputs) + 2 * len(op.outputs))
+        if streams not in contexts:
+            contexts[streams] = AccessContext(
+                threads=cpu.cores, pattern=Pattern.SEQUENTIAL, streams=streams
+            )
+        kernels.append((op, contexts[streams]))
+
+    for op, ctx in kernels:  # warm-up, unrecorded
+        _run_op(op, addresser, backend, ctx, cpu, sample_stride)
+    if sampler is not None:
+        sampler.discard()
+    result = ExecutionResult(graph=plan.graph)
+    for op, ctx in kernels:
+        result.records.append(_run_op(op, addresser, backend, ctx, cpu, sample_stride))
+        if sampler is not None:
+            sampler.sample(label=op.name)
     return result
 
 

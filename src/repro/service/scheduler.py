@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import obs
+from repro.autotm.ilp import release_threads
 from repro.errors import InvariantError, JobRejectedError
 from repro.experiments.base import ExperimentResult
 from repro.service.catalog import Catalog
@@ -355,6 +356,9 @@ class SimulationService:
         if self._started:
             raise InvariantError("service already started")
         self._started = True
+        # Jobs run in children forked from here: load the ILP solver once,
+        # so an AutoTM job's child inherits it (about 40 MB held here).
+        release_threads()
         self.workers.start()
         self._log.info(
             "service started: %d workers, queue capacity %d, salt %s",

@@ -210,9 +210,10 @@ class TestSegmenterContract:
     def test_executor_output_rfo_and_write_back_share_one_segmentation(
         self, monkeypatch
     ):
-        """An op's output tensor is read (RFO) and then written back; the
-        executor passes both the same frozen line array, so the pair
-        costs one segmentation."""
+        """An op's output tensor is read (RFO) and then written back, in
+        the warm-up and again in the measured iteration; the executor
+        passes all four the same frozen line array, so the run costs one
+        segmentation."""
         from repro.cache import engine
         from repro.config import default_platform
         from repro.memsys import CachedBackend
@@ -242,5 +243,5 @@ class TestSegmenterContract:
 
         monkeypatch.setattr(engine.BatchSegmenter, "segment", counting_method)
         execute_iteration(plan, backend, sample_stride=1)
-        assert segmenter_calls == [4096, 4096]  # RFO, then write-back
+        assert segmenter_calls == [4096] * 4  # RFO, then write-back, twice
         assert segmentations == [4096]

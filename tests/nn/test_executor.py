@@ -11,6 +11,8 @@ from repro.nn import build_training_graph, execute_iteration, plan_memory
 from repro.nn.executor import TensorAddresser, compute_time
 from repro.nn.ir import OpKind
 from repro.nn.ops import GraphBuilder
+from repro.perf import CounterSampler
+from repro.perf.counters import TagStats, Traffic
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +31,11 @@ def small_training_setup():
     return training, plan
 
 
-def run_once(platform, sample_stride=16, iterations=1):
+def run_once(platform, sample_stride=16):
     training, plan = small_training_setup()
     cache = DirectMappedCache(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
-    return execute_iteration(
-        plan, backend, sample_stride=sample_stride, iterations=iterations
-    ), training, plan
+    return execute_iteration(plan, backend, sample_stride=sample_stride), training, plan
 
 
 class TestExecution:
@@ -68,17 +68,21 @@ class TestExecution:
         sgd = [r for r in result.records if r.op.kind is OpKind.SGD_UPDATE][0]
         assert sgd.traffic.demand_writes > 0
 
-    def test_iterations_multiply(self, platform):
-        one, _, _ = run_once(platform, iterations=1)
-        two, _, _ = run_once(platform, iterations=2)
-        assert len(two.records) == 2 * len(one.records)
-
-    def test_rejects_zero_iterations(self, platform):
-        training, plan = small_training_setup()
-        cache = DirectMappedCache(platform.socket.dram_capacity)
-        backend = CachedBackend(platform, cache)
-        with pytest.raises(ConfigurationError):
-            execute_iteration(plan, backend, iterations=0)
+    def test_sampler_sees_only_the_measured_iteration(self, platform):
+        _, plan = small_training_setup()
+        backend = CachedBackend(platform, DirectMappedCache(platform.socket.dram_capacity))
+        sampler = CounterSampler(backend.counters)
+        result = execute_iteration(plan, backend, sampler=sampler)
+        points = sampler.trace().points
+        assert [p.label for p in points] == [op.name for op in plan.graph.ops]
+        # The warm-up ran first, but none of its traffic is in a point.
+        assert points[0].start == result.records[0].start > 0
+        traffic, tags = Traffic(), TagStats()
+        for point in points:
+            traffic += point.traffic
+            tags += point.tags
+        assert traffic == result.traffic
+        assert tags == result.tags
 
 
 class TestStrideSampling:
@@ -124,7 +128,7 @@ class TestComputeTime:
 class TestTensorAddresser:
     def test_lines_cover_tensor(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1)
+        addresser = TensorAddresser(plan, sample_stride=1)
         tensor = plan.graph.activations[0]
         lines = addresser.lines(tensor)
         assert lines.size == -(-tensor.size_bytes // 64)
@@ -132,7 +136,7 @@ class TestTensorAddresser:
 
     def test_disjoint_concurrent_tensors_have_disjoint_lines(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1)
+        addresser = TensorAddresser(plan, sample_stride=1)
         lives = plan.lives
         for i, a in enumerate(lives):
             for other in lives[i + 1 :]:

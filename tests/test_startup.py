@@ -2,8 +2,10 @@
 
 Only AutoTM's placement solves an ILP, so the entry points that never
 place a tensor (the CLIs, the service, trace replay) must not pay
-scipy's import, about 0.2 s and 40 MB.  Each check runs in a fresh
-interpreter, since this one has long since loaded scipy.
+scipy's import, about 0.2 s and 40 MB.  A service pays it when it
+starts, before its workers fork the job children that solve.  Each
+check runs in a fresh interpreter, since this one has long since
+loaded scipy.
 """
 
 import os
@@ -60,6 +62,19 @@ released = release_threads()
 print(before, released, "scipy.optimize" in sys.modules)
 """
 
+SERVICE = PRELUDE + """
+import tempfile
+
+from repro.service import ResultStore, SimulationService
+
+with tempfile.TemporaryDirectory() as root:
+    service = SimulationService(ResultStore(root), workers=1)
+    before = scipy_modules()
+    service.start()
+    print(before, "scipy.optimize" in sys.modules)
+    service.shutdown(drain=False, timeout=10.0)
+"""
+
 
 def run_fresh(script):
     """``script``'s stdout words, run in a new interpreter on this ``src``."""
@@ -93,3 +108,8 @@ def test_release_threads_loads_scipy_before_a_fork():
         pytest.skip("scipy exposes no HiGHS binding")
     # A child forked now inherits the solver instead of importing it.
     assert (before, loaded) == ("0", "True")
+
+
+def test_a_started_service_loads_the_solver_before_its_workers_fork():
+    # Each job's child then inherits scipy instead of importing it.
+    assert run_fresh(SERVICE) == ["0", "True"]
