@@ -152,8 +152,8 @@ def execute_autotm_async(
         """Record a move's device traffic (time is handled by the DMA).
 
         Moves run between kernels, outside any epoch, so each access
-        charges the counter bank at once and the move's traffic is the
-        bank's delta.
+        charges the counter bank at once and leaves the clock alone; the
+        move's traffic is the bank's delta.
         """
         if to_nvram:
             src = addresser.lines(tensor, index)
@@ -163,7 +163,7 @@ def execute_autotm_async(
             dst = addresser.lines(tensor, restore_target[tensor])
         before = backend.counters.traffic.copy()
         for lines, kind in ((src, AccessKind.LLC_READ), (dst, AccessKind.LLC_WRITE)):
-            backend.access(lines, kind, ctx, advance=False, weight=sample_stride)
+            backend.access(lines, kind, weight=sample_stride)
         result.move_traffic += backend.counters.traffic.sub(before)
 
     for index, op in enumerate(graph.ops):

@@ -168,7 +168,6 @@ def execute_autotm(
     sampler = CounterSampler(backend.counters)
 
     ctx = AccessContext(threads=threads, pattern=Pattern.SEQUENTIAL)
-    move_ctx = ctx
     cpu = platform.socket.cpu
     weight = sample_stride
 
@@ -199,10 +198,10 @@ def execute_autotm(
                 if tele.enabled
                 else None
             )
-            with backend.epoch(move_ctx) as epoch:
-                backend.access(src, AccessKind.LLC_READ, move_ctx, weight=weight)
+            with backend.epoch(ctx) as epoch:
+                backend.access(src, AccessKind.LLC_READ, weight=weight)
                 # Nontemporal stores: no ownership read, straight write.
-                backend.access(dst, AccessKind.LLC_WRITE, move_ctx, weight=weight)
+                backend.access(dst, AccessKind.LLC_WRITE, weight=weight)
             backend.counters.retire(
                 int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
             )

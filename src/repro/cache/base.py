@@ -1,27 +1,21 @@
-"""Common cache-model interface.
+"""Telemetry shared by the cache models.
 
-The IMC sees exactly two request kinds from the LLC (Section IV-A):
-
-* **LLC read** — a load or RFO miss at the LLC requesting a line.
-* **LLC write** — a dirty-line eviction from the LLC or a nontemporal
-  store writing a line back.
-
-A cache model consumes batches of line addresses for each kind and
-returns the device traffic and tag events they generate.
+Every design reports the same metric family through
+:func:`record_cache_metrics`.  The interface the models implement is
+:class:`repro.memsys.backends.CacheModel`, the protocol the 2LM backend
+calls through.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import fields
-from typing import Dict, Protocol, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro import obs
 from repro.perf.counters import TagStats, Traffic
 
-__all__ = ["CacheModel", "record_cache_metrics"]
+__all__ = ["record_cache_metrics"]
 
 #: Metric-name rows per cache kind, formatted once per process instead
 #: of once per batch: (attribute, counter name, counter help) plus the
@@ -87,21 +81,3 @@ def record_cache_metrics(cache_kind: str, traffic: Traffic, tags: TagStats) -> N
         if value:
             counter.inc(value)
     writeback_histogram.observe(traffic.nvram_writes)
-
-
-class CacheModel(Protocol):
-    """Anything that can stand in for the 2LM DRAM cache."""
-
-    num_sets: int
-
-    def llc_read(self, lines: np.ndarray) -> Tuple[Traffic, TagStats]:
-        """Process a batch of LLC read requests, in order."""
-        ...
-
-    def llc_write(self, lines: np.ndarray) -> Tuple[Traffic, TagStats]:
-        """Process a batch of LLC write-back requests, in order."""
-        ...
-
-    def reset(self) -> None:
-        """Invalidate all cached state."""
-        ...

@@ -165,25 +165,25 @@ class GraphRuntime:
         else:
             lines, weight = self._sampled_lines(name, idx, dedupe=True)
             lines.sort()
-        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
+        self.backend.access(lines, AccessKind.LLC_READ, weight=weight)
 
     def gather(self, name: str, idx: np.ndarray) -> None:
         """Random reads of ``array[idx]``."""
         lines, weight = self._sampled_lines(name, idx, dedupe=True)
-        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
+        self.backend.access(lines, AccessKind.LLC_READ, weight=weight)
 
     def scatter(self, name: str, idx: np.ndarray) -> None:
         """Random read-modify-writes of ``array[idx]`` (standard stores)."""
         lines, weight = self._sampled_lines(name, idx, dedupe=True)
-        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=weight)
-        self.backend.access(lines, AccessKind.LLC_WRITE, self.ctx, weight=weight)
+        self.backend.access(lines, AccessKind.LLC_READ, weight=weight)
+        self.backend.access(lines, AccessKind.LLC_WRITE, weight=weight)
 
     def stream_write(self, name: str) -> None:
         """Sequential full-array overwrite (e.g. swapping rank buffers)."""
         start, count = self.layout.array_lines(name)
         lines = start + np.arange(0, count, self.edge_stride, dtype=np.int64)
-        self.backend.access(lines, AccessKind.LLC_READ, self.ctx, weight=self.edge_stride)  # RFO
-        self.backend.access(lines, AccessKind.LLC_WRITE, self.ctx, weight=self.edge_stride)
+        self.backend.access(lines, AccessKind.LLC_READ, weight=self.edge_stride)  # RFO
+        self.backend.access(lines, AccessKind.LLC_WRITE, weight=self.edge_stride)
 
     def _sampled_lines(
         self, name: str, idx: np.ndarray, dedupe: bool

@@ -193,30 +193,30 @@ def _run_kernel(
                     # Disjoint load/store partition at the chosen ratio.
                     loads = mix_rng.random(batch.size) < spec.read_fraction
                     if loads.any():
-                        backend.access(batch[loads], AccessKind.LLC_READ, ctx)
+                        backend.access(batch[loads], AccessKind.LLC_READ)
                     stores = batch[~loads]
                     if stores.size:
                         if queue is None:
-                            backend.access(stores, AccessKind.LLC_WRITE, ctx)
+                            backend.access(stores, AccessKind.LLC_WRITE)
                         else:
-                            backend.access(stores, AccessKind.LLC_READ, ctx)  # RFO
+                            backend.access(stores, AccessKind.LLC_READ)  # RFO
                             for evicted in queue.push(stores):
-                                backend.access(evicted, AccessKind.LLC_WRITE, ctx)
+                                backend.access(evicted, AccessKind.LLC_WRITE)
                     continue
                 if spec.reads:
-                    backend.access(batch, AccessKind.LLC_READ, ctx)
+                    backend.access(batch, AccessKind.LLC_READ)
                 elif delayed_writes:
                     # Standard store to a non-resident line: RFO first.
-                    backend.access(batch, AccessKind.LLC_READ, ctx)
+                    backend.access(batch, AccessKind.LLC_READ)
                 if spec.writes:
                     if queue is None:
-                        backend.access(batch, AccessKind.LLC_WRITE, ctx)
+                        backend.access(batch, AccessKind.LLC_WRITE)
                     else:
                         for evicted in queue.push(batch):
-                            backend.access(evicted, AccessKind.LLC_WRITE, ctx)
+                            backend.access(evicted, AccessKind.LLC_WRITE)
             if queue is not None:
                 for evicted in queue.drain():
-                    backend.access(evicted, AccessKind.LLC_WRITE, ctx)
+                    backend.access(evicted, AccessKind.LLC_WRITE)
         totals += epoch.traffic
         tags += epoch.tags
         seconds += epoch.seconds

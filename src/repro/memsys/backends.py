@@ -1,12 +1,14 @@
 """Memory-system backends: the 1LM (flat) and 2LM (cached) configurations.
 
 A backend is the boundary workloads talk to: it accepts LLC request
-vectors of any length, produces exact device traffic, charges it to the
-uncore counters, and advances the virtual clock using the timing model.
-Inside an :class:`Epoch` an access charges only the epoch's pooled
-traffic; the counter bank is charged once, when the epoch closes, the way
-the paper reads its IMC counters by differencing snapshots around a
-phase (Section III-B), so the bank is read between epochs.
+vectors of any length, produces exact device traffic and charges it to
+the uncore counters.  Inside an :class:`Epoch` an access charges only the
+epoch's pooled traffic; the counter bank is charged once, when the epoch
+closes, the way the paper reads its IMC counters by differencing
+snapshots around a phase (Section III-B), so the bank is read between
+epochs.  Outside an epoch an access charges the bank at once.  Only
+closing an epoch moves the virtual clock, by the timing model's time for
+the pooled traffic.
 The backend is also the one place host batching happens: ``access`` cuts
 a vector longer than :data:`repro.config.BATCH_LINES` into consecutive
 batches, so no workload executor chunks its own streams.
@@ -15,10 +17,9 @@ batches, so no workload executor chunks its own streams.
   by DRAM or NVRAM according to an :class:`~repro.memsys.topology.AddressMap`
   (e.g. NUMA-preferred allocation); requests go straight to the device.
 * :class:`CachedBackend` — 2LM / memory mode.  All lines are NVRAM-backed
-  and a DRAM cache model intercepts every request.  NVRAM bandwidth is
-  derated by ``nvram_efficiency`` to model the miss handler's occupancy
-  overhead, calibrated so a 100 %-miss stream achieves the ~70 % of raw
-  device bandwidth the paper measures (Figure 4 vs Figure 2).
+  and a DRAM cache model intercepts every request.  Its timing model is
+  cache-managed, so NVRAM bandwidth is derated by
+  :data:`~repro.memsys.timing.MISS_HANDLER_EFFICIENCY`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,13 @@ from repro.memsys.timing import TimingModel
 from repro.memsys.topology import AddressMap
 
 
-class _CacheLike(Protocol):
-    """Structural stand-in for :class:`repro.cache.base.CacheModel`.
+class CacheModel(Protocol):
+    """Anything that can stand in for the 2LM DRAM cache.
+
+    The IMC sees exactly two request kinds from the LLC (Section IV-A):
+    an LLC read (a load or RFO miss) and an LLC write (a dirty eviction
+    or a nontemporal store).  A model answers a batch of each with the
+    device traffic and tag events it generates, in request order.
 
     The model validates its input: :class:`CachedBackend` passes each
     batch of at most :data:`~repro.config.BATCH_LINES` lines straight
@@ -59,9 +65,6 @@ class _CacheLike(Protocol):
 
     def llc_write(self, lines: np.ndarray) -> "tuple[Traffic, TagStats]": ...
 
-#: Calibrated fraction of raw NVRAM bandwidth achievable through the 2LM
-#: miss handler (Section IV-D: 23 GB/s of ~32 GB/s read, 8 of ~11 write).
-MISS_HANDLER_EFFICIENCY = 0.72
 
 #: (attribute, metric name, help) rows for the IMC counters, so charging
 #: them never rebuilds metric-name strings.
@@ -104,8 +107,7 @@ class Epoch:
     of compute and memory time.
     """
 
-    def __init__(self, ctx: AccessContext) -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.compute_seconds = 0.0
         self.memory_seconds = 0.0
         self.seconds = 0.0
@@ -125,35 +127,30 @@ class MemoryBackend(Protocol):
     counters: UncoreCounters
     timing: TimingModel
 
-    def access(
-        self,
-        lines: np.ndarray,
-        kind: AccessKind,
-        ctx: AccessContext,
-        advance: bool = True,
-        weight: int = 1,
-    ) -> None:
-        """Process a vector of LLC requests and account for them.
+    def access(self, lines: np.ndarray, kind: AccessKind, weight: int = 1) -> None:
+        """Process a vector of LLC requests and account for their traffic.
 
         ``weight`` multiplies the recorded traffic: stride-sampling
         executors simulate every N-th line and weight the result by N.
         Inside an epoch the traffic lands in the epoch; outside one it
         is charged to the counter bank at once (read a delta of it).
+        Either way the clock does not move: only closing an epoch
+        charges time.
         """
         ...
 
     def epoch(self, ctx: AccessContext) -> "contextlib.AbstractContextManager[Epoch]":
-        """Open an overlapped-execution window (see :class:`Epoch`)."""
+        """Open an overlapped-execution window (see :class:`Epoch`),
+        timed under ``ctx`` when it closes."""
         ...
 
 
 class _EpochSupport:
     """Shared epoch bookkeeping and telemetry for the concrete backends."""
 
-    counters: UncoreCounters
-    timing: TimingModel
-
-    def __init__(self) -> None:
+    def __init__(self, timing: TimingModel) -> None:
+        self.timing = timing
+        self.counters = UncoreCounters()
         self._active_epoch: Optional[Epoch] = None
         self._counter_handles: Optional[_CounterHandles] = None
 
@@ -172,7 +169,7 @@ class _EpochSupport:
                 if tele.enabled
                 else None
             )
-            epoch = Epoch(ctx)
+            epoch = Epoch()
             self._active_epoch = epoch
             try:
                 yield epoch
@@ -226,49 +223,34 @@ class _EpochSupport:
             "repro_tag_hit_rate", "cumulative DRAM-cache tag hit rate"
         ).set(self.counters.tags.hit_rate)
 
-    def access(
-        self,
-        lines: np.ndarray,
-        kind: AccessKind,
-        ctx: AccessContext,
-        advance: bool = True,
-        weight: int = 1,
-    ) -> None:
+    def access(self, lines: np.ndarray, kind: AccessKind, weight: int = 1) -> None:
         """Process ``lines`` in host batches of at most ``BATCH_LINES``.
 
         A vector within the cap is one batch, the array itself.  A longer
         one is validated whole, then cut into consecutive ``BATCH_LINES``
-        slices, each accounted as its own batch (its own clock advance
-        outside an epoch, ``memsys.access`` span and batch-size
-        observation).
+        slices, each accounted as its own batch (its own ``memsys.access``
+        span and batch-size observation).
         """
         if weight < 0:
             raise ValueError("weight must be non-negative")
         if np.size(lines) <= BATCH_LINES:
-            self._access_batch(lines, kind, ctx, advance, weight)
+            self._access_batch(lines, kind, weight)
             return
         whole = as_lines(lines)
         for begin in range(0, whole.size, BATCH_LINES):
-            self._access_batch(whole[begin : begin + BATCH_LINES], kind, ctx, advance, weight)
+            self._access_batch(whole[begin : begin + BATCH_LINES], kind, weight)
 
-    def _access_batch(
-        self,
-        lines: np.ndarray,
-        kind: AccessKind,
-        ctx: AccessContext,
-        advance: bool,
-        weight: int,
-    ) -> None:
+    def _access_batch(self, lines: np.ndarray, kind: AccessKind, weight: int) -> None:
         tele = obs.get()
         if not tele.enabled:
             traffic, tags = self._counts(lines, kind)
-            self._charge(traffic, tags, ctx, advance, weight)
+            self._charge(traffic, tags, weight)
             return
         with tele.span(
             "memsys.access", cat="memsys", clock=lambda: self.counters.time
         ) as span:
             traffic, tags = self._counts(lines, kind)
-            self._charge(traffic, tags, ctx, advance, weight)
+            self._charge(traffic, tags, weight)
             span.set(
                 kind=kind.value,
                 lines=int(np.size(lines)),
@@ -286,17 +268,9 @@ class _EpochSupport:
         """One batch's unweighted traffic and tag events."""
         raise NotImplementedError
 
-    def _charge(
-        self,
-        traffic: Traffic,
-        tags: TagStats,
-        ctx: AccessContext,
-        advance: bool,
-        weight: int,
-    ) -> None:
+    def _charge(self, traffic: Traffic, tags: TagStats, weight: int) -> None:
         """Charge one batch's counts times ``weight``: to the open epoch,
-        or, outside one, to the counter bank and (with ``advance``) the
-        clock, timed on its own."""
+        or, outside one, to the counter bank.  Neither moves the clock."""
         epoch = self._active_epoch
         if epoch is not None:
             epoch.traffic.add(traffic, weight)
@@ -306,8 +280,6 @@ class _EpochSupport:
         weighted_traffic.add(traffic, weight)
         weighted_tags.add(tags, weight)
         self._record(weighted_traffic, weighted_tags)
-        if advance:
-            self.counters.advance(self.timing.elapsed(weighted_traffic, ctx))
 
     def _record(self, traffic: Traffic, tags: TagStats) -> None:
         """Charge traffic and tag events to the counter bank and to the
@@ -339,17 +311,9 @@ class _EpochSupport:
 class FlatBackend(_EpochSupport):
     """1LM / app-direct: no cache, requests routed by physical address."""
 
-    def __init__(
-        self,
-        platform: PlatformConfig,
-        address_map: AddressMap,
-        counters: Optional[UncoreCounters] = None,
-    ) -> None:
-        super().__init__()
-        self.platform = platform
+    def __init__(self, platform: PlatformConfig, address_map: AddressMap) -> None:
+        super().__init__(TimingModel(platform))
         self.address_map = address_map
-        self.counters = counters or UncoreCounters()
-        self.timing = TimingModel(platform, nvram_efficiency=1.0)
 
     def _counts(self, lines: np.ndarray, kind: AccessKind) -> "tuple[Traffic, TagStats]":
         lines = as_lines(lines)
@@ -373,22 +337,9 @@ class FlatBackend(_EpochSupport):
 class CachedBackend(_EpochSupport):
     """2LM / memory mode: a DRAM cache model in front of NVRAM."""
 
-    def __init__(
-        self,
-        platform: PlatformConfig,
-        cache: _CacheLike,
-        counters: Optional[UncoreCounters] = None,
-        nvram_efficiency: float = MISS_HANDLER_EFFICIENCY,
-    ) -> None:
-        super().__init__()
-        self.platform = platform
+    def __init__(self, platform: PlatformConfig, cache: CacheModel) -> None:
+        super().__init__(TimingModel(platform, cache_managed=True))
         self.cache = cache
-        self.counters = counters or UncoreCounters()
-        self.timing = TimingModel(
-            platform,
-            nvram_efficiency=nvram_efficiency,
-            cache_managed=True,
-        )
 
     def _counts(self, lines: np.ndarray, kind: AccessKind) -> "tuple[Traffic, TagStats]":
         if kind is AccessKind.LLC_READ:

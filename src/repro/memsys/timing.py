@@ -15,11 +15,12 @@ Traffic is assumed evenly interleaved across the channels in use, which
 matches the paper's configuration ("all six Optane DC DIMMs are
 configured as a single interleaved set").
 
-The ``nvram_efficiency`` knob models the 2LM miss handler's occupancy
+A cache-managed (2LM) model derates NVRAM bandwidth by
+:data:`MISS_HANDLER_EFFICIENCY` for the miss handler's occupancy
 overhead: when NVRAM is reached through the DRAM cache's miss handler
 rather than directly, the paper measures only ~60-75 % of raw device
-bandwidth (Section IV-D contrasts Figure 4 with Figure 2).  Flat (1LM)
-backends use efficiency 1.0.
+bandwidth (Section IV-D contrasts Figure 4 with Figure 2).  A flat (1LM)
+model reaches the device directly, at full bandwidth.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from repro.perf.counters import AccessContext, Traffic
 from repro.units import CACHE_LINE
 from repro.memsys.dram import DRAMDevice
 from repro.memsys.nvram import NVRAMDevice
+
+#: Calibrated fraction of raw NVRAM bandwidth achievable through the 2LM
+#: miss handler (Section IV-D: 23 GB/s of ~32 GB/s read, 8 of ~11 write).
+MISS_HANDLER_EFFICIENCY = 0.72
 
 
 @dataclass(frozen=True)
@@ -70,20 +75,14 @@ class TimeBreakdown:
 class TimingModel:
     """Converts traffic records into elapsed time on a given platform."""
 
-    def __init__(
-        self,
-        platform: PlatformConfig,
-        nvram_efficiency: float = 1.0,
-        cache_managed: bool = False,
-    ) -> None:
-        if not 0.0 < nvram_efficiency <= 1.0:
-            raise ValueError(f"nvram_efficiency must be in (0, 1], got {nvram_efficiency}")
+    def __init__(self, platform: PlatformConfig, cache_managed: bool = False) -> None:
         self.platform = platform
-        self.nvram_efficiency = nvram_efficiency
         #: In 2LM the miss handler, not CPU threads, issues NVRAM traffic:
         #: the thread-oversubscription write derating does not apply, but
-        #: each miss's fill read and write-back serialize on the media.
+        #: each miss's fill read and write-back serialize on the media,
+        #: at the miss handler's fraction of the raw bandwidth.
         self.cache_managed = cache_managed
+        self.nvram_efficiency = MISS_HANDLER_EFFICIENCY if cache_managed else 1.0
         self._dram = DRAMDevice(platform.socket.dram)
         self._nvram = NVRAMDevice(platform.socket.nvram)
         #: Epoch context -> the context the NVRAM device sees, built

@@ -215,16 +215,16 @@ def execute_op(
     with backend.epoch(ctx) as epoch:
         if op.kind is not OpKind.PARAMETER:
             for tensor in op.inputs:
-                backend.access(lines_of(tensor), AccessKind.LLC_READ, ctx, weight=weight)
+                backend.access(lines_of(tensor), AccessKind.LLC_READ, weight=weight)
             if op.kind is OpKind.SGD_UPDATE:
                 # In-place weight update: the read above doubles as the
                 # ownership read; write the weight back.
-                backend.access(lines_of(op.inputs[0]), AccessKind.LLC_WRITE, ctx, weight=weight)
+                backend.access(lines_of(op.inputs[0]), AccessKind.LLC_WRITE, weight=weight)
             for tensor in op.outputs:
                 # Standard stores write-allocate: RFO first, write-back after.
                 lines = lines_of(tensor)
-                backend.access(lines, AccessKind.LLC_READ, ctx, weight=weight)
-                backend.access(lines, AccessKind.LLC_WRITE, ctx, weight=weight)
+                backend.access(lines, AccessKind.LLC_READ, weight=weight)
+                backend.access(lines, AccessKind.LLC_WRITE, weight=weight)
         epoch.add_compute(compute_time(op, cpu.peak_flops))
     instructions = int(op.flops * cpu.instructions_per_flop) + int(
         epoch.traffic.demand_bytes * cpu.instructions_per_byte

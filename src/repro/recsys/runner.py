@@ -151,10 +151,10 @@ def run_recsys(
         with backend.epoch(ctx) as epoch:
             for t_index, rows in enumerate(batch):
                 lines = layout.row_lines(t_index, rows)
-                backend.access(lines, AccessKind.LLC_READ, ctx)
+                backend.access(lines, AccessKind.LLC_READ)
                 if training:
                     # Gradient update: rewrite the freshly read rows.
-                    backend.access(lines, AccessKind.LLC_WRITE, ctx)
+                    backend.access(lines, AccessKind.LLC_WRITE)
                 total_lookups += rows.size
                 if mode == "bandana":
                     hot = layout.placement.hot_masks[t_index][rows]

@@ -255,9 +255,9 @@ def replay_trace(
             line_writes = _expand_lines(keys[writes], sizes[writes], key_base)
         with backend.epoch(ctx):
             if line_reads.size:
-                backend.access(line_reads, AccessKind.LLC_READ, ctx)
+                backend.access(line_reads, AccessKind.LLC_READ)
             if line_writes.size:
-                backend.access(line_writes, AccessKind.LLC_WRITE, ctx)
+                backend.access(line_writes, AccessKind.LLC_WRITE)
 
     counters = backend.counters
     traffic = counters.traffic

@@ -51,8 +51,9 @@ class TestAsyncExecution:
 
     def test_move_traffic_is_what_the_moves_charged(self, platform, setup, monkeypatch):
         """Moves run between kernels, outside any epoch, so each charges
-        the counter bank at once: the bank ends holding the kernels'
-        epochs plus exactly the move traffic the result reports."""
+        the counter bank at once and no time: the bank ends holding the
+        kernels' epochs plus exactly the move traffic the result reports,
+        and the clock the kernels' epochs plus the stalls."""
         from repro.autotm import dma
 
         made = []
@@ -68,6 +69,7 @@ class TestAsyncExecution:
         (backend,) = made
         assert result.move_traffic.demand_accesses > 0
         assert backend.counters.traffic == result.traffic
+        assert backend.counters.time == pytest.approx(result.seconds)
 
     def test_stash_restore_balanced(self, platform, setup):
         training, plan = setup

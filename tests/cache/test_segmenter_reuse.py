@@ -200,8 +200,8 @@ class TestSegmenterContract:
         for ops, keys, sizes in trace.batches(1 << 12):
             lines = _expand_lines(keys, sizes, key_base)
             with backend.epoch(ctx):
-                backend.access(lines, AccessKind.LLC_READ, ctx)
-                backend.access(lines, AccessKind.LLC_WRITE, ctx)
+                backend.access(lines, AccessKind.LLC_READ)
+                backend.access(lines, AccessKind.LLC_WRITE)
         # Two segment() calls per batch (read + write), but each batch's
         # frozen vector yields exactly one SegmentedBatch object.
         assert len(seen) >= 2 and len(seen) % 2 == 0

@@ -44,45 +44,46 @@ class TestFlatBackend:
     fresh backend's bank holds exactly its first access's traffic."""
 
     def test_routes_by_address(self, flat):
-        flat.access(np.array([0, 500, 1500]), AccessKind.LLC_READ, AccessContext())
+        flat.access(np.array([0, 500, 1500]), AccessKind.LLC_READ)
         assert flat.counters.traffic.dram_reads == 2
         assert flat.counters.traffic.nvram_reads == 1
         assert flat.counters.traffic.demand_reads == 3
 
     def test_writes_route_too(self, flat):
-        flat.access(np.array([999, 1000]), AccessKind.LLC_WRITE, AccessContext())
+        flat.access(np.array([999, 1000]), AccessKind.LLC_WRITE)
         assert flat.counters.traffic.dram_writes == 1
         assert flat.counters.traffic.nvram_writes == 1
 
     def test_no_amplification(self, flat):
-        flat.access(np.arange(2000), AccessKind.LLC_READ, AccessContext())
+        flat.access(np.arange(2000), AccessKind.LLC_READ)
         assert flat.counters.traffic.amplification == 1.0
 
     def test_no_tag_events(self, flat):
-        flat.access(np.arange(10), AccessKind.LLC_READ, AccessContext())
+        flat.access(np.arange(10), AccessKind.LLC_READ)
         assert flat.counters.tags.checks == 0
 
     def test_advances_clock(self, flat):
-        flat.access(np.arange(2000), AccessKind.LLC_READ, AccessContext())
+        with flat.epoch(AccessContext()):
+            flat.access(np.arange(2000), AccessKind.LLC_READ)
         assert flat.counters.time > 0
 
-    def test_advance_false_leaves_clock(self, flat):
-        flat.access(
-            np.arange(2000), AccessKind.LLC_READ, AccessContext(), advance=False
-        )
+    def test_access_leaves_the_clock(self, flat):
+        """Only closing an epoch charges time."""
+        flat.access(np.arange(2000), AccessKind.LLC_READ)
+        assert flat.counters.traffic.demand_reads == 2000
         assert flat.counters.time == 0
 
 
 class TestCachedBackend:
     def test_records_tag_events(self, cached):
         lines = np.arange(100)
-        cached.access(lines, AccessKind.LLC_READ, AccessContext())
+        cached.access(lines, AccessKind.LLC_READ)
         assert cached.counters.tags.clean_misses == 100
-        cached.access(lines, AccessKind.LLC_READ, AccessContext())
+        cached.access(lines, AccessKind.LLC_READ)
         assert cached.counters.tags.hits == 100
 
     def test_miss_amplification(self, cached):
-        cached.access(np.arange(100), AccessKind.LLC_READ, AccessContext())
+        cached.access(np.arange(100), AccessKind.LLC_READ)
         assert cached.counters.traffic.amplification == 3.0  # Table I clean read miss
 
     def test_slower_than_flat_on_misses(self, platform, cached):
@@ -90,8 +91,9 @@ class TestCachedBackend:
         flat = FlatBackend(platform, amap)
         lines = np.arange(10_000)
         ctx = AccessContext(threads=24)
-        flat.access(lines, AccessKind.LLC_READ, ctx)
-        cached.access(lines, AccessKind.LLC_READ, ctx)
+        for backend in (flat, cached):
+            with backend.epoch(ctx):
+                backend.access(lines, AccessKind.LLC_READ)
         assert cached.counters.time > flat.counters.time
 
 
@@ -119,15 +121,15 @@ def test_cached_backend_rejects_invalid_lines(platform, make_cache, kind, lines)
     production model rejects a negative or non-1-D batch itself."""
     backend = CachedBackend(platform, make_cache())
     with pytest.raises(ValueError):
-        backend.access(lines, kind, AccessContext())
+        backend.access(lines, kind)
 
 
 class TestEpochs:
     def test_epoch_pools_traffic_time(self, cached):
         ctx = AccessContext(threads=24)
         with cached.epoch(ctx) as epoch:
-            cached.access(np.arange(0, 500), AccessKind.LLC_READ, ctx)
-            cached.access(np.arange(500, 1000), AccessKind.LLC_READ, ctx)
+            cached.access(np.arange(0, 500), AccessKind.LLC_READ)
+            cached.access(np.arange(500, 1000), AccessKind.LLC_READ)
         assert epoch.traffic.demand_reads == 1000
         assert epoch.seconds > 0
         assert cached.counters.time == pytest.approx(epoch.seconds)
@@ -138,19 +140,20 @@ class TestEpochs:
         lines = np.arange(50_000)
 
         serial = FlatBackend(platform, amap)
-        serial.access(lines, AccessKind.LLC_READ, ctx)
-        serial.access(lines, AccessKind.LLC_WRITE, ctx)
+        for kind in (AccessKind.LLC_READ, AccessKind.LLC_WRITE):
+            with serial.epoch(ctx):
+                serial.access(lines, kind)
 
         pooled = FlatBackend(platform, amap)
         with pooled.epoch(ctx) as epoch:
-            pooled.access(lines, AccessKind.LLC_READ, ctx)
-            pooled.access(lines, AccessKind.LLC_WRITE, ctx)
+            pooled.access(lines, AccessKind.LLC_READ)
+            pooled.access(lines, AccessKind.LLC_WRITE)
         assert epoch.seconds < serial.counters.time
 
     def test_roofline_compute_floor(self, cached):
         ctx = AccessContext()
         with cached.epoch(ctx) as epoch:
-            cached.access(np.arange(10), AccessKind.LLC_READ, ctx)
+            cached.access(np.arange(10), AccessKind.LLC_READ)
             epoch.add_compute(100.0)
         assert epoch.seconds == pytest.approx(100.0)
         assert epoch.memory_seconds < 100.0
@@ -168,14 +171,14 @@ class TestEpochs:
             with cached.epoch(ctx):
                 raise ValueError("boom")
         with cached.epoch(ctx) as epoch:
-            cached.access(np.arange(5), AccessKind.LLC_READ, ctx)
+            cached.access(np.arange(5), AccessKind.LLC_READ)
         assert epoch.traffic.demand_reads == 5
 
     def test_epoch_that_raises_charges_its_traffic_but_no_time(self, cached):
         ctx = AccessContext()
         with pytest.raises(ValueError):
             with cached.epoch(ctx) as epoch:
-                cached.access(np.arange(10), AccessKind.LLC_READ, ctx)
+                cached.access(np.arange(10), AccessKind.LLC_READ)
                 raise ValueError("boom")
         assert cached.counters.traffic == epoch.traffic
         assert cached.counters.traffic.demand_reads == 10
@@ -259,7 +262,7 @@ def replay(backend, stream, mode, weight, sliced):
             parts = [lines[b : b + CAP] for b in range(0, lines.size, CAP)] if sliced else [lines]
             traffic, tags, time = charged(backend, epoch)
             for part in parts:
-                backend.access(part, kind, ctx, advance=mode != "no_advance", weight=weight)
+                backend.access(part, kind, weight=weight)
             now_traffic, now_tags, now_time = charged(backend, epoch)
             charges.append((now_traffic.sub(traffic), now_tags.sub(tags), now_time - time))
     return charges, epoch
@@ -270,12 +273,12 @@ def replay(backend, stream, mode, weight, sliced):
 @pytest.mark.parametrize("order", ["random", "ascending"])
 @pytest.mark.parametrize("length", [3 * CAP, 3 * CAP + 101], ids=["k_cap", "k_cap_plus_r"])
 @pytest.mark.parametrize("weight", [1, 16])
-@pytest.mark.parametrize("mode", ["epoch", "advance", "no_advance"])
+@pytest.mark.parametrize("mode", ["epoch", "outside"])
 def test_long_vector_equals_its_slices(platform, name, order, length, weight, mode):
     """One ``access`` of a vector longer than the cap leaves the counters
     and the model exactly as a twin fed its slices one call at a time,
-    and charges the epoch, or the counter bank and clock, the slices'
-    sum."""
+    and charges the epoch, or outside one the counter bank, the slices'
+    sum.  Outside an epoch the clock does not move."""
     stream = request_stream(order, length)
     whole, twin = make_backend(platform, name), make_backend(platform, name)
     whole_charges, whole_epoch = replay(whole, stream, mode, weight, sliced=False)
@@ -289,6 +292,9 @@ def test_long_vector_equals_its_slices(platform, name, order, length, weight, mo
             twin_epoch.tags,
             twin_epoch.seconds,
         )
+    else:
+        assert all(time == 0.0 for _, _, time in whole_charges)
+        assert whole.counters.time == 0.0
     assert whole.counters.traffic.demand_accesses == 3 * length * weight
 
 
@@ -309,9 +315,9 @@ def test_vector_within_the_cap_reaches_the_model_as_itself(platform, kind, monke
     monkeypatch.setattr(backend.cache, method, spy)
     for size in (0, 1, CAP):
         lines = np.arange(size, dtype=np.int64)
-        backend.access(lines, kind, AccessContext())
+        backend.access(lines, kind)
         assert seen.pop() is lines
-    backend.access(np.arange(2 * CAP + 5, dtype=np.int64), kind, AccessContext())
+    backend.access(np.arange(2 * CAP + 5, dtype=np.int64), kind)
     assert [batch.size for batch in seen] == [CAP, CAP, 5]
 
 
@@ -332,7 +338,7 @@ def test_invalid_vectors_raise_on_either_side_of_the_cap(platform, name, lines):
     backend = make_backend(platform, name)
     before = model_state(backend)
     with pytest.raises(ValueError):
-        backend.access(lines, AccessKind.LLC_READ, AccessContext())
+        backend.access(lines, AccessKind.LLC_READ)
     assert counter_state(backend) == (Traffic(), TagStats(), 0.0)
     assert model_state(backend) == before
 
@@ -348,12 +354,12 @@ def times(counts, weight):
 
 
 def random_mix(rng, runs=8):
-    """Runs of accesses, each in one epoch or outside epochs, with
-    ``advance`` on or off.  Vectors are random; some are frozen and read
-    or written again by later accesses, as a kernel re-reads a tensor."""
+    """Runs of accesses, each in one epoch or outside epochs.  Vectors are
+    random; some are frozen and read or written again by later accesses,
+    as a kernel re-reads a tensor."""
     frozen, mix = [], []
     for _ in range(runs):
-        where = str(rng.choice(["epoch", "advance", "no_advance"]))
+        where = str(rng.choice(["epoch", "outside"]))
         accesses = []
         for _ in range(int(rng.integers(1, 5))):
             if frozen and rng.random() < 0.4:
@@ -364,7 +370,7 @@ def random_mix(rng, runs=8):
                     lines.flags.writeable = False
                     frozen.append(lines)
             kind = AccessKind.LLC_READ if rng.random() < 0.5 else AccessKind.LLC_WRITE
-            accesses.append((lines, kind, bool(rng.random() < 0.5)))
+            accesses.append((lines, kind))
         mix.append((where, accesses))
     return mix
 
@@ -373,11 +379,11 @@ def random_mix(rng, runs=8):
 @pytest.mark.parametrize("weight", [1, 16])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_access_charges_its_weighted_model_counts(platform, name, weight, seed):
-    """Over random mixes of reads and writes, in epochs and outside them
-    with ``advance`` on and off, each epoch's Traffic/TagStats, the final
-    counter bank and the clock equal the sums of a twin model's own
-    ``llc_read``/``llc_write`` returns times the weight.  Inside an epoch
-    the bank does not move until the epoch closes."""
+    """Over random mixes of reads and writes, in epochs and outside them,
+    each epoch's Traffic/TagStats, the final counter bank and the clock
+    equal the sums of a twin model's own ``llc_read``/``llc_write``
+    returns times the weight.  Inside an epoch the bank does not move
+    until the epoch closes; outside one the clock does not move."""
     backend = make_backend(platform, name)
     model = make_backend(platform, name).cache  # answers each batch directly
     ctx = AccessContext(threads=8)
@@ -387,8 +393,8 @@ def test_access_charges_its_weighted_model_counts(platform, name, weight, seed):
             pooled_traffic, pooled_tags = Traffic(), TagStats()
             with backend.epoch(ctx) as epoch:
                 before = counter_state(backend)
-                for lines, kind, advance in accesses:
-                    backend.access(lines, kind, ctx, advance=advance, weight=weight)
+                for lines, kind in accesses:
+                    backend.access(lines, kind, weight=weight)
                     request = model.llc_read if kind is AccessKind.LLC_READ else model.llc_write
                     counts, tag_counts = request(lines)
                     pooled_traffic += times(counts, weight)
@@ -401,14 +407,12 @@ def test_access_charges_its_weighted_model_counts(platform, name, weight, seed):
             tags += pooled_tags
             clock += epoch.seconds
             continue
-        for lines, kind, _ in accesses:
-            backend.access(lines, kind, ctx, advance=where == "advance", weight=weight)
+        for lines, kind in accesses:
+            backend.access(lines, kind, weight=weight)
             request = model.llc_read if kind is AccessKind.LLC_READ else model.llc_write
             counts, tag_counts = request(lines)
             traffic += times(counts, weight)
             tags += times(tag_counts, weight)
-            if where == "advance":
-                clock += backend.timing.elapsed(times(counts, weight), ctx)
             assert counter_state(backend) == (traffic, tags, clock)
     assert counter_state(backend) == (traffic, tags, clock)
     assert model_state(backend) == model_state(CachedBackend(platform, model))
@@ -417,6 +421,6 @@ def test_access_charges_its_weighted_model_counts(platform, name, weight, seed):
 def test_negative_weight_is_refused_before_the_model_runs(cached):
     before = model_state(cached)
     with pytest.raises(ValueError):
-        cached.access(np.arange(10), AccessKind.LLC_READ, AccessContext(), weight=-1)
+        cached.access(np.arange(10), AccessKind.LLC_READ, weight=-1)
     assert model_state(cached) == before
     assert counter_state(cached) == (Traffic(), TagStats(), 0.0)

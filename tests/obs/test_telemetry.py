@@ -82,7 +82,7 @@ class TestInstrumentedHotPaths:
             backend = FlatBackend(platform, AddressMap.nvram_only(10_000))
             ctx = AccessContext(threads=4)
             with backend.epoch(ctx):
-                backend.access(np.arange(1000), AccessKind.LLC_READ, ctx)
+                backend.access(np.arange(1000), AccessKind.LLC_READ)
         names = [r.name for r in tele.tracer.records]
         assert "memsys.epoch" in names
         assert "memsys.access" in names
@@ -95,7 +95,7 @@ class TestInstrumentedHotPaths:
             backend = FlatBackend(platform, AddressMap.nvram_only(10_000))
             ctx = AccessContext(threads=4)
             with backend.epoch(ctx):
-                backend.access(np.arange(100), AccessKind.LLC_READ, ctx)
+                backend.access(np.arange(100), AccessKind.LLC_READ)
         by_name = {r.name: r for r in tele.tracer.records}
         assert by_name["memsys.access"].depth == by_name["memsys.epoch"].depth + 1
 
@@ -104,7 +104,7 @@ class TestInstrumentedHotPaths:
             backend = FlatBackend(platform, AddressMap.nvram_only(10_000))
             ctx = AccessContext(threads=4)
             with backend.epoch(ctx):
-                backend.access(np.arange(1000), AccessKind.LLC_READ, ctx)
+                backend.access(np.arange(1000), AccessKind.LLC_READ)
         epoch_span = [r for r in tele.tracer.records if r.name == "memsys.epoch"][0]
         assert epoch_span.sim_duration is not None
         assert epoch_span.sim_duration > 0
