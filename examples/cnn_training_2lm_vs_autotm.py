@@ -15,7 +15,9 @@ from repro.cache import DirectMappedCache
 from repro.config import default_platform
 from repro.memsys import CachedBackend
 from repro.nn import build_training_graph, execute_iteration, plan_memory
-from repro.nn.networks import densenet264, inception_v4, resnet200
+from repro.nn.networks.densenet import densenet264
+from repro.nn.networks.inception import inception_v4
+from repro.nn.networks.resnet import resnet200
 from repro.perf.report import render_table
 from repro.units import format_bytes
 

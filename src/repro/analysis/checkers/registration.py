@@ -3,7 +3,8 @@
 Cross-module rule: every ``experiments/fig*.py``, ``table*.py``,
 ``ablation.py``, ``dlrm.py``, ``gpt.py``, and ``kvtrace.py`` module must
 
-* appear in the ``EXPERIMENTS`` dict of the sibling ``registry.py``
+* appear in the ``EXPERIMENTS`` dict of the sibling ``registry.py``,
+  which maps each experiment name to the dotted name of its module
   (otherwise the CLI silently cannot run it), and
 * declare its grid as data with a top-level ``sweep_spec`` function
   (otherwise ``--jobs`` cannot parallelize it and its points never
@@ -35,32 +36,8 @@ def _is_experiment_module(module: ModuleInfo) -> bool:
     )
 
 
-def _registered_modules(registry: ModuleInfo) -> Optional[Set[str]]:
-    """Module short names referenced as values of the EXPERIMENTS dict."""
-    for node in ast.walk(registry.tree):
-        targets = ()
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.target is not None:
-            targets = (node.target,)
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "EXPERIMENTS"
-                and isinstance(node.value, ast.Dict)
-            ):
-                names: Set[str] = set()
-                for value in node.value.values:
-                    if isinstance(value, ast.Attribute) and isinstance(
-                        value.value, ast.Name
-                    ):
-                        names.add(value.value.id)
-                return names
-    return None
-
-
-def _string_dict_keys(module: ModuleInfo, name: str) -> Optional[Set[str]]:
-    """String keys of a module-level dict literal assigned to ``name``."""
+def _dict_literal(module: ModuleInfo, name: str) -> Optional[ast.Dict]:
+    """The dict literal assigned to ``name`` in ``module``, if any."""
     for node in ast.walk(module.tree):
         targets = ()
         if isinstance(node, ast.Assign):
@@ -73,12 +50,30 @@ def _string_dict_keys(module: ModuleInfo, name: str) -> Optional[Set[str]]:
                 and target.id == name
                 and isinstance(node.value, ast.Dict)
             ):
-                return {
-                    key.value
-                    for key in node.value.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                }
+                return node.value
     return None
+
+
+def _strings(nodes: Iterable[Optional[ast.expr]]) -> Set[str]:
+    return {
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def _registered_modules(registry: ModuleInfo) -> Optional[Set[str]]:
+    """Short names of the modules the EXPERIMENTS dict maps names to."""
+    table = _dict_literal(registry, "EXPERIMENTS")
+    if table is None:
+        return None
+    return {module.rpartition(".")[2] for module in _strings(table.values)}
+
+
+def _string_dict_keys(module: ModuleInfo, name: str) -> Optional[Set[str]]:
+    """String keys of a module-level dict literal assigned to ``name``."""
+    table = _dict_literal(module, name)
+    return None if table is None else _strings(table.keys)
 
 
 def _declares_sweep_spec(module: ModuleInfo) -> bool:

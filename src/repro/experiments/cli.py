@@ -47,7 +47,12 @@ from repro import obs
 from repro.autotm.ilp import release_threads
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, registered_names, run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    load_all,
+    registered_names,
+    run_experiment,
+)
 
 
 def _run_named(name: str, quick: bool) -> Tuple[ExperimentResult, float]:
@@ -219,6 +224,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve(args)
 
     names = registered_names() if args.name == "all" else [args.name]
+    if args.name == "all":
+        # Every experiment module loads now, before any pool or child
+        # forks, so no worker pays an import of its own.
+        load_all()
 
     store = None
     specs = {}

@@ -24,7 +24,7 @@ from repro.experiments.platform import CNN_STRIDE, cnn_platform_for, training_se
 from repro.memsys import CachedBackend
 from repro.nn import execute_iteration
 from repro.nn.liveness import live_bytes_series
-from repro.perf import CounterSampler
+from repro.perf.sampler import CounterSampler
 from repro.perf.memmap import render_memory_map
 from repro.perf.report import render_series
 from repro.units import format_bytes, to_gb_per_s

@@ -67,7 +67,7 @@ def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         name="fig7", title="Graph kernels in 2LM: cache-resident vs cache-exceeding"
     )
-    data = {}
+    data = {"cache_bytes": cache_bytes}
     for label in GRAPHS:
         csr = _graph_for(label, quick)
         rows = []

@@ -27,7 +27,7 @@ from repro.memsys import CachedBackend
 from repro.nn import build_training_graph, execute_iteration, plan_memory
 from repro.nn.autodiff import TrainingGraph
 from repro.nn.ir import Graph
-from repro.nn.networks import gpt_like
+from repro.nn.networks.transformer import gpt_like
 from repro.nn.planner import MemoryPlan
 from repro.perf.report import render_table
 from repro.units import CACHE_LINE, GB, format_bytes

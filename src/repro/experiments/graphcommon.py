@@ -16,7 +16,8 @@ from repro.graphs import (
 )
 from repro.graphs.sage import setup_2lm, setup_numa, setup_sage
 from repro.perf.counters import TagStats, Traffic
-from repro.perf import CounterSampler, Trace
+from repro.perf.sampler import CounterSampler
+from repro.perf.trace import Trace
 from repro.units import CACHE_LINE, GB, to_gb_per_s
 
 #: PageRank rounds (paper: 100; scaled runs converge in fewer).

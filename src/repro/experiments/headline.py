@@ -201,8 +201,8 @@ def _fig7(data: Mapping[str, Any]) -> Dict[str, float]:
     def kernel(label: str, name: str, field: str) -> Optional[float]:
         return _num(data, label, "kernels", name, field)
 
-    pairs = []
-    for label in sorted(data):
+    pairs = [("cache_bytes", _num(data, "cache_bytes"))]
+    for label in ("kron", "wdc"):
         pairs.append((f"{label}_pr_dram_gbps", kernel(label, "pr", "dram_gbps")))
         pairs.append((f"{label}_binary_bytes", _num(data, label, "binary_bytes")))
         pairs += [(f"{label}_{k}_hit_rate", kernel(label, k, "hit_rate")) for k in ("cc", "pr")]

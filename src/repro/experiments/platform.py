@@ -6,21 +6,25 @@ run at 1/16384 so that full pagerank traces over the wdc-like input stay
 affordable; the kron input fits its scaled cache and the web input
 exceeds it, preserving the paper's contrast.  Heavy artefacts (graphs,
 training graphs, memory plans) are cached per process so benchmarks can
-re-run experiments without rebuilding them.
+re-run experiments without rebuilding them.  The graph generators and
+each network's builder are imported when first called, so a process
+that runs no graph study (or only one network) never loads the others.
 """
 
 from __future__ import annotations
 
+import importlib
 from functools import lru_cache
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.config import PAPER_PLATFORM, PlatformConfig
-from repro.graphs import CSRGraph, kronecker, web_graph
 from repro.nn import build_training_graph, plan_memory
 from repro.nn.autodiff import TrainingGraph
-from repro.nn.networks import densenet264, inception_v4, resnet200
 from repro.nn.planner import MemoryPlan
 from repro.units import CACHE_LINE
+
+if TYPE_CHECKING:
+    from repro.graphs.csr import CSRGraph
 
 #: Scale for the microbenchmark and CNN studies.
 CNN_SCALE = 1024.0
@@ -32,10 +36,11 @@ CNN_BATCH = 3
 #: Sampling stride for CNN tensor streams.
 CNN_STRIDE = 16
 
+#: Each CNN's builder, as (module, function).
 _BUILDERS = {
-    "inception_v4": inception_v4,
-    "resnet200": resnet200,
-    "densenet264": densenet264,
+    "inception_v4": ("repro.nn.networks.inception", "inception_v4"),
+    "resnet200": ("repro.nn.networks.resnet", "resnet200"),
+    "densenet264": ("repro.nn.networks.densenet", "densenet264"),
 }
 
 #: Paper Table II reference values (GB moved and seconds, full scale).
@@ -73,12 +78,14 @@ def training_setup(network: str, quick: bool = False) -> Tuple[TrainingGraph, Me
     """Build (training graph, memory plan) for one of the paper's CNNs."""
     if network not in _BUILDERS:
         raise KeyError(f"unknown network {network!r}; pick from {sorted(_BUILDERS)}")
+    module, builder = _BUILDERS[network]
+    build = getattr(importlib.import_module(module), builder)
     if quick and network == "densenet264":
-        graph = densenet264(2, block_config=(3, 6, 24, 16))
+        graph = build(2, block_config=(3, 6, 24, 16))
     elif quick:
-        graph = _BUILDERS[network](2)
+        graph = build(2)
     else:
-        graph = _BUILDERS[network](CNN_BATCH)
+        graph = build(CNN_BATCH)
     training = build_training_graph(graph)
     plan = plan_memory(graph, alignment=CNN_STRIDE * CACHE_LINE)
     return training, plan
@@ -87,6 +94,8 @@ def training_setup(network: str, quick: bool = False) -> Tuple[TrainingGraph, Me
 @lru_cache(maxsize=4)
 def kron_graph(quick: bool = False) -> CSRGraph:
     """The cache-resident input (kron30 stand-in)."""
+    from repro.graphs.generators import kronecker
+
     return kronecker(13 if quick else 16, edge_factor=16, seed=7)
 
 
@@ -97,4 +106,6 @@ def wdc_graph(quick: bool = False) -> CSRGraph:
     Sized ~1.4x the two-socket scaled DRAM cache, matching the paper's
     507 GB binary against a 384 GB cache.
     """
+    from repro.graphs.generators import web_graph
+
     return web_graph((1 << 15) if quick else (1 << 18), avg_degree=30, seed=11)

@@ -1,51 +1,41 @@
-"""Experiment registry and lookup."""
+"""Experiment registry and lookup.
+
+:data:`EXPERIMENTS` is a static table, so listing the experiments or
+validating a name imports none of them.  An experiment's module is
+imported when the experiment is looked up or run; a process that forks
+workers to run experiments calls :func:`load_all` first, so that no
+worker pays an import.
+"""
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from typing import Any, Callable, Dict
 
 from repro import obs
-from repro.experiments import (
-    ablation,
-    check,
-    dlrm,
-    dma,
-    fig2,
-    gpt,
-    kvtrace,
-    mix,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    table1,
-    table2,
-)
 from repro.experiments.base import ExperimentResult
 
-#: Every table/figure of the paper's evaluation, by name.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig2": fig2.run,
-    "table1": table1.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "table2": table2.run,
-    "ablation": ablation.run,
-    "dma": dma.run,
-    "mix": mix.run,
-    "dlrm": dlrm.run,
-    "gpt": gpt.run,
-    "kvtrace": kvtrace.run,
-    "check": check.run,
+#: Every table/figure of the paper's evaluation: name -> the module whose
+#: ``run`` regenerates it.
+EXPERIMENTS: Dict[str, str] = {
+    "fig2": "repro.experiments.fig2",
+    "table1": "repro.experiments.table1",
+    "fig4": "repro.experiments.fig4",
+    "fig5": "repro.experiments.fig5",
+    "fig6": "repro.experiments.fig6",
+    "fig7": "repro.experiments.fig7",
+    "fig8": "repro.experiments.fig8",
+    "fig9": "repro.experiments.fig9",
+    "fig10": "repro.experiments.fig10",
+    "table2": "repro.experiments.table2",
+    "ablation": "repro.experiments.ablation",
+    "dma": "repro.experiments.dma",
+    "mix": "repro.experiments.mix",
+    "dlrm": "repro.experiments.dlrm",
+    "gpt": "repro.experiments.gpt",
+    "kvtrace": "repro.experiments.kvtrace",
+    "check": "repro.experiments.check",
 }
 
 
@@ -55,12 +45,19 @@ def registered_names() -> list[str]:
 
 
 def get_experiment(name: str) -> Callable[..., ExperimentResult]:
+    """The ``run`` of experiment ``name``, importing its module if need be."""
     try:
-        return EXPERIMENTS[name]
+        module = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(registered_names())}"
         ) from None
+    return importlib.import_module(module).run
+
+
+def load_all() -> Dict[str, Callable[..., ExperimentResult]]:
+    """Every experiment's ``run`` by name, with every module imported."""
+    return {name: get_experiment(name) for name in EXPERIMENTS}
 
 
 _log = obs.get_logger("experiments")
@@ -68,7 +65,7 @@ _log = obs.get_logger("experiments")
 
 def supports_jobs(name: str) -> bool:
     """Whether an experiment's ``run`` accepts a ``jobs`` parameter."""
-    return "jobs" in inspect.signature(EXPERIMENTS[name]).parameters
+    return "jobs" in inspect.signature(get_experiment(name)).parameters
 
 
 def run_experiment(

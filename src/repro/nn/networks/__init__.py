@@ -1,4 +1,9 @@
-"""The paper's three CNN workloads (Section V-A).
+"""The paper's three CNN workloads (Section V-A), plus a GPT-like transformer.
+
+Each builder lives in its own module (:mod:`~repro.nn.networks.densenet`,
+:mod:`~repro.nn.networks.inception`, :mod:`~repro.nn.networks.resnet`,
+:mod:`~repro.nn.networks.transformer`), and callers import it from
+there, so building one network loads no other.
 
 Builders return forward graphs; pass them through
 :func:`repro.nn.autodiff.build_training_graph` to obtain the training
@@ -7,10 +12,3 @@ exceeds the (scaled) DRAM-cache capacity, exactly as the paper "scaled
 the training batch size until the overall footprint ... exceeded
 650 GB".
 """
-
-from repro.nn.networks.densenet import densenet264
-from repro.nn.networks.resnet import resnet200
-from repro.nn.networks.inception import inception_v4
-from repro.nn.networks.transformer import gpt_like
-
-__all__ = ["densenet264", "gpt_like", "inception_v4", "resnet200"]

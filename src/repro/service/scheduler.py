@@ -117,9 +117,11 @@ class SimulationService:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if experiments is None:
-            from repro.experiments.registry import EXPERIMENTS
+            # Every experiment module loads here, before the workers fork
+            # job children, so no child pays an import of its own.
+            from repro.experiments.registry import load_all
 
-            experiments = EXPERIMENTS
+            experiments = load_all()
         self.store = store
         self.queue = queue if queue is not None else JobQueue(clock=clock)
         self.experiments = dict(experiments)

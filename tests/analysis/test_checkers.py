@@ -256,11 +256,7 @@ class TestRegistration:
     def test_registered_sweepable_module_passes(self, tmp_path):
         pkg = self.write_experiments(
             tmp_path,
-            """\
-            from experiments import fig1
-
-            EXPERIMENTS = {"fig1": fig1.run}
-            """,
+            'EXPERIMENTS = {"fig1": "experiments.fig1"}\n',
             {
                 "fig1.py": """\
                 def sweep_spec(quick):
@@ -285,11 +281,7 @@ class TestRegistration:
     def test_unregistered_and_sweepless_module_flagged(self, tmp_path):
         pkg = self.write_experiments(
             tmp_path,
-            """\
-            from experiments import fig1
-
-            EXPERIMENTS = {"fig1": fig1.run}
-            """,
+            'EXPERIMENTS = {"fig1": "experiments.fig1"}\n',
             {
                 "fig1.py": "def sweep_spec(quick):\n    return None\n",
                 "fig2.py": "def run(quick=False):\n    return None\n",
@@ -315,11 +307,7 @@ class TestRegistration:
     def test_registered_name_without_headline_hook_flagged(self, tmp_path):
         pkg = self.write_experiments(
             tmp_path,
-            """\
-            from experiments import fig1, fig2
-
-            EXPERIMENTS = {"fig1": fig1.run, "fig2": fig2.run}
-            """,
+            'EXPERIMENTS = {"fig1": "experiments.fig1", "fig2": "experiments.fig2"}\n',
             {
                 "fig1.py": (
                     "def sweep_spec(quick):\n    return None\n"
@@ -341,11 +329,7 @@ class TestRegistration:
     def test_registry_without_headline_module_flagged(self, tmp_path):
         pkg = self.write_experiments(
             tmp_path,
-            """\
-            from experiments import fig1
-
-            EXPERIMENTS = {"fig1": fig1.run}
-            """,
+            'EXPERIMENTS = {"fig1": "experiments.fig1"}\n',
             {
                 "fig1.py": (
                     "def sweep_spec(quick):\n    return None\n"

@@ -31,12 +31,12 @@ from repro.cache import (
     DirectMappedCache,
     MissPredictorCache,
     NextLinePrefetchCache,
-    ReferenceCache,
     SectorCache,
     SetAssociativeCache,
 )
 from repro.cache import engine
 from repro.cache.flow import (
+    ReferenceCache,
     ScalarBypass,
     ScalarLRUCache,
     ScalarMissPredictor,

@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import DirectMappedCache, ReferenceCache
+from repro.cache import DirectMappedCache
+from repro.cache.flow import ReferenceCache
 
 # Tiny caches + addresses spanning several aliases force set conflicts.
 NUM_SETS = st.sampled_from([1, 2, 7, 16])

@@ -12,10 +12,10 @@ import pytest
 from repro.cache import (
     AMPLIFICATION_TABLE,
     DirectMappedCache,
-    ReferenceCache,
     RequestOutcome,
     expected_traffic,
 )
+from repro.cache.flow import ReferenceCache
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import CachedBackend

@@ -60,10 +60,12 @@ class TestCLI:
         assert out.index("=== check:") < out.index("=== table1:")  # printed in name order
 
     def test_all_loads_the_solver_before_its_pool_forks(self, monkeypatch, capsys):
-        # Workers then inherit scipy, so no worker's first solve delays
-        # it and shifts which worker the next experiment goes to.
+        # Workers then inherit scipy and every experiment module, so no
+        # worker's first solve or import delays it and shifts which
+        # worker the next experiment goes to.
         order = []
         monkeypatch.setattr(cli, "registered_names", lambda: ["fig2", "table1"])
+        monkeypatch.setattr(cli, "load_all", lambda: order.append("experiments"))
         monkeypatch.setattr(cli, "release_threads", lambda: order.append("solver"))
 
         def in_process(spec, jobs, _real=cli.run_sweep):
@@ -72,7 +74,7 @@ class TestCLI:
 
         monkeypatch.setattr(cli, "run_sweep", in_process)
         assert main(["all", "--quick", "--jobs", "2"]) == 0
-        assert order == ["solver", "pool of 2"]
+        assert order == ["experiments", "solver", "pool of 2"]
 
     def test_metrics_file_is_written(self, tmp_path, capsys):
         path = tmp_path / "deep" / "m.prom"

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.autotm import ilp
-from repro.experiments import run_experiment
 from repro.experiments import check, table2
+from repro.experiments.registry import run_experiment
 from repro.experiments.check import CLAIMS, RELATIONS, Claim, evaluate, headlines
 
 
@@ -83,7 +83,7 @@ def test_docs_count_the_claim_table(doc):
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments.registry import EXPERIMENTS
 
         expected = {
             "fig2", "table1", "fig4", "fig5", "fig6", "fig7", "fig8",
@@ -93,12 +93,12 @@ class TestRegistry:
         assert expected == set(EXPERIMENTS)
 
     def test_every_experiment_is_claimed(self):
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments.registry import EXPERIMENTS
 
         assert {claim.experiment for claim in CLAIMS} == set(EXPERIMENTS)
 
     def test_unknown_experiment_raises(self):
-        from repro.experiments import get_experiment
+        from repro.experiments.registry import get_experiment
 
         with pytest.raises(KeyError):
             get_experiment("fig99")

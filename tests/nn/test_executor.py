@@ -11,7 +11,7 @@ from repro.nn import build_training_graph, execute_iteration, plan_memory
 from repro.nn.executor import TensorAddresser, compute_time
 from repro.nn.ir import OpKind
 from repro.nn.ops import GraphBuilder
-from repro.perf import CounterSampler
+from repro.perf.sampler import CounterSampler
 from repro.perf.counters import TagStats, Traffic
 
 

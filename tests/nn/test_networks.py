@@ -4,7 +4,9 @@ import pytest
 
 from repro.nn.autodiff import build_training_graph
 from repro.nn.ir import OpKind
-from repro.nn.networks import densenet264, inception_v4, resnet200
+from repro.nn.networks.densenet import densenet264
+from repro.nn.networks.inception import inception_v4
+from repro.nn.networks.resnet import resnet200
 from repro.nn.planner import plan_memory
 from repro.units import MiB
 

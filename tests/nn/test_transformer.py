@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.nn import build_training_graph, plan_memory
 from repro.nn.ir import OpKind
-from repro.nn.networks import gpt_like
+from repro.nn.networks.transformer import gpt_like
 
 
 @pytest.fixture(scope="module")

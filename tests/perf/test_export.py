@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import run_experiment
 from repro.experiments.base import ExperimentResult
+from repro.experiments.registry import run_experiment
 from repro.perf.counters import TagStats, Traffic
 from repro.perf.export import export_result, to_jsonable
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.perf.counters import TagStats, Traffic, UncoreCounters
-from repro.perf import CounterSampler, Trace, TracePoint
+from repro.perf.sampler import CounterSampler
+from repro.perf.trace import Trace, TracePoint
 
 
 def make_counters():

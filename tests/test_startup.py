@@ -1,11 +1,16 @@
-"""What start-up loads: scipy waits for the first ILP solve.
+"""What start-up loads: scipy waits for the first ILP solve, and an
+entry point imports only the experiments it runs.
 
 Only AutoTM's placement solves an ILP, so the entry points that never
 place a tensor (the CLIs, the service, trace replay) must not pay
 scipy's import, about 0.2 s and 40 MB.  A service pays it when it
-starts, before its workers fork the job children that solve.  Each
-check runs in a fresh interpreter, since this one has long since
-loaded scipy.
+starts, before its workers fork the job children that solve.  Likewise
+an experiment's module, and the graph kernels, recommendation models
+and microbenchmark kernels behind it, load only when that experiment
+is looked up or run; a process that forks workers to run every
+experiment (the service, ``repro-experiment all``) loads them all
+first.  Each check runs in a fresh interpreter, since this one has
+long since loaded all of it.
 """
 
 import os
@@ -16,6 +21,22 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.registry import EXPERIMENTS
+
+#: Every module of the experiments package, the harness included.
+EXPERIMENTS_PACKAGE = {
+    f"repro.experiments.{path.stem}"
+    for path in Path(repro.__file__).resolve().parent.joinpath("experiments").glob("*.py")
+    if path.stem != "__init__"
+}
+
+#: Prints the repro modules loaded, as the words after ``LOADED``.
+LOADED = """
+import sys
+print("LOADED", *sorted(name for name in sys.modules if name.startswith("repro")))
+"""
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ENTRY_POINTS = (
     "repro.experiments.cli",
@@ -113,3 +134,54 @@ def test_release_threads_loads_scipy_before_a_fork():
 def test_a_started_service_loads_the_solver_before_its_workers_fork():
     # Each job's child then inherits scipy instead of importing it.
     assert run_fresh(SERVICE) == ["0", "True"]
+
+
+def loaded_after(script):
+    """The repro modules a fresh interpreter has loaded after ``script``."""
+    words = run_fresh(script + LOADED)
+    return set(words[words.index("LOADED") + 1:])
+
+
+def experiments_in(modules):
+    return {name.rpartition(".")[2] for name in modules & EXPERIMENTS_PACKAGE}
+
+
+def test_the_perfbench_worker_loads_only_what_its_workloads_run():
+    loaded = loaded_after(
+        f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\nimport repro, scipy, workloads\n"
+    )
+    assert "repro.traces.replay" in loaded  # the workloads did load
+    assert not {
+        name
+        for name in loaded
+        if name.startswith(("repro.graphs", "repro.recsys", "repro.kernels"))
+        or name == "repro.cache.flow"
+    }
+    assert experiments_in(loaded) == {"base", "ablation", "autotm_common", "kvtrace", "platform"}
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import repro.experiments.cli\n",
+        "from repro.experiments.cli import main\nmain(['list'])\n",
+    ],
+    ids=["import", "list"],
+)
+def test_the_cli_loads_no_experiment_to_list_them(script):
+    assert experiments_in(loaded_after(script)) <= {"base", "cli", "registry"}
+
+
+def test_an_experiment_loads_no_other_experiment():
+    loaded = loaded_after("import repro.experiments.table1\n")
+    assert loaded & set(EXPERIMENTS.values()) == {"repro.experiments.table1"}
+
+
+def test_a_service_loads_every_experiment_before_its_workers_fork():
+    loaded = loaded_after(
+        "import tempfile\n"
+        "from repro.service import ResultStore, SimulationService\n"
+        "with tempfile.TemporaryDirectory() as root:\n"
+        "    SimulationService(ResultStore(root), workers=1)\n"
+    )
+    assert set(EXPERIMENTS.values()) <= loaded
